@@ -25,7 +25,6 @@ from .blowup import (
     TreeNode,
     apply_affine,
     blowup_origin,
-    classify,
     make_root_chart,
     resolve,
     total_transform_identity,
@@ -59,7 +58,7 @@ from .errors import (
     ZeroDivisorError,
     ZeroPolynomialError,
 )
-from .estimator import Estimate, EstimatorConfig, estimate, hit_counts, volume_probe
+from .estimator import Estimate, EstimatorConfig, estimate, hit_counts
 from .newton import NewtonData, lambda_newton, support, w_order, weighted_candidate
 from .parser import (
     DEFAULT_VARIABLES,
@@ -73,7 +72,6 @@ from .zeta import (
     PoleIndex,
     PoleReport,
     divisor_candidates,
-    lambda_capped,
     lambda_uncapped,
     multiplicity,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "TreeNode",
     "apply_affine",
     "blowup_origin",
-    "classify",
     "make_root_chart",
     "resolve",
     "total_transform_identity",
@@ -128,7 +125,6 @@ __all__ = [
     "EstimatorConfig",
     "estimate",
     "hit_counts",
-    "volume_probe",
     "NewtonData",
     "lambda_newton",
     "support",
@@ -143,7 +139,6 @@ __all__ = [
     "PoleIndex",
     "PoleReport",
     "divisor_candidates",
-    "lambda_capped",
     "lambda_uncapped",
     "multiplicity",
     "__version__",

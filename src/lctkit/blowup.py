@@ -7,9 +7,11 @@ determinant along it. The defining identity
 
     f(map_from_root) = (prod of e**k_e) * strict
 
-is asserted exactly after every step while a polynomial chart map exists
-(it is checked stepwise, and up to a constant factor, once a nonlinear
-coordinate rewrite enters the path; see apply_affine).
+is asserted exactly across every blow-up and translation, and the rewrite
+of apply_affine is checked to reproduce the strict transform. A chart
+stores only its path (`steps`); map_from_root is derived from it on demand,
+by composing the step maps of _step_substitution, and is None once a
+triangular (power-series) rewrite is on the path.
 
 Coordinate-change directions: `translate` substitutes its right-hand side
 for the variable (recentring the chart on another point), while `subst`
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -103,6 +106,28 @@ class RewriteStep:
 PathStep = Union[BlowupStep, TranslateStep, RewriteStep]
 
 
+def _step_substitution(
+    field: NumberField, variables: tuple[str, ...], step: PathStep
+) -> Optional[dict[str, Polynomial]]:
+    """The coordinate map of one step: each old coordinate it moves, as a
+    polynomial in the new ones. None for a triangular rewrite, whose inverse
+    is only a power series."""
+    def var(name: str) -> Polynomial:
+        return Polynomial.variable(field, variables, name)
+
+    if isinstance(step, BlowupStep):
+        v = step.chart_variable
+        return {w: var(w) * var(v) for w in step.center if w != v}
+    if isinstance(step, TranslateStep):
+        shift = Polynomial.constant(field, variables, step.value)
+        return {step.variable: var(step.variable) + shift}
+    if not step.exact_inverse:
+        return None
+    offset = step.expression.coefficient_of(step.variable, 0)
+    c1 = step.expression.coefficient_of(step.variable, 1).constant_term
+    return {step.variable: (var(step.variable) - offset) / c1}
+
+
 @dataclass(frozen=True)
 class Chart:
     field: NumberField
@@ -114,7 +139,6 @@ class Chart:
     jac_exponents: Mapping[str, int]
     strict: Polynomial
     status: ChartStatus
-    map_from_root: Optional[Mapping[str, Polynomial]]
     orbit_factor: int = 1
 
     @property
@@ -128,6 +152,22 @@ class Chart:
     def path_text(self) -> str:
         return "/".join(self.path) or "root"
 
+    @cached_property
+    def map_from_root(self) -> Optional[Mapping[str, Polynomial]]:
+        """The root coordinates as polynomials in this chart's, composed from
+        the path; None when a triangular rewrite makes the inverse a power
+        series only."""
+        images = {
+            v: Polynomial.variable(self.field, self.variables, v)
+            for v in self.variables
+        }
+        for step in self.steps:
+            substitution = _step_substitution(self.field, self.variables, step)
+            if substitution is None:
+                return None
+            images = {x: p.substitute(substitution) for x, p in images.items()}
+        return images
+
 
 def _classify(strict: Polynomial) -> ChartStatus:
     # SmoothStrict accepts any nonzero gradient at the origin, including one
@@ -139,12 +179,6 @@ def _classify(strict: Polynomial) -> ChartStatus:
     if any(bool(strict.partial(v).constant_term) for v in strict.variables):
         return ChartStatus.SMOOTH_STRICT
     return ChartStatus.OPEN
-
-
-def classify(chart: Chart) -> Chart:
-    """Recompute the status from the strict transform (DepthLimit is a driver
-    annotation and is not produced here)."""
-    return replace(chart, status=_classify(chart.strict))
 
 
 def _assert_content_free(chart: Chart) -> None:
@@ -177,6 +211,22 @@ def _assert_step_identity(
         )
 
 
+def _child(chart: Chart, step: PathStep, strict: Polynomial, **changes) -> Chart:
+    """The chart one step below `chart`: the step appended to the path, the
+    new strict transform classified and checked free of exceptional content.
+    `changes` overrides the inherited bookkeeping fields."""
+    child = replace(
+        chart,
+        steps=chart.steps + (step,),
+        strict=strict,
+        status=_classify(strict),
+        orbit_factor=1,
+        **changes,
+    )
+    _assert_content_free(child)
+    return child
+
+
 def make_root_chart(f: Polynomial) -> Chart:
     """Start a resolution: extract any monomial factor of f itself (those
     coordinate divisors count as candidates with h = 0) and classify."""
@@ -196,9 +246,6 @@ def make_root_chart(f: Polynomial) -> Chart:
         jac_exponents={v: 0 for v in exceptional},
         strict=strict,
         status=_classify(strict),
-        map_from_root={
-            v: Polynomial.variable(f.field, f.variables, v) for v in f.variables
-        },
     )
     _assert_content_free(chart)
     return chart
@@ -229,12 +276,8 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     divisor = f"E@{chart.path_text()}"
     children = []
     for v in center:
-        v_poly = Polynomial.variable(chart.field, chart.variables, v)
-        substitution = {
-            w: Polynomial.variable(chart.field, chart.variables, w) * v_poly
-            for w in center
-            if w != v
-        }
+        step = BlowupStep(center, v, divisor)
+        substitution = _step_substitution(chart.field, chart.variables, step)
         pulled = chart.strict.substitute(substitution)
         c, strict_child = pulled.monomial_content(v)
         if c < 1:
@@ -250,26 +293,15 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
         exceptional = tuple(
             x for x in chart.variables if x == v or x in chart.exceptional
         )
-        map_from_root = None
-        if chart.map_from_root is not None:
-            map_from_root = {
-                x: p.substitute(substitution)
-                for x, p in chart.map_from_root.items()
-            }
-        child = Chart(
-            field=chart.field,
-            variables=chart.variables,
-            steps=chart.steps + (BlowupStep(center, v, divisor),),
+        child = _child(
+            chart,
+            step,
+            strict_child,
             exceptional=exceptional,
             divisor_ids=divisor_ids,
             f_exponents=k,
             jac_exponents=h,
-            strict=strict_child,
-            status=_classify(strict_child),
-            map_from_root=map_from_root,
-            orbit_factor=1,
         )
-        _assert_content_free(child)
         _assert_step_identity(chart, child, substitution)
         children.append(child)
     new_ks = {child.f_exponents[child.steps[-1].chart_variable] for child in children}
@@ -294,9 +326,6 @@ def translate(chart: Chart, var: str, value) -> Chart:
     value = chart.field.coerce(value)
     if var not in chart.variables:
         raise ChartError(f"unknown variable {var!r}")
-    var_poly = Polynomial.variable(chart.field, chart.variables, var)
-    shifted = var_poly + Polynomial.constant(chart.field, chart.variables, value)
-    substitution = {var: shifted}
     localized = var in chart.exceptional
     if localized and value.is_zero():
         raise ChartError(
@@ -304,36 +333,28 @@ def translate(chart: Chart, var: str, value) -> Chart:
             "divisor through the origin; the monomial factorization cannot "
             "survive a translation along it"
         )
+    step = TranslateStep(var, value, localized)
+    substitution = _step_substitution(chart.field, chart.variables, step)
     strict_new = chart.strict.substitute(substitution)
     exceptional = chart.exceptional
     k = dict(chart.f_exponents)
     h = dict(chart.jac_exponents)
     divisor_ids = dict(chart.divisor_ids)
     if localized:
-        strict_new = shifted ** k[var] * strict_new
+        strict_new = substitution[var] ** k[var] * strict_new
         exceptional = tuple(e for e in exceptional if e != var)
         del k[var]
         del h[var]
         del divisor_ids[var]
-    map_from_root = None
-    if chart.map_from_root is not None:
-        map_from_root = {
-            x: p.substitute(substitution) for x, p in chart.map_from_root.items()
-        }
-    child = Chart(
-        field=chart.field,
-        variables=chart.variables,
-        steps=chart.steps + (TranslateStep(var, value, localized),),
+    child = _child(
+        chart,
+        step,
+        strict_new,
         exceptional=exceptional,
         divisor_ids=divisor_ids,
         f_exponents=k,
         jac_exponents=h,
-        strict=strict_new,
-        status=_classify(strict_new),
-        map_from_root=map_from_root,
-        orbit_factor=1,
     )
-    _assert_content_free(child)
     _assert_step_identity(chart, child, substitution)
     return child
 
@@ -374,10 +395,10 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
 
     - affine in var (c*var + q with c a nonzero constant, q free of var):
       inverted by the polynomial map var := (var - q)/c, so the chart map
-      from the root survives;
+      from the root stays polynomial;
     - triangular (every term contains var, unit coefficient on var^1):
       the strict transform is rewritten by exact decomposition and the chart
-      map is dropped (the inverse is only a power series).
+      has no map_from_root (the inverse is only a power series).
 
     Either way k and h are unchanged, the Jacobian factor of the rewrite is
     a unit recorded on the step, and the monomial factorization is
@@ -400,25 +421,17 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
     affine = (
         expression.degree_in(var) == 1 and not linear_coeff.variables_present()
     )
-    var_poly = Polynomial.variable(chart.field, chart.variables, var)
     if affine:
-        offset = expression.coefficient_of(var, 0)
-        if var in chart.exceptional and not offset.is_zero():
+        if var in chart.exceptional and expression.coefficient_of(var, 0):
             raise ChartError(
                 f"substitution moves the exceptional divisor {{{var} = 0}} "
                 "off the coordinate hyperplane"
             )
-        inverse = (var_poly - offset) / c1
-        substitution = {var: inverse}
-        strict_new = chart.strict.substitute(substitution)
-        map_from_root = None
-        if chart.map_from_root is not None:
-            map_from_root = {
-                x: p.substitute(substitution)
-                for x, p in chart.map_from_root.items()
-            }
         jacobian_unit = Polynomial.constant(chart.field, chart.variables, c1)
         step = RewriteStep(var, expression, jacobian_unit, True)
+        strict_new = chart.strict.substitute(
+            _step_substitution(chart.field, chart.variables, step)
+        )
     else:
         if expression.order_in(var) < 1:
             raise ChartError(
@@ -426,24 +439,8 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
                 "not affine; it cannot be inverted exactly"
             )
         strict_new = _rewrite_in_new_coordinate(chart.strict, var, expression, c1)
-        map_from_root = None
-        jacobian_unit = expression.partial(var)
-        step = RewriteStep(var, expression, jacobian_unit, False)
-    child = Chart(
-        field=chart.field,
-        variables=chart.variables,
-        steps=chart.steps + (step,),
-        exceptional=chart.exceptional,
-        divisor_ids=dict(chart.divisor_ids),
-        f_exponents=dict(chart.f_exponents),
-        jac_exponents=dict(chart.jac_exponents),
-        strict=strict_new,
-        status=ChartStatus.OPEN,
-        map_from_root=map_from_root,
-        orbit_factor=1,
-    )
-    child = classify(child)
-    _assert_content_free(child)
+        step = RewriteStep(var, expression, expression.partial(var), False)
+    child = _child(chart, step, strict_new)
     # The defining property of the rewrite, checked exactly either way.
     if strict_new.substitute({var: expression}) != chart.strict:
         raise InternalInconsistencyError(
@@ -478,26 +475,6 @@ def _poly_determinant(rows: list[list[Polynomial]]) -> Polynomial:
         zero_ring = rows[0][0]
         return Polynomial.zero(zero_ring.field, zero_ring.variables)
     return total
-
-
-def _step_substitution(chart_field, variables, step: PathStep):
-    """The map (old coordinates as polynomials in new coordinates) of one step."""
-    out = {}
-    if isinstance(step, BlowupStep):
-        v_poly = Polynomial.variable(chart_field, variables, step.chart_variable)
-        for w in step.center:
-            if w != step.chart_variable:
-                out[w] = Polynomial.variable(chart_field, variables, w) * v_poly
-    elif isinstance(step, TranslateStep):
-        out[step.variable] = Polynomial.variable(
-            chart_field, variables, step.variable
-        ) + Polynomial.constant(chart_field, variables, step.value)
-    else:
-        # Old `var` in terms of the new coordinate is only a power series in
-        # general; the rewrite's Jacobian is handled from `expression`
-        # directly in the stepwise audit.
-        out[step.variable] = step.expression
-    return out
 
 
 def _verify_stepwise(chart: Chart) -> bool:
@@ -575,15 +552,26 @@ def verify_jacobian(chart: Chart) -> bool:
 # Resolution driver.
 
 
+def _check_depth(max_depth: int) -> None:
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
+
+
 @dataclass(frozen=True)
 class Auto:
     max_depth: int = 24
+
+    def __post_init__(self) -> None:
+        _check_depth(self.max_depth)
 
 
 @dataclass(frozen=True)
 class Scripted:
     script: ResolutionScript
     max_depth: int = 24
+
+    def __post_init__(self) -> None:
+        _check_depth(self.max_depth)
 
 
 Strategy = Union[Auto, Scripted]

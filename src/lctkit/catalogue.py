@@ -17,10 +17,10 @@ from typing import Optional
 
 from .algebra import GAUSS, NumberField, Polynomial
 from .errors import FieldError
-from .blowup import ResolutionTree, Scripted, resolve
+from .blowup import Scripted, resolve
 from .newton import lambda_newton
 from .parser import DEFAULT_VARIABLES, ResolutionScript, format_poly, parse_script
-from .zeta import PoleReport, lambda_uncapped
+from .zeta import lambda_uncapped
 
 FAMILIES = ("A", "D", "E6", "E7", "E8")
 
@@ -178,7 +178,9 @@ def verify(
     member and compare everything by exact equality. A claim matches when
     any of its stored branch values equals the oracle value."""
     spec = family_spec(family, n, field)
-    tree, report = _resolve_member(spec, max_depth, field)
+    script = parse_script(spec.script, field, DEFAULT_VARIABLES)
+    tree = resolve(spec.polynomial, Scripted(script, max_depth))
+    report = lambda_uncapped(tree, lambda_newton(spec.polynomial))
     newton_value = report.newton_value
     assert newton_value is not None
     claim_match = any(v == newton_value for v in spec.claimed_values)
@@ -195,15 +197,6 @@ def verify(
         claim_vs_newton="match" if claim_match else "mismatch",
         engine_vs_newton="match" if engine_match else "mismatch",
     )
-
-
-def _resolve_member(
-    spec: FamilySpec, max_depth: int, field: NumberField
-) -> tuple[ResolutionTree, PoleReport]:
-    script = parse_script(spec.script, field, DEFAULT_VARIABLES)
-    tree = resolve(spec.polynomial, Scripted(script, max_depth))
-    newton = lambda_newton(spec.polynomial)
-    return tree, lambda_uncapped(tree, newton)
 
 
 def verify_all(

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Polynomial
-from .errors import UnreliableEstimateError
+from .errors import UnitInputError, UnreliableEstimateError, ZeroPolynomialError
 
 _CHUNK = 1 << 17
 
@@ -339,14 +339,6 @@ def _level_sums(values: np.ndarray, weights: Optional[np.ndarray], grid):
     return hits, np.cumsum(s1), np.cumsum(s2)
 
 
-def volume_probe(f: Polynomial, config: EstimatorConfig, t: float) -> float:
-    """Fraction of the shared sample set with |f| <= t."""
-    if not 0 < t <= 1:
-        raise ValueError("threshold must lie in (0, 1]")
-    values, _ = _abs_values(f, config)
-    return float(np.count_nonzero(values <= t)) / config.samples_per_level
-
-
 def hit_counts(f: Polynomial, config: EstimatorConfig) -> tuple[int, ...]:
     """Hits per threshold level over the shared sample set."""
     values, _ = _abs_values(f, config)
@@ -357,10 +349,17 @@ def hit_counts(f: Polynomial, config: EstimatorConfig) -> tuple[int, ...]:
 def estimate(f: Polynomial, config: EstimatorConfig) -> Estimate:
     """Fit the scaling exponent and return the index estimate.
 
-    Raises UnreliableEstimateError (carrying the partial Estimate) when the
-    grid has fewer than 4 levels or fewer than 2 levels have at least
-    min_hits effective hits without being saturated.
+    Raises ZeroPolynomialError for f = 0 and UnitInputError for a nonzero
+    constant (no zero set to measure), and UnreliableEstimateError (carrying
+    the partial Estimate) when the grid has fewer than 4 levels or fewer
+    than 2 levels have at least min_hits effective hits without being
+    saturated. A nonconstant f need not vanish at the origin: the volumes
+    are taken over the whole box.
     """
+    if f.is_zero():
+        raise ZeroPolynomialError("cannot estimate the zero polynomial")
+    if not f.variables_present():
+        raise UnitInputError("a nonzero constant has no zero set to estimate")
     grid = t_grid(config)
     values, weights = _abs_values(f, config)
     hits, s1, s2 = (a.tolist() for a in _level_sums(values, weights, grid))

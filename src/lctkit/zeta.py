@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .blowup import BlowupStep, ChartStatus, ResolutionTree, TreeNode
-from .errors import ChartError, InternalInconsistencyError, UnitInputError
+from .errors import ChartError, InternalInconsistencyError
 from .newton import NewtonData
 
 
@@ -131,12 +131,3 @@ def lambda_uncapped(
         newton_value=newton_value,
         newton_agrees=newton_agrees,
     )
-
-
-def lambda_capped(report: PoleReport, f_is_unit: bool = False) -> Fraction:
-    """The index capped at 1, the threshold above which the origin stops
-    mattering. A unit input has no vanishing locus through the origin at
-    all, which is a caller error rather than a value."""
-    if f_is_unit:
-        raise UnitInputError("a unit at the origin has no pole index")
-    return report.lambda_capped

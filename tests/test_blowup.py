@@ -172,7 +172,32 @@ def test_triangular_substitution_straightens_d5():
     fixed = apply_affine(uy, "z", P("z + y*z^4"))
     assert fixed.strict == P("x^2 + y*z")
     assert dict(fixed.f_exponents) == dict(uy.f_exponents)
+    # the inverse rewrite is only a power series, so the path has no
+    # polynomial chart map; the stepwise Jacobian replay still runs
+    assert uy.map_from_root is not None
+    assert fixed.map_from_root is None
     assert verify_jacobian(fixed)
+
+
+def test_chart_map_is_composed_from_the_path():
+    # blow-up, then translation, then affine rewrite: the derived chart map
+    # is the three step maps composed, and the global identity holds exactly
+    f = P("x^2 + y^2 + z^4")
+    script = parse_script(
+        "blowup x y z\nchart z\ntranslate y := y + 1\nsubst x := 2*x + 3*y"
+    )
+    tree = resolve(f, Scripted(script))
+    (chart,) = [
+        node.chart for node in tree.nodes() if node.chart.path == ("U_z", "T_y", "S_x")
+    ]
+    assert chart.map_from_root == {
+        "x": (P("x") - P("3*y")) / 2 * P("z"),
+        "y": (P("y") + P("1")) * P("z"),
+        "z": P("z"),
+    }
+    assert chart.strict == P("1/4*(x - 3*y)^2 + (y + 1)^2 + z^2")
+    assert total_transform_identity(tree, chart)
+    assert verify_jacobian(chart)
 
 
 def test_substitution_must_stay_polynomial():

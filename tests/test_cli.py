@@ -44,6 +44,27 @@ def test_exit_2_depth_limit_still_reports(tmp_path):
     assert "certified: no" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pole", "x^2+y^3", "--max-depth", "-1"],
+        ["resolve", "x^2+y^3", "--max-depth", "-3"],
+        ["verify", "--family", "A", "--n", "1", "--max-depth", "-1"],
+    ],
+)
+def test_exit_1_negative_depth(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert "max_depth must be at least 0" in err
+
+
+def test_depth_zero_is_a_budget_not_an_error():
+    code, out, _ = run_cli(["pole", "x^2+y^3", "--max-depth", "0"])
+    assert code == 2
+    assert "certified: no" in out
+
+
 def test_exit_3_internal_inconsistency(tmp_path):
     script = tmp_path / "bad.script"
     script.write_text("blowup x y z\nchart z\nsubst z := (1+a)*z\n")
@@ -61,6 +82,16 @@ def test_exit_4_unreliable_estimate():
     )
     assert code == 4
     assert "unreliable" in err
+
+
+@pytest.mark.parametrize(
+    "poly, message", [("1", "nonzero constant"), ("0", "zero polynomial")]
+)
+def test_exit_1_estimate_constant_input(poly, message):
+    code, out, err = run_cli(["estimate", poly, "--samples", "1000"])
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 # -- text output -------------------------------------------------------------------

@@ -12,7 +12,6 @@ from lctkit import (
     estimate,
     hit_counts,
     parse_poly,
-    volume_probe,
 )
 from lctkit.estimator import t_grid
 
@@ -95,13 +94,6 @@ def test_seed_changes_counts():
 def test_hit_counts_monotone_in_t():
     counts = hit_counts(P("x^2 + y^3"), cfg("real", seed=9))
     assert all(a <= b for a, b in zip(counts, counts[1:]))
-
-
-def test_volume_probe_matches_hit_counts():
-    config = cfg("complex", seed=5)
-    counts = hit_counts(P("z^2"), config)
-    for t, c in zip(t_grid(config), counts):
-        assert volume_probe(P("z^2"), config, t) * config.samples_per_level == c
 
 
 def test_scale_robustness():

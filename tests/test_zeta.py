@@ -11,10 +11,8 @@ from lctkit import (
     ResolutionTree,
     Scripted,
     TreeNode,
-    UnitInputError,
     divisor_candidates,
     generator,
-    lambda_capped,
     lambda_newton,
     lambda_uncapped,
     make_root_chart,
@@ -67,7 +65,7 @@ def test_monomial_multiplicity():
     assert rep.multiplicity == 2
     assert rep.certified
     assert {c.divisor for c in rep.candidates} == {"root/x", "root/y"}
-    assert lambda_capped(rep) == Fraction(1, 2)
+    assert rep.lambda_capped == Fraction(1, 2)
 
 
 def test_smooth_input_has_no_candidates():
@@ -81,9 +79,7 @@ def test_smooth_input_has_no_candidates():
 
 def test_capping():
     rep = report_for("x^2 + y^2 + z^6")
-    assert lambda_capped(rep) == 1
-    with pytest.raises(UnitInputError):
-        lambda_capped(rep, f_is_unit=True)
+    assert rep.lambda_capped == 1
 
 
 def test_scale_invariance():
