@@ -20,6 +20,7 @@ from .blowup import (
     Auto,
     Chart,
     ChartStatus,
+    PoleIndex,
     ResolutionTree,
     Scripted,
     TreeNode,
@@ -69,7 +70,6 @@ from .parser import (
     parse_script,
 )
 from .zeta import (
-    PoleIndex,
     PoleReport,
     divisor_candidates,
     lambda_uncapped,

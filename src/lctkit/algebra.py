@@ -559,9 +559,6 @@ class Polynomial:
                 del terms[new_exps]
         return Polynomial(self.field, self.variables, terms)
 
-    def gradient(self) -> tuple["Polynomial", ...]:
-        return tuple(self.partial(v) for v in self.variables)
-
     def substitute(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Simultaneously replace variables by polynomials from the same ring.
 

@@ -1,9 +1,12 @@
-"""Blow-up charts with exact bookkeeping of the exceptional exponents (k),
-Jacobian exponents (h), and strict transforms, plus the resolution driver.
+"""Blow-up charts with exact bookkeeping of the exceptional divisors and
+strict transforms, plus the resolution walk.
 
-Every chart stores, for each variable currently carrying an exceptional
-divisor, the order k of the total transform and the order h of the Jacobian
-determinant along it. The defining identity
+A chart keeps one divisor record per variable that carries an exceptional
+divisor: `divisors[v]` is the PoleIndex (id, k, h) of {v = 0}, where the id
+names the blow-up (or root hyperplane) that created the divisor, k is the
+order of the total transform and h the order of the Jacobian determinant
+along it. The variables with a record are the chart's `exceptional` ones.
+The defining identity
 
     f(map_from_root) = (prod of e**k_e) * strict
 
@@ -12,6 +15,12 @@ of apply_affine is checked to reproduce the strict transform. A chart
 stores only its path (`steps`); map_from_root is derived from it on demand,
 by composing the step maps of _step_substitution, and is None once a
 triangular (power-series) rewrite is on the path.
+
+One recursive walk, `_expand`, builds every resolution tree. It follows
+the script steps it is given along one path and resolves every other chart
+automatically, which is the walk with no steps left: `Auto` is the empty
+script. A chart still Open when the depth budget runs out, or one with no
+valid blow-up center, becomes a DepthLimit leaf.
 
 Coordinate-change directions: `translate` substitutes its right-hand side
 for the variable (recentring the chart on another point), while `subst`
@@ -48,6 +57,20 @@ from .parser import (
     TranslateDirective,
     format_poly,
 )
+
+
+@dataclass(frozen=True)
+class PoleIndex:
+    """The record of one exceptional divisor: its id, the order k of the
+    total transform and the order h of the Jacobian along it."""
+
+    divisor: str
+    k: int
+    h: int
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.h + 1, self.k)
 
 
 class ChartStatus(enum.Enum):
@@ -133,13 +156,14 @@ class Chart:
     field: NumberField
     variables: tuple[str, ...]
     steps: tuple[PathStep, ...]
-    exceptional: tuple[str, ...]
-    divisor_ids: Mapping[str, str]
-    f_exponents: Mapping[str, int]
-    jac_exponents: Mapping[str, int]
+    divisors: Mapping[str, PoleIndex]
     strict: Polynomial
     status: ChartStatus
     orbit_factor: int = 1
+
+    @property
+    def exceptional(self) -> tuple[str, ...]:
+        return tuple(v for v in self.variables if v in self.divisors)
 
     @property
     def depth(self) -> int:
@@ -192,10 +216,9 @@ def _assert_content_free(chart: Chart) -> None:
 
 def _monomial_times_strict(chart: Chart) -> Polynomial:
     total = chart.strict
-    for e in chart.exceptional:
-        k = chart.f_exponents[e]
-        if k:
-            total = total * Polynomial.variable(chart.field, chart.variables, e) ** k
+    for e, record in chart.divisors.items():
+        if record.k:
+            total *= Polynomial.variable(chart.field, chart.variables, e) ** record.k
     return total
 
 
@@ -235,15 +258,15 @@ def make_root_chart(f: Polynomial) -> Chart:
     if f.is_unit_at_origin():
         raise UnitInputError("resolution requires f(0) = 0")
     content, strict = f.coordinate_content()
-    exceptional = tuple(v for v in f.variables if content.get(v, 0) > 0)
     chart = Chart(
         field=f.field,
         variables=f.variables,
         steps=(),
-        exceptional=exceptional,
-        divisor_ids={v: f"root/{v}" for v in exceptional},
-        f_exponents={v: content[v] for v in exceptional},
-        jac_exponents={v: 0 for v in exceptional},
+        divisors={
+            v: PoleIndex(f"root/{v}", content[v], 0)
+            for v in f.variables
+            if content.get(v, 0) > 0
+        },
         strict=strict,
         status=_classify(strict),
     )
@@ -284,31 +307,23 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
             raise InternalInconsistencyError(
                 f"blow-up produced no exceptional order in chart U_{v}"
             )
-        k = dict(chart.f_exponents)
-        h = dict(chart.jac_exponents)
-        k[v] = k.get(v, 0) + sum(k.get(w, 0) for w in center if w != v) + c
-        h[v] = h.get(v, 0) + sum(h.get(w, 0) for w in center if w != v) + (s - 1)
-        divisor_ids = dict(chart.divisor_ids)
-        divisor_ids[v] = divisor
-        exceptional = tuple(
-            x for x in chart.variables if x == v or x in chart.exceptional
+        # The new divisor collects the orders of every divisor through the
+        # center, plus c for f and s - 1 for the Jacobian of the blow-up.
+        below = [chart.divisors[w] for w in center if w in chart.divisors]
+        record = PoleIndex(
+            divisor,
+            sum(r.k for r in below) + c,
+            sum(r.h for r in below) + (s - 1),
         )
         child = _child(
-            chart,
-            step,
-            strict_child,
-            exceptional=exceptional,
-            divisor_ids=divisor_ids,
-            f_exponents=k,
-            jac_exponents=h,
+            chart, step, strict_child, divisors={**chart.divisors, v: record}
         )
         _assert_step_identity(chart, child, substitution)
         children.append(child)
-    new_ks = {child.f_exponents[child.steps[-1].chart_variable] for child in children}
-    new_hs = {child.jac_exponents[child.steps[-1].chart_variable] for child in children}
-    if len(new_ks) != 1 or len(new_hs) != 1:
+    new = {child.divisors[child.steps[-1].chart_variable] for child in children}
+    if len(new) != 1:
         raise InternalInconsistencyError(
-            f"sibling charts disagree on the new divisor: k in {new_ks}, h in {new_hs}"
+            f"sibling charts disagree on the new divisor: {sorted(map(str, new))}"
         )
     return tuple(children)
 
@@ -320,8 +335,8 @@ def translate(chart: Chart, var: str, value) -> Chart:
     new origin is the old point var = value. Translating a variable that
     carries an exceptional divisor is allowed only for value != 0: the
     divisor then misses the new origin, its monomial factor (var + value)^k
-    is absorbed into the strict transform as a unit, and its k/h entries are
-    dropped from the chart.
+    is absorbed into the strict transform as a unit, and its divisor record
+    is dropped from the chart.
     """
     value = chart.field.coerce(value)
     if var not in chart.variables:
@@ -336,25 +351,10 @@ def translate(chart: Chart, var: str, value) -> Chart:
     step = TranslateStep(var, value, localized)
     substitution = _step_substitution(chart.field, chart.variables, step)
     strict_new = chart.strict.substitute(substitution)
-    exceptional = chart.exceptional
-    k = dict(chart.f_exponents)
-    h = dict(chart.jac_exponents)
-    divisor_ids = dict(chart.divisor_ids)
+    divisors = dict(chart.divisors)
     if localized:
-        strict_new = substitution[var] ** k[var] * strict_new
-        exceptional = tuple(e for e in exceptional if e != var)
-        del k[var]
-        del h[var]
-        del divisor_ids[var]
-    child = _child(
-        chart,
-        step,
-        strict_new,
-        exceptional=exceptional,
-        divisor_ids=divisor_ids,
-        f_exponents=k,
-        jac_exponents=h,
-    )
+        strict_new = substitution[var] ** divisors.pop(var).k * strict_new
+    child = _child(chart, step, strict_new, divisors=divisors)
     _assert_step_identity(chart, child, substitution)
     return child
 
@@ -515,7 +515,7 @@ def _verify_stepwise(chart: Chart) -> bool:
                 return False
             if not unit.is_unit_at_origin():
                 return False
-    recorded = {v: h for v, h in chart.jac_exponents.items() if h != 0}
+    recorded = {v: r.h for v, r in chart.divisors.items() if r.h != 0}
     accumulated = {v: h for v, h in exponents.items() if h != 0}
     return recorded == accumulated
 
@@ -534,7 +534,7 @@ def _verify_composed(chart: Chart) -> bool:
     residual = det
     for e in chart.exceptional:
         c, residual = residual.monomial_content(e)
-        if c != chart.jac_exponents[e]:
+        if c != chart.divisors[e].h:
             return False
     return residual.is_unit_at_origin()
 
@@ -627,142 +627,107 @@ def _depth_limited(chart: Chart, log: list[str], reason: str) -> TreeNode:
     return TreeNode(replace(chart, status=ChartStatus.DEPTH_LIMIT), ())
 
 
-def _auto_expand(chart: Chart, max_depth: int, log: list[str]) -> TreeNode:
+def _expand(
+    chart: Chart, steps: tuple[ScriptStep, ...], max_depth: int, log: list[str]
+) -> TreeNode:
+    """Resolve the chart: follow the script steps along one path, and with
+    no steps left blow up the origin of every Open chart automatically."""
+    step = steps[0] if steps else None
+    rest = steps[1:]
+
+    if isinstance(step, OrbitDirective):
+        log.append(
+            f"[{chart.path_text()}] orbit {step.count}: candidates below "
+            "replicated"
+        )
+        chart = replace(chart, orbit_factor=chart.orbit_factor * step.count)
+        return _expand(chart, rest, max_depth, log)
+
+    if isinstance(step, StopDirective):
+        if chart.status is ChartStatus.OPEN:
+            return _depth_limited(chart, log, "stopped by script while open")
+        return TreeNode(chart, ())
+
+    if isinstance(step, SubstDirective):
+        log.append(
+            f"[{chart.path_text()}] subst {step.variable} := "
+            f"{format_poly(step.expression)}"
+        )
+        rewritten = apply_affine(chart, step.variable, step.expression)
+        jac = rewritten.steps[-1].jacobian_unit
+        log.append(
+            f"[{chart.path_text()}] rewrite Jacobian factor "
+            f"{format_poly(jac)} (unit; h unchanged)"
+        )
+        return TreeNode(chart, (_expand(rewritten, rest, max_depth, log),))
+
+    if isinstance(step, TranslateDirective):
+        log.append(
+            f"[{chart.path_text()}] translate {step.variable} to the point "
+            f"{step.variable} = {step.value}"
+        )
+        moved = translate(chart, step.variable, step.value)
+        moved_node = _expand(moved, rest, max_depth, log)
+        # The untranslated origin still needs its own analysis: it resolves
+        # automatically, its charts (or its DepthLimit leaf) as siblings.
+        origin = _expand(chart, (), max_depth, log)
+        if origin.chart.status is ChartStatus.DEPTH_LIMIT:
+            origin_children: tuple[TreeNode, ...] = (origin,)
+        else:
+            origin_children = origin.children
+        return TreeNode(chart, origin_children + (moved_node,))
+
+    if isinstance(step, ChartDirective):
+        raise ScriptError("chart must immediately follow blowup", step.span)
+    if step is not None and not isinstance(step, BlowupDirective):
+        span = getattr(step, "span", None)
+        raise ScriptError(f"unsupported script step {step!r}", span)
+
     if chart.status is not ChartStatus.OPEN:
+        if step is not None:
+            raise ScriptError(
+                f"blowup requested on a {chart.status.value} chart at "
+                f"{chart.path_text()}",
+                step.span,
+            )
         return TreeNode(chart, ())
     if chart.depth >= max_depth:
         return _depth_limited(chart, log, f"depth limit {max_depth} reached")
-    center = _auto_center(chart)
+    center = _auto_center(chart) if step is None else step.center
     if center is None:
         return _depth_limited(chart, log, "no valid origin center")
     log.append(f"[{chart.path_text()}] blowup center ({', '.join(center)})")
-    children = blowup_origin(chart, center)
-    return TreeNode(
-        chart, tuple(_auto_expand(c, max_depth, log) for c in children)
-    )
-
-
-def _scripted_expand(
-    chart: Chart,
-    steps: tuple[ScriptStep, ...],
-    index: int,
-    max_depth: int,
-    log: list[str],
-) -> TreeNode:
-    while True:
-        if index >= len(steps):
-            return _auto_expand(chart, max_depth, log)
-        step = steps[index]
-
-        if isinstance(step, OrbitDirective):
-            log.append(
-                f"[{chart.path_text()}] orbit {step.count}: candidates below "
-                "replicated"
-            )
-            chart = replace(chart, orbit_factor=chart.orbit_factor * step.count)
-            index += 1
-            continue
-
-        if isinstance(step, StopDirective):
-            if chart.status is ChartStatus.OPEN:
-                return _depth_limited(chart, log, "stopped by script while open")
-            return TreeNode(chart, ())
-
-        if isinstance(step, SubstDirective):
-            log.append(
-                f"[{chart.path_text()}] subst {step.variable} := "
-                f"{format_poly(step.expression)}"
-            )
-            rewritten = apply_affine(chart, step.variable, step.expression)
-            jac = rewritten.steps[-1].jacobian_unit
-            log.append(
-                f"[{chart.path_text()}] rewrite Jacobian factor "
-                f"{format_poly(jac)} (unit; h unchanged)"
-            )
-            child = _scripted_expand(rewritten, steps, index + 1, max_depth, log)
-            return TreeNode(chart, (child,))
-
-        if isinstance(step, TranslateDirective):
-            log.append(
-                f"[{chart.path_text()}] translate {step.variable} to the point "
-                f"{step.variable} = {step.value}"
-            )
-            moved = translate(chart, step.variable, step.value)
-            moved_node = _scripted_expand(moved, steps, index + 1, max_depth, log)
-            # The untranslated origin still needs its own analysis; it
-            # continues automatically as sibling branches.
-            origin_children: tuple[TreeNode, ...] = ()
-            if chart.status is ChartStatus.OPEN:
-                if chart.depth >= max_depth:
-                    origin_children = (
-                        _depth_limited(chart, log, f"depth limit {max_depth} reached"),
-                    )
-                else:
-                    center = _auto_center(chart)
-                    if center is not None:
-                        log.append(
-                            f"[{chart.path_text()}] blowup center "
-                            f"({', '.join(center)}) for the origin branch"
-                        )
-                        origin_children = tuple(
-                            _auto_expand(c, max_depth, log)
-                            for c in blowup_origin(chart, center)
-                        )
-            return TreeNode(chart, origin_children + (moved_node,))
-
-        if isinstance(step, BlowupDirective):
-            if chart.status is not ChartStatus.OPEN:
-                raise ScriptError(
-                    f"blowup requested on a {chart.status.value} chart at "
-                    f"{chart.path_text()}",
-                    step.span,
-                )
-            if chart.depth >= max_depth:
-                return _depth_limited(chart, log, f"depth limit {max_depth} reached")
-            log.append(
-                f"[{chart.path_text()}] blowup center ({', '.join(step.center)})"
-            )
-            children = blowup_origin(chart, step.center)
-            follow: Optional[str] = None
-            if index + 1 < len(steps) and isinstance(steps[index + 1], ChartDirective):
-                follow = steps[index + 1].variable
-            nodes = []
-            for child in children:
-                if follow is not None and child.steps[-1].chart_variable == follow:
-                    nodes.append(
-                        _scripted_expand(child, steps, index + 2, max_depth, log)
-                    )
-                else:
-                    nodes.append(_auto_expand(child, max_depth, log))
-            return TreeNode(chart, tuple(nodes))
-
-        if isinstance(step, ChartDirective):
-            raise ScriptError("chart must immediately follow blowup", step.span)
-
-        raise ScriptError(f"unsupported script step {step!r}", getattr(step, "span", None))
+    # The script goes on in the chart its `chart` directive names; every
+    # other child resolves automatically.
+    follow: Optional[str] = None
+    if rest and isinstance(rest[0], ChartDirective):
+        follow = rest[0].variable
+    nodes = []
+    for child in blowup_origin(chart, center):
+        below = rest[1:] if child.steps[-1].chart_variable == follow else ()
+        nodes.append(_expand(child, below, max_depth, log))
+    return TreeNode(chart, tuple(nodes))
 
 
 def resolve(f: Polynomial, strategy: Strategy) -> ResolutionTree:
     """Build the resolution tree for f (which must vanish at the origin).
 
-    Auto repeatedly blows up the origin of every Open chart; Scripted follows
-    its script along one path while every sibling resolves automatically.
-    Charts still Open when the depth budget runs out are flagged DepthLimit,
-    never dropped.
+    Scripted follows its script along one path while every sibling resolves
+    automatically; Auto is the empty script, so it repeatedly blows up the
+    origin of every Open chart. Charts still Open when the depth budget runs
+    out, or left without a valid center, are flagged DepthLimit, never
+    dropped.
     """
     root = make_root_chart(f)
-    log: list[str] = [
-        f"[root] content {dict(root.f_exponents)!r} strict "
-        f"{format_poly(root.strict)}"
-    ]
+    content = {v: r.k for v, r in root.divisors.items()}
+    log = [f"[root] content {content!r} strict {format_poly(root.strict)}"]
     if isinstance(strategy, Auto):
-        node = _auto_expand(root, strategy.max_depth, log)
+        steps: tuple[ScriptStep, ...] = ()
     elif isinstance(strategy, Scripted):
-        node = _scripted_expand(
-            root, strategy.script.steps, 0, strategy.max_depth, log
-        )
+        steps = strategy.script.steps
     else:
         raise ChartError(f"unknown strategy {strategy!r}")
+    node = _expand(root, steps, strategy.max_depth, log)
     for leaf in ResolutionTree(f, node, ()).leaves():
         log.append(f"[{leaf.chart.path_text()}] leaf {leaf.chart.status.value}")
     return ResolutionTree(f, node, tuple(log))

@@ -73,9 +73,9 @@ def tree_json(tree: ResolutionTree, max_depth: int, scripted: bool) -> dict:
                 "path": chart.path_text(),
                 "status": chart.status.value,
                 "strict": format_poly(chart.strict),
-                "k": {v: chart.f_exponents[v] for v in chart.exceptional},
-                "h": {v: chart.jac_exponents[v] for v in chart.exceptional},
-                "divisors": {v: chart.divisor_ids[v] for v in chart.exceptional},
+                "k": {v: r.k for v, r in chart.divisors.items()},
+                "h": {v: r.h for v, r in chart.divisors.items()},
+                "divisors": {v: r.divisor for v, r in chart.divisors.items()},
                 "orbit": chart.orbit_factor,
                 "children": len(node.children),
             }
@@ -167,7 +167,7 @@ def tree_dot(tree: ResolutionTree) -> str:
         index[id(node)] = i
         chart = node.chart
         exps = ", ".join(
-            f"{v}:{chart.f_exponents[v]}/{chart.jac_exponents[v]}"
+            f"{v}:{chart.divisors[v].k}/{chart.divisors[v].h}"
             for v in chart.exceptional
         )
         label = "\\n".join(

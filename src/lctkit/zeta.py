@@ -3,10 +3,10 @@
 Every exceptional divisor seen in a leaf chart contributes the candidate
 (h + 1)/k. Divisors are identified by the blow-up event that created them
 (or by the root coordinate hyperplane they came from), so a divisor visible
-in several sibling charts is counted once; its k and h are asserted equal
-across sightings. Charts under an orbit annotation stand for several points
-with identical local analysis, and the divisors born below them are
-replicated accordingly under suffixed ids.
+in several sibling charts is counted once; its record (id, k, h) is
+asserted equal across sightings. Charts under an orbit annotation stand for
+several points with identical local analysis, and the divisors born below
+them are replicated accordingly under suffixed ids.
 """
 
 from __future__ import annotations
@@ -15,20 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .blowup import BlowupStep, ChartStatus, ResolutionTree, TreeNode
+from .blowup import BlowupStep, ChartStatus, PoleIndex, ResolutionTree, TreeNode
 from .errors import ChartError, InternalInconsistencyError
 from .newton import NewtonData
-
-
-@dataclass(frozen=True)
-class PoleIndex:
-    divisor: str
-    k: int
-    h: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.h + 1, self.k)
 
 
 @dataclass(frozen=True)
@@ -58,27 +47,23 @@ def divisor_candidates(tree: ResolutionTree) -> tuple[PoleIndex, ...]:
     leaves = list(tree.leaves())
     if any(leaf.chart.status is ChartStatus.OPEN for leaf in leaves):
         raise ChartError("tree has unresolved Open leaves")
-    seen: dict[str, tuple[int, int]] = {}
+    seen: dict[str, PoleIndex] = {}
     for leaf in leaves:
-        chart = leaf.chart
-        for var in chart.exceptional:
-            divisor = chart.divisor_ids[var]
-            pair = (chart.f_exponents[var], chart.jac_exponents[var])
-            prior = seen.get(divisor)
-            if prior is None:
-                seen[divisor] = pair
-            elif prior != pair:
+        for record in leaf.chart.divisors.values():
+            prior = seen.setdefault(record.divisor, record)
+            if prior != record:
                 raise InternalInconsistencyError(
-                    f"divisor {divisor} has (k, h) = {pair} in one chart and "
-                    f"{prior} in another"
+                    f"divisor {record.divisor} has (k, h) = "
+                    f"{(record.k, record.h)} in one chart and "
+                    f"{(prior.k, prior.h)} in another"
                 )
     factors: dict[str, int] = {}
     _birth_factors(tree.root, 1, factors)
     out = []
-    for divisor, (k, h) in seen.items():
+    for divisor, record in seen.items():
         for copy in range(factors.get(divisor, 1)):
             name = divisor if copy == 0 else f"{divisor}~{copy + 1}"
-            out.append(PoleIndex(name, k, h))
+            out.append(PoleIndex(name, record.k, record.h))
     return tuple(sorted(out, key=lambda c: (c.value, c.divisor)))
 
 
@@ -87,12 +72,7 @@ def multiplicity(tree: ResolutionTree, value: Fraction) -> int:
     the given candidate value."""
     best = 0
     for leaf in tree.leaves():
-        chart = leaf.chart
-        count = sum(
-            1
-            for v in chart.exceptional
-            if Fraction(chart.jac_exponents[v] + 1, chart.f_exponents[v]) == value
-        )
+        count = sum(1 for r in leaf.chart.divisors.values() if r.value == value)
         best = max(best, count)
     if best == 0:
         raise ChartError(f"value {value} is not attained in any leaf chart")

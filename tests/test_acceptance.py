@@ -70,8 +70,8 @@ def test_criterion_1_depth_one_charts():
             assert uy.strict == P(f"x^2 + 1 + y^{n - 1}*z^{n + 1}")
             assert uz.strict == P(f"x^2 + y^2 + z^{n - 1}")
             for child, v in ((ux, "x"), (uy, "y"), (uz, "z")):
-                assert dict(child.f_exponents) == {v: 2}
-                assert dict(child.jac_exponents) == {v: 2}
+                assert {w: r.k for w, r in child.divisors.items()} == {v: 2}
+                assert {w: r.h for w, r in child.divisors.items()} == {v: 2}
 
 
 def test_criterion_2_jacobian_bookkeeping():
@@ -79,8 +79,8 @@ def test_criterion_2_jacobian_bookkeeping():
         chart = make_root_chart(P("x^2 + y^2 + z^21"))
         for k in range(1, 11):
             chart = blowup_origin(chart, ("x", "y", "z"))[2]
-            assert chart.jac_exponents["z"] == 2 * k
-            assert chart.f_exponents["z"] == 2 * k
+            assert chart.divisors["z"].h == 2 * k
+            assert chart.divisors["z"].k == 2 * k
             assert verify_jacobian(chart)
         trees = [
             resolve(P("x^2 + y^2 + z^21"), Auto(max_depth=12)),

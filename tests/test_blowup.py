@@ -7,6 +7,7 @@ from lctkit import (
     ChartError,
     ChartStatus,
     FactorizationDestroyedError,
+    PoleIndex,
     Scripted,
     UnitInputError,
     ZeroPolynomialError,
@@ -45,9 +46,11 @@ def test_root_chart_divides_out_coordinate_content():
     # x^2*y^2*(1 + x) carries coordinate divisors before any blow-up
     root = make_root_chart(P("x^2*y^2 + x^3*y^2"))
     assert root.strict == P("1 + x")
-    assert dict(root.f_exponents) == {"x": 2, "y": 2}
-    assert dict(root.jac_exponents) == {"x": 0, "y": 0}
-    assert root.divisor_ids == {"x": "root/x", "y": "root/y"}
+    assert root.divisors == {
+        "x": PoleIndex("root/x", k=2, h=0),
+        "y": PoleIndex("root/y", k=2, h=0),
+    }
+    assert root.exceptional == ("x", "y")
     assert root.status is ChartStatus.UNIT_STRICT
 
 
@@ -70,9 +73,7 @@ def test_a_family_depth_one_charts(n):
     assert uy.strict == P(f"x^2 + 1 + y^{n - 1}*z^{n + 1}")
     assert uz.strict == P(f"x^2 + y^2 + z^{n - 1}")
     for child, v in ((ux, "x"), (uy, "y"), (uz, "z")):
-        assert dict(child.f_exponents) == {v: 2}
-        assert dict(child.jac_exponents) == {v: 2}
-        assert child.divisor_ids == {v: "E@root"}
+        assert child.divisors == {v: PoleIndex("E@root", k=2, h=2)}
         assert child.exceptional == (v,)
         # pull back by hand: scaling the other two variables by v recovers
         # the total transform v^2 * strict
@@ -103,8 +104,8 @@ def test_chain_exponents_double_depth():
     chart = make_root_chart(P("x^2 + y^2 + z^21"))
     for k in range(1, 11):
         chart = z_chart(chart)
-        assert chart.f_exponents["z"] == 2 * k
-        assert chart.jac_exponents["z"] == 2 * k
+        assert chart.divisors["z"].k == 2 * k
+        assert chart.divisors["z"].h == 2 * k
         assert chart.strict == P(f"x^2 + y^2 + z^{21 - 2 * k}")
         assert verify_jacobian(chart)
     assert chart.status is ChartStatus.SMOOTH_STRICT
@@ -113,10 +114,10 @@ def test_chain_exponents_double_depth():
 def test_sibling_charts_share_divisor_id():
     root = make_root_chart(P("x^2 + y^2 + z^5"))
     children = blowup_origin(root, ("x", "y", "z"))
-    ids = {c.divisor_ids[c.exceptional[0]] for c in children}
+    ids = {c.divisors[c.exceptional[0]].divisor for c in children}
     assert ids == {"E@root"}
     deeper = blowup_origin(children[2], ("x", "y", "z"))
-    assert {c.divisor_ids[c.exceptional[0]] for c in deeper} == {"E@U_z"}
+    assert {c.divisors[c.exceptional[0]].divisor for c in deeper} == {"E@U_z"}
 
 
 def test_blowup_requires_open_chart():
@@ -132,10 +133,8 @@ def test_two_variable_center():
     ux, uy = blowup_origin(root, ("x", "y"))
     assert ux.strict == P("1 + x*y^3")
     assert uy.strict == P("x^2 + y")
-    assert dict(ux.f_exponents) == {"x": 2}
-    assert dict(ux.jac_exponents) == {"x": 1}
-    assert dict(uy.f_exponents) == {"y": 2}
-    assert dict(uy.jac_exponents) == {"y": 1}
+    assert ux.divisors == {"x": PoleIndex("E@root", k=2, h=1)}
+    assert uy.divisors == {"y": PoleIndex("E@root", k=2, h=1)}
     assert verify_jacobian(ux) and verify_jacobian(uy)
 
 
@@ -171,7 +170,7 @@ def test_triangular_substitution_straightens_d5():
     assert uy.strict == P("x^2 + y*z + y^2*z^4")
     fixed = apply_affine(uy, "z", P("z + y*z^4"))
     assert fixed.strict == P("x^2 + y*z")
-    assert dict(fixed.f_exponents) == dict(uy.f_exponents)
+    assert fixed.divisors == uy.divisors
     # the inverse rewrite is only a power series, so the path has no
     # polynomial chart map; the stepwise Jacobian replay still runs
     assert uy.map_from_root is not None
@@ -240,8 +239,8 @@ def test_translate_exceptional_localizes():
     moved = translate(chart, "z", 1)
     # the old divisor z^2 is a unit near the new origin and joins the strict part
     assert moved.steps[-1].localized
-    assert "z" not in moved.f_exponents
-    assert "z" not in moved.divisor_ids
+    assert "z" not in moved.divisors
+    assert moved.exceptional == ()
     assert moved.strict == P("(z + 1)^2 * (x^2 + y^2 + z + 1)")
     assert verify_jacobian(moved)
 
@@ -335,6 +334,5 @@ def test_catalogue_trees_verify(family, n):
             if not chart.steps or not chart.steps[-1].label.startswith("U_"):
                 continue
             v = chart.steps[-1].chart_variable
-            key = chart.divisor_ids[v]
-            pair = (chart.f_exponents[v], chart.jac_exponents[v])
-            assert born.setdefault(key, pair) == pair
+            record = chart.divisors[v]
+            assert born.setdefault(record.divisor, record) == record

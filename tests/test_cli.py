@@ -65,6 +65,25 @@ def test_depth_zero_is_a_budget_not_an_error():
     assert "certified: no" in out
 
 
+def test_untranslated_origin_without_center_is_not_certified(tmp_path):
+    # In the y-chart of (x - y^2)^2 the strict transform x^2 involves only x,
+    # and y carries the divisor, so the origin left behind by the translate
+    # has no valid blow-up center. It must stay a DepthLimit leaf: the true
+    # value is 1/2, not the 1 found in the translated chart.
+    script = tmp_path / "a.script"
+    script.write_text(
+        "blowup x y\nchart y\nsubst x := x - y\ntranslate x := x + 1\n"
+    )
+    argv = ["(x - y^2)^2", "--vars", "x,y", "--script", str(script)]
+    code, out, _ = run_cli(["pole", *argv])
+    assert code == 2
+    assert "certified: no" in out
+    code, out, _ = run_cli(["resolve", *argv, "--json"])
+    assert code == 2
+    nodes = json.loads(out)["nodes"]
+    assert [n["path"] for n in nodes if n["status"] == "DepthLimit"] == ["U_y/S_x"]
+
+
 def test_exit_3_internal_inconsistency(tmp_path):
     script = tmp_path / "bad.script"
     script.write_text("blowup x y z\nchart z\nsubst z := (1+a)*z\n")

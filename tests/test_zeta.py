@@ -1,5 +1,6 @@
 """Pole candidates and reports: divisor collection, capping, certification."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from lctkit import (
     Auto,
     ChartError,
+    InternalInconsistencyError,
     PoleIndex,
     ResolutionTree,
     Scripted,
@@ -129,3 +131,20 @@ def test_candidates_reject_unexpanded_tree():
     tree = ResolutionTree(P("x^2 + y^2"), TreeNode(root, ()), ())
     with pytest.raises(ChartError):
         divisor_candidates(tree)
+
+
+def test_candidates_reject_divisor_seen_with_two_exponent_pairs():
+    # U_x and U_y of x^2 + y^2 + z^3 both see E@root with (k, h) = (2, 2);
+    # a tree in which one sighting says h = 3 is inconsistent
+    tree = resolve(P("x^2 + y^2 + z^3"), Auto(max_depth=4))
+    ux, uy, uz = tree.root.children
+    assert ux.chart.divisors == {"x": PoleIndex("E@root", k=2, h=2)}
+    forged = replace(ux.chart, divisors={"x": PoleIndex("E@root", k=2, h=3)})
+    bad = ResolutionTree(
+        tree.root_polynomial,
+        TreeNode(tree.root.chart, (TreeNode(forged, ()), uy, uz)),
+        (),
+    )
+    assert len(divisor_candidates(tree)) == 1
+    with pytest.raises(InternalInconsistencyError, match="E@root"):
+        divisor_candidates(bad)
