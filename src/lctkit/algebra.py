@@ -1,17 +1,19 @@
 """Exact arithmetic: a rational number field with one generator, and sparse
 multivariate polynomials over it.
 
-A NumberField is Q[t] modulo a monic rational polynomial. The modulus is
-taken on faith: if it is reducible, some inversion will eventually hit a
-zero divisor and raise, which is the designed failure mode. FieldElement
-and Polynomial are immutable values; every operation returns a new object
-and nothing here mutates shared state.
+A NumberField is Q[t] modulo a monic rational polynomial. A modulus that is
+not squarefree or has a rational root is rejected up front; any other
+reducible modulus, such as (t^2+1)(t^2+2), is taken on faith: some inversion
+will eventually hit a zero divisor and raise, which is the designed failure
+mode. FieldElement and Polynomial are immutable values; every operation
+returns a new object and nothing here mutates shared state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -93,6 +95,26 @@ def _uni_sub(a, b):
     return _uni_trim(out)
 
 
+def _divisors(n: int) -> list[int]:
+    """Positive divisors of n > 0, by trial division."""
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]
+
+
+def _rational_root(coeffs: Sequence[Fraction]):
+    """A rational root of the polynomial, or None (the rational-root test)."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    if ints[0] == 0:
+        return Fraction(0)
+    for p in _divisors(abs(ints[0])):
+        for q in _divisors(abs(ints[-1])):
+            for root in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * root**k for k, c in enumerate(ints)) == 0:
+                    return root
+    return None
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -112,7 +134,9 @@ class NumberField:
         """Build a field from the full coefficient list, low degree first.
 
         The list must describe a monic polynomial of degree at least 1,
-        e.g. (1, 0, 1) for t^2 + 1.
+        e.g. (1, 0, 1) for t^2 + 1. It must also be squarefree and, from
+        degree 2 on, have no rational root; irreducibility beyond that is not
+        checked.
         """
         coeffs = [_fraction(c) for c in minpoly]
         if len(coeffs) < 2:
@@ -121,6 +145,14 @@ class NumberField:
             raise FieldError("minimal polynomial must be monic")
         if not generator_name.isidentifier():
             raise FieldError(f"bad generator name {generator_name!r}")
+        derivative = _uni_trim([k * c for k, c in enumerate(coeffs)][1:])
+        if len(_uni_ext_gcd(tuple(coeffs), derivative)[0]) != 1:
+            raise FieldError("minimal polynomial must be squarefree")
+        root = _rational_root(coeffs) if len(coeffs) > 2 else None
+        if root is not None:
+            raise FieldError(
+                f"minimal polynomial has the rational root {root}, so it is reducible"
+            )
         return NumberField(generator_name, tuple(coeffs[:-1]))
 
     @property

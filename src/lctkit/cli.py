@@ -22,10 +22,12 @@ from .errors import (
     ChartError,
     FactorizationDestroyedError,
     FieldError,
+    FieldMismatchError,
     InternalInconsistencyError,
     ParseError,
     UnitInputError,
     UnreliableEstimateError,
+    VariableMismatchError,
     ZeroDivisorError,
     ZeroPolynomialError,
 )
@@ -337,6 +339,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         UnitInputError,
         ZeroPolynomialError,
         FieldError,
+        FieldMismatchError,
+        VariableMismatchError,
         ValueError,
         OSError,
     ) as err:

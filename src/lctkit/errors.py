@@ -13,7 +13,8 @@ class LctkitError(Exception):
 
 
 class FieldError(LctkitError):
-    """Invalid number-field construction (non-monic or degree-0 modulus)."""
+    """Invalid number-field construction: a modulus that is non-monic, of
+    degree 0, not squarefree, or has a rational root."""
 
 
 class FieldMismatchError(LctkitError):
@@ -28,8 +29,9 @@ class ZeroDivisorError(LctkitError):
     """Inversion hit a zero divisor.
 
     Raised on division by zero, and also when the minimal polynomial of the
-    session field turns out to be reducible: irreducibility is never checked
-    up front, so this is the designed point of failure.
+    session field turns out to be reducible: only squarefreeness and rational
+    roots are checked up front, so a modulus such as (t^2+1)(t^2+2) fails
+    here.
     """
 
 

@@ -3,17 +3,21 @@ independent of any blow-up.
 
 For f vanishing at the origin, t0 is the parameter where the diagonal
 (t, ..., t) first meets the polyhedron conv(support + positive orthant);
-the reported value is 1/t0. Two independent computations are run and must
-agree exactly: facet-normal enumeration (dual) and basic-solution
-enumeration of the min-max program (primal). The value is what the
-polyhedron alone determines; for degenerate boundaries it is only a
-candidate, and no nondegeneracy check is attempted.
+the reported value is 1/t0. One exact simplex over Fraction solves the
+min-max program and returns its primal convex weights lam and its dual
+weights w. The value is accepted only if they prove each other by LP
+duality: lam is feasible at t0, w >= 0 sums to 1, and min_i w . a_i = t0.
+Facet normals are enumerated only when they are displayed, and there the
+largest N/sum(w) over the facets must equal the certified t0. The value is
+what the polyhedron alone determines; for degenerate boundaries it is only
+a candidate, and no nondegeneracy check is attempted.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -28,24 +32,6 @@ from .errors import (
 
 # ---------------------------------------------------------------------------
 # Small exact linear algebra over Fraction.
-
-
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve M x = b by Gaussian elimination; None if singular."""
-    n = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def _null_space(matrix: list[list[Fraction]], n: int) -> list[list[Fraction]]:
@@ -105,13 +91,27 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NewtonData:
-    """Support, validated facet normals (primitive integers, paired with the
-    weighted order N), the diagonal parameter t0, and lambda_np = 1/t0."""
+    """Support, the certified diagonal parameter t0, and lambda_np = 1/t0.
+
+    The facet normals (primitive integers, paired with the weighted order N)
+    are enumerated only when read, and then cross-checked against t0.
+    """
 
     support: tuple[tuple[int, ...], ...]
-    facet_normals: tuple[tuple[tuple[int, ...], int], ...]
     t0: Fraction
     lambda_np: Fraction
+
+    @cached_property
+    def facet_normals(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        normals = tuple(_facet_normals(list(self.support), len(self.support[0])))
+        # The diagonal meets the facet (w, N) at t = N / sum(w).
+        t0 = max(Fraction(n, sum(w)) for w, n in normals)
+        if t0 != self.t0:
+            raise InternalInconsistencyError(
+                f"facet enumeration gives t0 = {t0}, "
+                f"the certified simplex gives {self.t0}"
+            )
+        return normals
 
 
 def support(f: Polynomial) -> tuple[tuple[int, ...], ...]:
@@ -204,69 +204,93 @@ def _facet_normals(pts: list[tuple[int, ...]], d: int):
     )
 
 
-def _t0_primal(pts: list[tuple[int, ...]], d: int) -> Fraction:
+def _t0_primal(pts: list[tuple[int, ...]], d: int):
     """min t such that (t, ..., t) dominates a convex combination of support
-    points, by enumerating basic solutions of the min-max program."""
-    best: Fraction | None = None
-    indices = range(len(pts))
-    for size in range(1, d + 1):
-        for subset in itertools.combinations(indices, size):
-            for active in itertools.combinations(range(d), size):
-                # Unknowns: lambda_1..lambda_size, t.
-                matrix: list[list[Fraction]] = []
-                rhs: list[Fraction] = []
-                for c in active:
-                    matrix.append(
-                        [Fraction(pts[i][c]) for i in subset] + [Fraction(-1)]
-                    )
-                    rhs.append(Fraction(0))
-                matrix.append([Fraction(1)] * size + [Fraction(0)])
-                rhs.append(Fraction(1))
-                sol = _solve_square(matrix, rhs)
-                if sol is None:
-                    continue
-                lams, t = sol[:-1], sol[-1]
-                if any(l < 0 for l in lams):
-                    continue
-                feasible = True
-                for c in range(d):
-                    if c in active:
-                        continue
-                    coord = sum(
-                        l * pts[i][c] for l, i in zip(lams, subset)
-                    )
-                    if coord > t:
-                        feasible = False
-                        break
-                if feasible and (best is None or t < best):
-                    best = t
-    if best is None:
-        raise InternalInconsistencyError("primal enumeration found no solution")
-    return best
+    points, by an exact simplex; returns (t, lam, w).
+
+    The program is min t subject to sum_i lam_i a_i + s = t * 1,
+    sum_i lam_i = 1 and lam, s, t >= 0. Columns are ordered lam, s, t, and
+    Bland's rule (lowest entering index, ties in the ratio test to the
+    lowest basic index) keeps degenerate supports from cycling. The start
+    basis is closed-form: lam = 1 at the point whose largest coordinate M is
+    smallest, t = M, and slacks M - a_c on every other row. At the optimum
+    the reduced cost of slack c is -y_c for the dual y of B^T y = c_B, so
+    w = -y is read off the objective row.
+    """
+    n = len(pts)
+    t_col = n + d
+    # Rows 0..d-1: sum_i lam_i a_ic + s_c - t = 0; row d: sum_i lam_i = 1;
+    # last row: the objective t, kept reduced against the basis.
+    rows = [
+        [Fraction(a[c]) for a in pts]
+        + [Fraction(int(k == c)) for k in range(d)]
+        + [Fraction(-1), Fraction(0)]
+        for c in range(d)
+    ]
+    rows.append([Fraction(1)] * n + [Fraction(0)] * (d + 1) + [Fraction(1)])
+    rows.append([Fraction(0)] * (n + d) + [Fraction(1), Fraction(0)])
+    basis = [n + c for c in range(d)] + [None]
+
+    def pivot(r: int, j: int) -> None:
+        inv = 1 / rows[r][j]
+        rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            factor = row[j]
+            if i != r and factor != 0:
+                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
+        basis[r] = j
+
+    start = min(range(n), key=lambda i: max(pts[i]))
+    top = max(range(d), key=lambda c: pts[start][c])
+    pivot(d, start)
+    pivot(top, t_col)
+    while True:
+        objective = rows[-1]
+        entering = next((j for j in range(t_col + 1) if objective[j] < 0), None)
+        if entering is None:
+            break
+        # t >= 0 bounds the objective, so some row always limits the step
+        leaving = min(
+            (rows[r][-1] / rows[r][entering], basis[r], r)
+            for r in range(d + 1)
+            if rows[r][entering] > 0
+        )
+        pivot(leaving[2], entering)
+    values = [Fraction(0)] * (t_col + 1)
+    for r, j in enumerate(basis):
+        values[j] = rows[r][-1]
+    return values[t_col], values[:n], objective[n:t_col]
+
+
+def _check_certificate(pts, t: Fraction, lam, w) -> None:
+    """Prove t = min t by LP duality, trusting nothing from the solver.
+
+    If lam is a feasible convex combination with every coordinate <= t, and
+    w >= 0 with sum w = 1 has w . a_i >= t for every support point, then
+    any feasible (lam', t') has t' >= w . (sum lam'_i a_i) >= t.
+    """
+    if any(c < 0 for c in lam) or sum(lam) != 1:
+        raise InternalInconsistencyError(
+            f"primal weights {lam} are not a convex combination"
+        )
+    point = [sum(c * a[k] for c, a in zip(lam, pts)) for k in range(len(w))]
+    if any(coord > t for coord in point):
+        raise InternalInconsistencyError(f"primal point {point} exceeds t0 = {t}")
+    if any(c < 0 for c in w) or sum(w) != 1:
+        raise InternalInconsistencyError(f"dual weights {w} are not dual-feasible")
+    bound = min(_dot(w, a) for a in pts)
+    if bound != t:
+        raise InternalInconsistencyError(
+            f"duality gap: primal t0 = {t}, dual bound {bound}"
+        )
 
 
 def lambda_newton(f: Polynomial) -> NewtonData:
-    """Exact 1/t0 for f with f(0) = 0, cross-checked primal against dual."""
+    """Exact 1/t0 for f with f(0) = 0, proved by an LP-duality certificate."""
     pts = list(support(f))
     d = len(f.variables)
     if (0,) * d in f.terms:
         raise UnitInputError("the polynomial does not vanish at the origin")
-    normals = _facet_normals(pts, d)
-    dual_candidates = [
-        Fraction(n, sum(w)) for w, n in normals if sum(w) > 0 and n > 0
-    ]
-    if not dual_candidates:
-        raise InternalInconsistencyError("no facet normal with positive order")
-    t0_dual = max(dual_candidates)
-    t0_primal = _t0_primal(pts, d)
-    if t0_dual != t0_primal:
-        raise InternalInconsistencyError(
-            f"facet enumeration gives t0 = {t0_dual}, "
-            f"basic-solution enumeration gives {t0_primal}"
-        )
-    return NewtonData(
-        support=tuple(pts),
-        facet_normals=tuple(normals),
-        t0=t0_dual,
-        lambda_np=Fraction(1) / t0_dual,
-    )
+    t0, lam, w = _t0_primal(pts, d)
+    _check_certificate(pts, t0, lam, w)
+    return NewtonData(support=tuple(pts), t0=t0, lambda_np=Fraction(1) / t0)

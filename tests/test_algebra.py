@@ -51,11 +51,12 @@ def test_inverse_round_trip():
 
 
 def test_zero_divisor_detected():
-    # t^2 - 1 is reducible, so Q[t]/(t^2 - 1) has zero divisors.
-    ring = NumberField.make([-1, 0, 1], "a")
+    # (t^2 + 1)(t^2 + 2) is squarefree with no rational root, so make()
+    # accepts it, yet Q[t]/(t^4 + 3t^2 + 2) has zero divisors.
+    ring = NumberField.make([2, 0, 3, 0, 1], "a")
     a = ring.generator()
     with pytest.raises(ZeroDivisorError):
-        (ring.one() + a).inverse()
+        (ring.one() + a * a).inverse()
 
 
 def test_zero_has_no_inverse():
@@ -70,6 +71,25 @@ def test_make_rejects_bad_minpoly():
         NumberField.make([1, 0, 2], "a")
     with pytest.raises(FieldError):
         NumberField.make([1, 0, 1], "not an identifier!")
+
+
+@pytest.mark.parametrize(
+    "minpoly",
+    [
+        [-1, 0, 1],  # t^2 - 1 = (t - 1)(t + 1)
+        [1, 0, 2, 0, 1],  # (t^2 + 1)^2
+        [0, -1, 0, 1],  # t^3 - t
+        [Fraction(-1, 4), 0, 1],  # t^2 - 1/4
+    ],
+)
+def test_make_rejects_reducible_minpoly(minpoly):
+    with pytest.raises(FieldError):
+        NumberField.make(minpoly, "a")
+
+
+def test_make_accepts_irrational_roots():
+    # t^2 - 2 has the candidates +-1, +-2 of the rational-root test, none a root
+    assert NumberField.make([-2, 0, 1], "a").degree == 2
 
 
 def test_rationals_degree_one():

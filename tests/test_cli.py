@@ -2,11 +2,15 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from conftest import run_cli
+from lctkit import FieldMismatchError, VariableMismatchError, cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def schema(name):
@@ -86,12 +90,41 @@ def test_untranslated_origin_without_center_is_not_certified(tmp_path):
 
 def test_exit_3_internal_inconsistency(tmp_path):
     script = tmp_path / "bad.script"
-    script.write_text("blowup x y z\nchart z\nsubst z := (1+a)*z\n")
+    # (t^2+1)(t^2+2) passes the modulus checks, and 1 + a^2 is a zero divisor
+    script.write_text("blowup x y z\nchart z\nsubst z := (1+a^2)*z\n")
     code, _, err = run_cli(
-        ["pole", "x^2+y^2+z^3", "--field", "a:t^2-1", "--script", str(script)]
+        ["pole", "x^2+y^2+z^3", "--field", "a:t^4+3*t^2+2", "--script", str(script)]
     )
     assert code == 3
     assert "zero divisor" in err
+
+
+@pytest.mark.parametrize("minpoly", ["t^2-1", "(t^2+1)^2", "t^3-t"])
+def test_exit_1_reducible_field(minpoly):
+    code, out, err = run_cli(["pole", "x^2+y^2", "--field", f"i:{minpoly}"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: minimal polynomial")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["i:t^2+1", "j:t^2+t+1"])
+def test_irreducible_fields_still_accepted(field):
+    code, out, _ = run_cli(["pole", "x^2+y^2", "--field", field])
+    assert code == 0
+    assert "certified: yes" in out
+
+
+@pytest.mark.parametrize("error", [VariableMismatchError, FieldMismatchError])
+def test_exit_1_mismatch_errors(monkeypatch, error):
+    def mismatched(args):
+        raise error("operands come from different rings")
+
+    monkeypatch.setitem(cli._COMMANDS, "parse", mismatched)
+    code, out, err = run_cli(["parse", "x"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: operands come from different rings\n"
 
 
 def test_exit_4_unreliable_estimate():
@@ -127,6 +160,20 @@ def test_newton_lists_facets():
     assert code == 0
     assert "lambda: 7/6" in out
     assert "weights [3, 3, 1] order 6" in out
+
+
+@pytest.mark.parametrize(
+    "poly, golden",
+    [
+        ("x^2 + y^3 + y*z^3", "newton_e7.json"),
+        ("x^2+y^2*z+z^4", "newton_x2_y2z_z4.json"),
+        ("x^2+y^3+z^7", "newton_x2_y3_z7.json"),
+    ],
+)
+def test_newton_json_matches_golden(poly, golden):
+    code, out, _ = run_cli(["newton", poly, "--json"])
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_verify_family_table():

@@ -1,5 +1,6 @@
 """Newton-polyhedron oracle: exact LP values, facets, and weight bounds."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -8,10 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lctkit import (
+    GAUSS,
+    InternalInconsistencyError,
+    Polynomial,
     UnitInputError,
     ZeroPolynomialError,
     generator,
     lambda_newton,
+    newton,
     parse_poly,
     support,
     w_order,
@@ -149,3 +154,117 @@ def test_optimum_attained_at_some_facet():
             if order and all(c > 0 for c in w)
         ]
         assert nd.lambda_np in attained
+
+
+# -- the simplex and its duality certificate ---------------------------------
+
+
+def support_poly(points):
+    """The polynomial with unit coefficients on the given exponent vectors."""
+    variables = tuple(f"x{k}" for k in range(len(points[0])))
+    total = Polynomial.zero(GAUSS, variables)
+    for a in points:
+        total = total + Polynomial.monomial(GAUSS, variables, dict(zip(variables, a)))
+    return total
+
+
+def random_support(rng, d, n, max_exp=6):
+    points = set()
+    while len(points) < n:
+        a = tuple(rng.randint(0, max_exp) for _ in range(d))
+        if any(a):
+            points.add(a)
+    return sorted(points)
+
+
+def test_certified_t0_matches_facet_enumeration():
+    # the facet enumeration is an independent computation of the same t0
+    rng = random.Random(2024)
+    for _ in range(60):
+        d = rng.randint(3, 5)
+        n = rng.randint(4, 10)
+        points = random_support(rng, d, n)
+        nd = lambda_newton(support_poly(points))
+        facets = newton._facet_normals(points, d)
+        assert nd.t0 == max(Fraction(order, sum(w)) for w, order in facets)
+
+
+SOLVE = newton._t0_primal
+
+
+def _tampered(change):
+    def solve(pts, d):
+        t, lam, w = SOLVE(pts, d)
+        return change(t, list(lam), list(w))
+
+    return solve
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # a claimed t0 below the optimum: no feasible lam reaches it
+        lambda t, lam, w: (t - Fraction(1, 1000), lam, w),
+        # a claimed t0 above the optimum: lam is feasible, but w does not reach it
+        lambda t, lam, w: (t + Fraction(1, 1000), lam, w),
+        # lam moved off the simplex
+        lambda t, lam, w: (t, [lam[0] + 1, lam[1] - 1] + lam[2:], w),
+        # lam moved along the simplex, to a vertex beyond t
+        lambda t, lam, w: (t, [Fraction(1)] + [Fraction(0)] * (len(lam) - 1), w),
+        # w scaled off the simplex
+        lambda t, lam, w: (t, lam, [2 * c for c in w]),
+        # w moved along the simplex, to a weaker bound
+        lambda t, lam, w: (t, lam, [Fraction(1)] + [Fraction(0)] * (len(w) - 1)),
+    ],
+    ids=["t-low", "t-high", "lam-negative", "lam-vertex", "w-scaled", "w-vertex"],
+)
+def test_tampered_certificate_is_rejected(monkeypatch, change):
+    monkeypatch.setattr(newton, "_t0_primal", _tampered(change))
+    with pytest.raises(InternalInconsistencyError):
+        lambda_newton(parse_poly("x^2 + y^3 + z^5"))
+
+
+def test_tampered_t0_is_caught_by_facets():
+    nd = lambda_newton(generator("E6"))
+    forged = dataclasses.replace(nd, t0=nd.t0 + 1)
+    with pytest.raises(InternalInconsistencyError):
+        forged.facet_normals
+
+
+@pytest.mark.parametrize(
+    "text, variables, value",
+    [
+        ("x^3", ("x",), Fraction(1, 3)),
+        # y and z are absent: the diagonal meets {x >= 2} at t = 2
+        ("x^2", ("x", "y", "z"), Fraction(1, 2)),
+        # D6 has no pure power of y, E7 none of z
+        ("x^2 + y^2*z + z^5", ("x", "y", "z"), Fraction(11, 10)),
+        ("x^2 + y^3 + y*z^3", ("x", "y", "z"), Fraction(19, 18)),
+        # three points tie for the start vertex, and the optimum is degenerate
+        ("x^2 + y^2 + z^2 + x*y + y*z + x*z", ("x", "y", "z"), Fraction(3, 2)),
+        ("x*y + y*z + x*z", ("x", "y", "z"), Fraction(3, 2)),
+    ],
+)
+def test_edge_supports(text, variables, value):
+    nd = lambda_newton(parse_poly(text, GAUSS, variables))
+    assert nd.lambda_np == value
+    # reading the facets cross-checks them against the certified t0
+    assert max(Fraction(order, sum(w)) for w, order in nd.facet_normals) == nd.t0
+
+
+def test_five_variables_thirty_two_terms_match_scipy():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    points = random_support(random.Random(32), 5, 32, max_exp=9)
+    nd = lambda_newton(support_poly(points))
+    n, d = len(points), 5
+    res = linprog(
+        [0.0] * n + [1.0],
+        A_ub=[[float(a[c]) for a in points] + [-1.0] for c in range(d)],
+        b_ub=[0.0] * d,
+        A_eq=[[1.0] * n + [0.0]],
+        b_eq=[1.0],
+        bounds=[(0, None)] * (n + 1),
+        method="highs",
+    )
+    assert res.status == 0
+    assert abs(float(nd.t0) - res.fun) < 1e-9
