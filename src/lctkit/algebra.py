@@ -7,6 +7,23 @@ reducible modulus, such as (t^2+1)(t^2+2), is taken on faith: some inversion
 will eventually hit a zero divisor and raise, which is the designed failure
 mode. FieldElement and Polynomial are immutable values; every operation
 returns a new object and nothing here mutates shared state.
+
+Blow-up maps and divisor factors are monomials, and most coefficients are
+rational, so the ring operations take three exact shortcuts:
+
+- Polynomial * Polynomial with a one-term factor shifts the other factor's
+  exponents and scales its coefficients, in O(terms); a coefficient of 1
+  skips the scaling.
+- A one-term Polynomial to the n-th power multiplies its exponents by n and
+  takes one coefficient power.
+- FieldElement * and ** with a rational operand (every coordinate above
+  degree 0 is zero) scale the coordinates by one Fraction, or take one
+  Fraction power, instead of convolving and reducing mod the modulus.
+
+Invariant: a Polynomial stores no zero coefficient. Under an accepted but
+reducible modulus two nonzero coefficients can multiply to 0, e.g.
+(1 + a^2)(2 + a^2) mod a^4 + 3a^2 + 2; the constructor drops such terms on
+every path, so is_zero() stays exact.
 """
 
 from __future__ import annotations
@@ -95,24 +112,66 @@ def _uni_sub(a, b):
     return _uni_trim(out)
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n > 0, by trial division."""
-    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
-    return small + [n // k for k in reversed(small) if k * k != n]
+def _uni_derivative(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    return _uni_trim([k * c for k, c in enumerate(a)][1:])
+
+
+def _uni_eval(coeffs: Sequence, x):
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _integer_root(q: Sequence[int]):
+    """An integer root of the monic squarefree integer polynomial q, or None.
+
+    Sturm's theorem counts the distinct real roots in (lo, hi] as the drop
+    in sign changes of the chain q, q', -rem, ...; integer bisection of the
+    Cauchy interval then isolates each root to a unit interval, whose right
+    end is tested exactly. The cost is polynomial in the bit size of q.
+    """
+    if len(q) == 3:
+        # s^2 + b s + c: integer roots iff b^2 - 4c is a perfect square.
+        disc = q[1] ** 2 - 4 * q[0]
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return None
+        return (isqrt(disc) - q[1]) // 2
+    chain = [tuple(Fraction(c) for c in q)]
+    chain.append(_uni_derivative(chain[0]))
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in _uni_divmod(chain[-2], chain[-1])[1]))
+
+    def sign_changes(x: int) -> int:
+        signs = [v > 0 for v in (_uni_eval(p, x) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(c) for c in q[:-1])
+    pending = [(-bound - 1, bound)]
+    while pending:
+        lo, hi = pending.pop()
+        if sign_changes(lo) == sign_changes(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            pending += [(lo, mid), (mid, hi)]
+        elif _uni_eval(q, hi) == 0:
+            return hi
+    return None
 
 
 def _rational_root(coeffs: Sequence[Fraction]):
-    """A rational root of the polynomial, or None (the rational-root test)."""
+    """A rational root of the monic squarefree polynomial P, or None.
+
+    With D the lcm of the denominators, Q(s) = D^n P(s/D) is monic with
+    integer coefficients, so its rational roots are integers s, and s/D
+    are the rational roots of P.
+    """
+    n = len(coeffs) - 1
     scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    if ints[0] == 0:
-        return Fraction(0)
-    for p in _divisors(abs(ints[0])):
-        for q in _divisors(abs(ints[-1])):
-            for root in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * root**k for k, c in enumerate(ints)) == 0:
-                    return root
-    return None
+    q = [int(c * scale ** (n - k)) for k, c in enumerate(coeffs)]
+    root = _integer_root(q)
+    return None if root is None else Fraction(root, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +204,7 @@ class NumberField:
             raise FieldError("minimal polynomial must be monic")
         if not generator_name.isidentifier():
             raise FieldError(f"bad generator name {generator_name!r}")
-        derivative = _uni_trim([k * c for k, c in enumerate(coeffs)][1:])
-        if len(_uni_ext_gcd(tuple(coeffs), derivative)[0]) != 1:
+        if len(_uni_ext_gcd(tuple(coeffs), _uni_derivative(coeffs))[0]) != 1:
             raise FieldError("minimal polynomial must be squarefree")
         root = _rational_root(coeffs) if len(coeffs) > 2 else None
         if root is not None:
@@ -202,14 +260,14 @@ class FieldElement:
     coeffs: tuple[Fraction, ...]
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -238,8 +296,12 @@ class FieldElement:
 
     def __mul__(self, other) -> "FieldElement":
         other = self._coerce(other)
+        if other.is_rational:
+            return self._scale(other.coeffs[0])
+        if self.is_rational:
+            return other._scale(self.coeffs[0])
         m = self.field.degree
-        prod = [Fraction(0)] * (2 * m - 1) if m > 1 else [Fraction(0)]
+        prod = [Fraction(0)] * (2 * m - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -255,6 +317,9 @@ class FieldElement:
             for j, tc in enumerate(tail):
                 prod[k - m + j] -= c * tc
         return FieldElement(self.field, tuple(prod[:m]))
+
+    def _scale(self, r: Fraction) -> "FieldElement":
+        return FieldElement(self.field, tuple(c * r for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -282,6 +347,8 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if not isinstance(n, int) or n < 0:
             raise ValueError("field exponent must be a non-negative integer")
+        if self.is_rational:
+            return FieldElement(self.field, (self.coeffs[0] ** n,) + self.coeffs[1:])
         out = self.field.one()
         base = self
         while n:
@@ -455,6 +522,10 @@ class Polynomial:
                 {e: c * scalar for e, c in self.terms.items()},
             )
         self._check_ring(other)
+        if len(other.terms) == 1:
+            return self._shift(*next(iter(other.terms.items())))
+        if len(self.terms) == 1:
+            return other._shift(*next(iter(self.terms.items())))
         terms: dict[tuple[int, ...], FieldElement] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -470,6 +541,14 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def _shift(self, exps: tuple[int, ...], coeff: FieldElement) -> "Polynomial":
+        """self times the one-term polynomial coeff * x^exps, in O(terms)."""
+        unit = coeff.is_rational and coeff.coeffs[0] == 1
+        terms = {}
+        for e, c in self.terms.items():
+            terms[tuple(a + b for a, b in zip(e, exps))] = c if unit else c * coeff
+        return Polynomial(self.field, self.variables, terms)
+
     def __truediv__(self, other) -> "Polynomial":
         scalar = self.field.coerce(other)
         return self * scalar.inverse()
@@ -477,6 +556,11 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
+        if len(self.terms) == 1:
+            (exps, coeff), = self.terms.items()
+            return Polynomial(
+                self.field, self.variables, {tuple(n * e for e in exps): coeff**n}
+            )
         out = Polynomial.one(self.field, self.variables)
         base = self
         while n:

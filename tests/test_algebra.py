@@ -1,9 +1,10 @@
 """Exact arithmetic over small number fields and sparse polynomial rings."""
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_element, random_poly
 from lctkit import (
@@ -90,6 +91,55 @@ def test_make_rejects_reducible_minpoly(minpoly):
 def test_make_accepts_irrational_roots():
     # t^2 - 2 has the candidates +-1, +-2 of the rational-root test, none a root
     assert NumberField.make([-2, 0, 1], "a").degree == 2
+
+
+def trial_division_root(coeffs):
+    """Reference rational-root test: try every p/q with p | a_0 and q | a_n."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    if ints[0] == 0:
+        return True
+
+    def divisors(n):
+        small = [k for k in range(1, isqrt(abs(n)) + 1) if n % k == 0]
+        return small + [abs(n) // k for k in small]
+
+    return any(
+        sum(c * Fraction(s * p, q) ** k for k, c in enumerate(ints)) == 0
+        for p in divisors(ints[0])
+        for q in divisors(ints[-1])
+        for s in (1, -1)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=3),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_rational_root_test_matches_trial_division(tails):
+    # A product of monic factors of degree 1-3, so rational roots are common;
+    # from degree 3 on, make() decides them by Sturm bisection.
+    poly = [Fraction(1)]
+    for tail in tails:
+        factor = tail + [Fraction(1)]
+        out = [Fraction(0)] * (len(poly) + len(tail))
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        poly = out
+    assume(len(poly) > 2)
+    try:
+        NumberField.make(poly, "a")
+    except FieldError as err:
+        assume("squarefree" not in str(err))
+        assert "rational root" in str(err)
+        assert trial_division_root(poly)
+    else:
+        assert not trial_division_root(poly)
 
 
 def test_rationals_degree_one():
@@ -226,6 +276,131 @@ def test_substitution_identity_and_composition(f):
     two = Polynomial.constant(GAUSS, VARS, 2)
     point = [GAUSS.rational(2), GAUSS.rational(1), GAUSS.rational(-1)]
     assert f.substitute({"x": two}).evaluate(point) == f.evaluate(point)
+
+
+# -- fast paths against a schoolbook reference -------------------------------
+#
+# The reference works on plain data: an element is a tuple of Fractions in the
+# power basis, a polynomial a dict from exponent tuples to such tuples. It
+# never calls FieldElement or Polynomial arithmetic, so it shares no fast path.
+
+CUBIC = NumberField.make([-2, 0, 0, 1], "c")  # t^3 - 2
+FIELDS = (GAUSS, EISENSTEIN, CUBIC)
+
+
+def convolve(field, a, b):
+    """Full convolution of two coordinate tuples, reduced by t^m = -tail."""
+    m = field.degree
+    prod = [Fraction(0)] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * m - 2, m - 1, -1):
+        for j, tc in enumerate(field.minpoly_tail):
+            prod[k - m + j] -= prod[k] * tc
+    return tuple(prod[:m])
+
+
+def schoolbook(field, f, g):
+    """Product of two term dicts, dropping coefficients that cancel to 0."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            prev = out.get(exps, (Fraction(0),) * field.degree)
+            out[exps] = tuple(p + q for p, q in zip(prev, convolve(field, c1, c2)))
+    return {e: c for e, c in out.items() if any(c)}
+
+
+def plain(poly):
+    return {e: c.coeffs for e, c in poly.terms.items()}
+
+
+coords = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def field_coeffs(draw, field):
+    """Coordinates of a nonzero element; rational or 1 about half the time."""
+    kind = draw(st.sampled_from(["one", "rational", "any", "any"]))
+    if kind == "one":
+        return (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
+    head = draw(coords.filter(bool))
+    if kind == "rational":
+        return (head,) + (Fraction(0),) * (field.degree - 1)
+    return (head,) + tuple(draw(coords) for _ in range(field.degree - 1))
+
+
+@st.composite
+def ring_terms(draw, field, max_terms=5, max_exp=4):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(VARS))
+    keys = draw(st.lists(exps, max_size=max_terms, unique=True))
+    return {e: draw(field_coeffs(field)) for e in keys}
+
+
+@st.composite
+def field_and(draw, *parts):
+    field = draw(st.sampled_from(FIELDS))
+    return (field,) + tuple(draw(part(field)) for part in parts)
+
+
+def as_poly(field, terms):
+    return Polynomial(field, VARS, {e: field.element(c) for e, c in terms.items()})
+
+
+def one_term(field):
+    return ring_terms(field, max_terms=1).filter(bool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field_and(one_term, ring_terms))
+def test_one_term_factor_matches_schoolbook(case):
+    field, mono, other = case
+    expected = schoolbook(field, mono, other)
+    m, f = as_poly(field, mono), as_poly(field, other)
+    assert plain(m * f) == expected
+    assert plain(f * m) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(field_and(one_term))
+def test_one_term_powers_match_repeated_products(case):
+    field, mono = case
+    m = as_poly(field, mono)
+    expected = {(0,) * len(VARS): field.one().coeffs}
+    for n in range(8):
+        assert plain(m**n) == expected
+        expected = schoolbook(field, expected, mono)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field_and(field_coeffs), coords)
+def test_rational_element_product_is_full_convolution(case, r):
+    field, coeffs = case
+    rational = (r,) + (Fraction(0),) * (field.degree - 1)
+    a, q = field.element(coeffs), field.element(rational)
+    expected = convolve(field, rational, coeffs)
+    assert (q * a).coeffs == expected
+    assert (a * q).coeffs == expected
+    power = field.one().coeffs
+    for n in range(5):
+        assert (q**n).coeffs == power
+        power = convolve(field, power, rational)
+
+
+def test_zero_product_of_one_term_factors_is_dropped():
+    # (1 + a^2)(2 + a^2) = a^4 + 3a^2 + 2 = 0 in Q[t]/(t^4 + 3t^2 + 2), which
+    # make() accepts, so the product of the two nonzero terms is the zero
+    # polynomial and must store no term at all.
+    ring = NumberField.make([2, 0, 3, 0, 1], "a")
+    a = Polynomial.constant(ring, VARS, ring.generator())
+    x, y = (Polynomial.variable(ring, VARS, v) for v in ("x", "y"))
+    left, right = (1 + a * a) * x, (2 + a * a) * y
+    assert len(left.terms) == len(right.terms) == 1
+    product = left * right
+    assert product.terms == {}
+    assert product.is_zero()
+    assert (right * left).terms == {}
 
 
 def test_seeded_generator_shapes():

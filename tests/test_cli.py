@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats and the exit-code contract."""
 
 import json
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -99,7 +100,16 @@ def test_exit_3_internal_inconsistency(tmp_path):
     assert "zero divisor" in err
 
 
-@pytest.mark.parametrize("minpoly", ["t^2-1", "(t^2+1)^2", "t^3-t"])
+@pytest.mark.parametrize(
+    "minpoly",
+    [
+        "t^2-1",
+        "(t^2+1)^2",
+        "t^3-t",
+        "t^2-1000000000000000000",  # root 10^9
+        "t^3-1000003000003000001",  # (t - 1000001)(t^2 + 1000001*t + 1000001^2)
+    ],
+)
 def test_exit_1_reducible_field(minpoly):
     code, out, err = run_cli(["pole", "x^2+y^2", "--field", f"i:{minpoly}"])
     assert code == 1
@@ -108,9 +118,20 @@ def test_exit_1_reducible_field(minpoly):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("field", ["i:t^2+1", "j:t^2+t+1"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "i:t^2+1",
+        "j:t^2+t+1",
+        # The rational-root test must not trial-divide a constant near 10^18.
+        "i:t^2+1000000000000000003",
+        "i:t^3+1000000000000000003",
+    ],
+)
 def test_irreducible_fields_still_accepted(field):
+    start = time.perf_counter()
     code, out, _ = run_cli(["pole", "x^2+y^2", "--field", field])
+    assert time.perf_counter() - start < 2
     assert code == 0
     assert "certified: yes" in out
 
