@@ -8,22 +8,28 @@ will eventually hit a zero divisor and raise, which is the designed failure
 mode. FieldElement and Polynomial are immutable values; every operation
 returns a new object and nothing here mutates shared state.
 
-Blow-up maps and divisor factors are monomials, and most coefficients are
-rational, so the ring operations take three exact shortcuts:
+Each ring result is built once. The public `Polynomial(...)` constructor
+guards outside input: it checks every exponent vector and coerces every
+coefficient into the field. A ring operation (+, -, *, **, partial,
+substitute, monomial_content, coefficient_of) combines terms that are already
+valid in one ring, so it builds its result with `_with_terms`, which skips
+those checks. That is sound only under the invariant every such path keeps:
+the exponent tuples have one entry per variable, and no stored coefficient
+is zero. Under an accepted but reducible modulus two nonzero coefficients
+can multiply to 0, e.g. (1 + a^2)(2 + a^2) mod a^4 + 3a^2 + 2, so every path
+that multiplies coefficients drops such terms itself, and is_zero() stays
+exact.
 
-- Polynomial * Polynomial with a one-term factor shifts the other factor's
-  exponents and scales its coefficients, in O(terms); a coefficient of 1
-  skips the scaling.
-- A one-term Polynomial to the n-th power multiplies its exponents by n and
-  takes one coefficient power.
-- FieldElement * and ** with a rational operand (every coordinate above
-  degree 0 is zero) scale the coordinates by one Fraction, or take one
-  Fraction power, instead of convolving and reducing mod the modulus.
-
-Invariant: a Polynomial stores no zero coefficient. Under an accepted but
-reducible modulus two nonzero coefficients can multiply to 0, e.g.
-(1 + a^2)(2 + a^2) mod a^4 + 3a^2 + 2; the constructor drops such terms on
-every path, so is_zero() stays exact.
+One term-dict product, `_mul_terms`, serves `*`, the generic `**` and
+`substitute`. Blow-up maps and divisor factors are monomials, so a one-term
+factor shifts the other factor's exponents and scales its coefficients in
+O(terms), and a coefficient of 1 skips the scaling. `substitute` adds every
+term's image into one dict, and variables it does not map keep their
+exponents. A one-term Polynomial to the n-th power multiplies its exponents
+by n and takes one coefficient power. FieldElement * and ** with a rational
+operand (every coordinate above degree 0 is zero) scale the coordinates by
+one Fraction, or take one Fraction power, instead of convolving and reducing
+mod the modulus.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -42,6 +49,7 @@ from .errors import (
 )
 
 Rational = Union[Fraction, int]
+Terms = dict[tuple[int, ...], "FieldElement"]
 
 
 def _fraction(value: Rational) -> Fraction:
@@ -188,6 +196,11 @@ class NumberField:
     generator_name: str
     minpoly_tail: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        zeros = (Fraction(0),) * (self.degree - 1)
+        object.__setattr__(self, "_zero", _element(self, (Fraction(0),) + zeros))
+        object.__setattr__(self, "_one", _element(self, (Fraction(1),) + zeros))
+
     @staticmethod
     def make(minpoly: Sequence[Rational], generator_name: str = "i") -> "NumberField":
         """Build a field from the full coefficient list, low degree first.
@@ -224,16 +237,16 @@ class NumberField:
                 f"coefficient vector longer than field degree {self.degree}"
             )
         vals += [Fraction(0)] * (self.degree - len(vals))
-        return FieldElement(self, tuple(vals))
+        return _element(self, tuple(vals))
 
     def rational(self, value: Rational) -> "FieldElement":
-        return self.element([_fraction(value)])
+        return _element(self, (_fraction(value),) + self._zero.coeffs[1:])
 
     def zero(self) -> "FieldElement":
-        return self.rational(0)
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.rational(1)
+        return self._one
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
@@ -243,7 +256,7 @@ class NumberField:
 
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatchError(
                     f"element of Q({value.field.generator_name}) used in "
                     f"Q({self.generator_name})"
@@ -252,12 +265,19 @@ class NumberField:
         return self.rational(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """An element of a NumberField, stored as coordinates in the power basis."""
 
     field: NumberField
     coeffs: tuple[Fraction, ...]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return (
+            self.field is other.field or self.field == other.field
+        ) and self.coeffs == other.coeffs
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -279,14 +299,14 @@ class FieldElement:
 
     def __add__(self, other) -> "FieldElement":
         other = self._coerce(other)
-        return FieldElement(
+        return _element(
             self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return _element(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other) -> "FieldElement":
         return self + (-self._coerce(other))
@@ -316,10 +336,10 @@ class FieldElement:
             prod[k] = Fraction(0)
             for j, tc in enumerate(tail):
                 prod[k - m + j] -= c * tc
-        return FieldElement(self.field, tuple(prod[:m]))
+        return _element(self.field, tuple(prod[:m]))
 
-    def _scale(self, r: Fraction) -> "FieldElement":
-        return FieldElement(self.field, tuple(c * r for c in self.coeffs))
+    def _scale(self, r: Rational) -> "FieldElement":
+        return _element(self.field, tuple(c * r if c else c for c in self.coeffs))
 
     __rmul__ = __mul__
 
@@ -336,7 +356,7 @@ class FieldElement:
         inv = _uni_mul(s, (Fraction(1) / g[0],))
         _, inv = _uni_divmod(inv, modulus)
         vals = list(inv) + [Fraction(0)] * (self.field.degree - len(inv))
-        return FieldElement(self.field, tuple(vals))
+        return _element(self.field, tuple(vals))
 
     def __truediv__(self, other) -> "FieldElement":
         return self * self._coerce(other).inverse()
@@ -348,7 +368,7 @@ class FieldElement:
         if not isinstance(n, int) or n < 0:
             raise ValueError("field exponent must be a non-negative integer")
         if self.is_rational:
-            return FieldElement(self.field, (self.coeffs[0] ** n,) + self.coeffs[1:])
+            return _element(self.field, (self.coeffs[0] ** n,) + self.coeffs[1:])
         out = self.field.one()
         base = self
         while n:
@@ -363,6 +383,20 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement({format_element(self)})"
+
+
+_new = object.__new__
+_set_element_field = FieldElement.field.__set__
+_set_element_coeffs = FieldElement.coeffs.__set__
+
+
+def _element(field: NumberField, coeffs: tuple[Fraction, ...]) -> FieldElement:
+    """FieldElement(field, coeffs) without the dataclass __init__, which sets
+    each frozen slot through object.__setattr__."""
+    el = _new(FieldElement)
+    _set_element_field(el, field)
+    _set_element_coeffs(el, coeffs)
+    return el
 
 
 def format_element(el: FieldElement) -> str:
@@ -413,24 +447,37 @@ class Polynomial:
         variables: tuple[str, ...],
         terms: Mapping[tuple[int, ...], FieldElement],
     ):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "variables", tuple(variables))
-        clean: dict[tuple[int, ...], FieldElement] = {}
-        nvars = len(self.variables)
+        variables = tuple(variables)
+        clean: Terms = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != nvars:
+            if len(exps) != len(variables):
                 raise VariableMismatchError(
-                    f"exponent vector {exps} does not match variables "
-                    f"{self.variables}"
+                    f"exponent vector {exps} does not match variables {variables}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if not all(
+                isinstance(e, int) and not isinstance(e, bool) and e >= 0
+                for e in exps
+            ):
                 raise ValueError(f"exponents must be non-negative integers: {exps}")
             coeff = field.coerce(coeff)
             if coeff:
                 clean[exps] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        _set_field(self, field)
+        _set_variables(self, variables)
+        _set_terms(self, clean)
+        _set_hash(self, None)
+
+    def _with_terms(self, terms: Terms) -> "Polynomial":
+        """A polynomial of this ring with the given terms, unchecked. The
+        caller guarantees one exponent per variable and no zero coefficient,
+        as every ring operation on valid polynomials of this ring can."""
+        poly = _new(Polynomial)
+        _set_field(poly, self.field)
+        _set_variables(poly, self.variables)
+        _set_terms(poly, terms)
+        _set_hash(poly, None)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -475,7 +522,7 @@ class Polynomial:
     # -- ring structure ------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatchError("polynomials over different fields")
         if self.variables != other.variables:
             raise VariableMismatchError(
@@ -489,23 +536,14 @@ class Polynomial:
         return Polynomial.constant(self.field, self.variables, other)
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
         terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            cur = terms.get(exps)
-            new = coeff if cur is None else cur + coeff
-            if new:
-                terms[exps] = new
-            elif cur is not None:
-                del terms[exps]
-        return Polynomial(self.field, self.variables, terms)
+        _add_into(terms, self._coerce(other).terms)
+        return self._with_terms(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(
-            self.field, self.variables, {e: -c for e, c in self.terms.items()}
-        )
+        return self._with_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -514,40 +552,9 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            scalar = self.field.coerce(other)
-            return Polynomial(
-                self.field,
-                self.variables,
-                {e: c * scalar for e, c in self.terms.items()},
-            )
-        self._check_ring(other)
-        if len(other.terms) == 1:
-            return self._shift(*next(iter(other.terms.items())))
-        if len(self.terms) == 1:
-            return other._shift(*next(iter(self.terms.items())))
-        terms: dict[tuple[int, ...], FieldElement] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                cur = terms.get(exps)
-                new = prod if cur is None else cur + prod
-                if new:
-                    terms[exps] = new
-                elif cur is not None:
-                    del terms[exps]
-        return Polynomial(self.field, self.variables, terms)
+        return self._with_terms(_mul_terms(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
-
-    def _shift(self, exps: tuple[int, ...], coeff: FieldElement) -> "Polynomial":
-        """self times the one-term polynomial coeff * x^exps, in O(terms)."""
-        unit = coeff.is_rational and coeff.coeffs[0] == 1
-        terms = {}
-        for e, c in self.terms.items():
-            terms[tuple(a + b for a, b in zip(e, exps))] = c if unit else c * coeff
-        return Polynomial(self.field, self.variables, terms)
 
     def __truediv__(self, other) -> "Polynomial":
         scalar = self.field.coerce(other)
@@ -558,17 +565,21 @@ class Polynomial:
             raise ValueError("polynomial exponent must be a non-negative integer")
         if len(self.terms) == 1:
             (exps, coeff), = self.terms.items()
-            return Polynomial(
-                self.field, self.variables, {tuple(n * e for e in exps): coeff**n}
-            )
-        out = Polynomial.one(self.field, self.variables)
-        base = self
+            power = coeff**n
+            # A zero power needs a nilpotent coefficient, which only a
+            # non-squarefree modulus that bypassed NumberField.make has.
+            if not power:
+                return self._with_terms({})
+            return self._with_terms({tuple(n * e for e in exps): power})
+        terms = {(0,) * len(self.variables): self.field.one()}
+        base = self.terms
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                terms = _mul_terms(terms, base)
             n >>= 1
-        return out
+            if n:
+                base = _mul_terms(base, base)
+        return self._with_terms(terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -649,31 +660,28 @@ class Polynomial:
         """The coefficient of name**power, as a polynomial with that
         variable's exponent stripped to zero."""
         idx = self._var_index(name)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[idx] == power:
-                stripped = exps[:idx] + (0,) + exps[idx + 1 :]
-                terms[stripped] = terms.get(stripped, self.field.zero()) + coeff
-        return Polynomial(self.field, self.variables, terms)
+        # Terms with one exponent of `name` stay distinct once it is stripped.
+        return self._with_terms(
+            {
+                exps[:idx] + (0,) + exps[idx + 1 :]: coeff
+                for exps, coeff in self.terms.items()
+                if exps[idx] == power
+            }
+        )
 
     # -- calculus and rewriting ----------------------------------------------
 
     def partial(self, name: str) -> "Polynomial":
         idx = self._var_index(name)
-        terms: dict[tuple[int, ...], FieldElement] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            new_exps = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            add = coeff * e
-            cur = terms.get(new_exps)
-            new = add if cur is None else cur + add
-            if new:
-                terms[new_exps] = new
-            elif cur is not None:
-                del terms[new_exps]
-        return Polynomial(self.field, self.variables, terms)
+        # Lowering one positive exponent is injective on the terms, and a
+        # nonzero coefficient times a positive integer is nonzero.
+        return self._with_terms(
+            {
+                exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]: coeff._scale(exps[idx])
+                for exps, coeff in self.terms.items()
+                if exps[idx]
+            }
+        )
 
     def substitute(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Simultaneously replace variables by polynomials from the same ring.
@@ -683,29 +691,27 @@ class Polynomial:
         unknown = set(assignments) - set(self.variables)
         if unknown:
             raise VariableMismatchError(f"unknown variables {sorted(unknown)}")
-        images: list[Polynomial] = []
-        for name in self.variables:
+        images: list[tuple[int, Polynomial]] = []
+        for i, name in enumerate(self.variables):
             img = assignments.get(name)
-            if img is None:
-                img = Polynomial.variable(self.field, self.variables, name)
-            else:
+            if img is not None:
                 self._check_ring(img)
-            images.append(img)
-        result = Polynomial.zero(self.field, self.variables)
-        power_cache: dict[tuple[int, int], Polynomial] = {}
+                images.append((i, img))
+        mapped = {i for i, _ in images}
+        terms: Terms = {}
+        powers: dict[tuple[int, int], Terms] = {}
         for exps, coeff in self.terms.items():
-            term = Polynomial.constant(self.field, self.variables, coeff)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                key = (i, e)
-                pw = power_cache.get(key)
-                if pw is None:
-                    pw = images[i] ** e
-                    power_cache[key] = pw
-                term = term * pw
-            result = result + term
-        return result
+            # Unmapped variables keep their exponents in the one-term start.
+            term = {tuple(0 if i in mapped else e for i, e in enumerate(exps)): coeff}
+            for i, img in images:
+                e = exps[i]
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[i, e] = (img**e).terms
+                    term = _mul_terms(term, pw)
+            _add_into(terms, term)
+        return self._with_terms(terms)
 
     def monomial_content(self, name: str) -> tuple[int, "Polynomial"]:
         """Split off the largest power of one variable: f = name**k * g with
@@ -720,7 +726,7 @@ class Polynomial:
             exps[:idx] + (exps[idx] - k,) + exps[idx + 1 :]: coeff
             for exps, coeff in self.terms.items()
         }
-        return k, Polynomial(self.field, self.variables, terms)
+        return k, self._with_terms(terms)
 
     def coordinate_content(self) -> tuple[dict[str, int], "Polynomial"]:
         """Extract the full monomial factor: f = (prod v**k_v) * g."""
@@ -754,3 +760,45 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self!s})"
+
+
+_set_field = Polynomial.field.__set__
+_set_variables = Polynomial.variables.__set__
+_set_terms = Polynomial.terms.__set__
+_set_hash = Polynomial._hash.__set__
+
+
+def _add_into(out: Terms, terms: Terms) -> None:
+    """Add the term dict `terms` into `out` in place, storing no zero
+    coefficient: zero summands are skipped and cancelled sums deleted."""
+    for exps, coeff in terms.items():
+        cur = out.get(exps)
+        new = coeff if cur is None else cur + coeff
+        if new:
+            out[exps] = new
+        elif cur is not None:
+            del out[exps]
+
+
+def _mul_terms(f: Terms, g: Terms) -> Terms:
+    """The product of two term dicts of one ring, with no zero coefficient.
+
+    A one-term factor c * x^shift shifts the other factor's exponents and
+    scales its coefficients, in O(terms); c = 1 skips the scaling.
+    """
+    if len(f) == 1:
+        f, g = g, f
+    if len(g) == 1:
+        (shift, c), = g.items()
+        if c.is_rational and c.coeffs[0] == 1:
+            return {tuple(map(add, e, shift)): a for e, a in f.items()}
+        out = {}
+        for e, a in f.items():
+            prod = a * c
+            if prod:
+                out[tuple(map(add, e, shift))] = prod
+        return out
+    out = {}
+    for e1, c1 in f.items():
+        _add_into(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in g.items()})
+    return out

@@ -200,7 +200,9 @@ def _classify(strict: Polynomial) -> ChartStatus:
     # the divisor), which is why smooth leaves leave the result uncertified.
     if strict.is_unit_at_origin():
         return ChartStatus.UNIT_STRICT
-    if any(bool(strict.partial(v).constant_term) for v in strict.variables):
+    # The constant term of df/dv is the coefficient of the monomial v.
+    n = len(strict.variables)
+    if any((0,) * i + (1,) + (0,) * (n - 1 - i) in strict.terms for i in range(n)):
         return ChartStatus.SMOOTH_STRICT
     return ChartStatus.OPEN
 

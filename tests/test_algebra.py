@@ -165,6 +165,22 @@ def test_ring_mismatch_rejected():
         p * r
 
 
+@pytest.mark.parametrize("bad", [-1, 1.0, "1", None, True, False])
+def test_constructor_rejects_non_integer_exponents(bad):
+    with pytest.raises(ValueError):
+        Polynomial(GAUSS, VARS, {(1, bad, 0): GAUSS.one()})
+
+
+def test_constructor_checks_outside_terms():
+    with pytest.raises(VariableMismatchError):
+        Polynomial(GAUSS, VARS, {(1, 0): GAUSS.one()})
+    with pytest.raises(FieldMismatchError):
+        Polynomial(GAUSS, VARS, {(1, 0, 0): EISENSTEIN.one()})
+    f = Polynomial(GAUSS, VARS, {(1, 0, 0): 0, (0, 2, 0): Fraction(1, 2)})
+    assert f.terms == {(0, 2, 0): GAUSS.rational(Fraction(1, 2))}
+    assert Polynomial(GAUSS, VARS, {(0, 0, 1): GAUSS.zero()}).is_zero()
+
+
 def test_power_matches_repeated_product():
     f = parse_poly("x + y + 1")
     g = f
@@ -401,6 +417,43 @@ def test_zero_product_of_one_term_factors_is_dropped():
     assert product.terms == {}
     assert product.is_zero()
     assert (right * left).terms == {}
+    image = (x * y).substitute({"x": (1 + a * a) * x, "y": (2 + a * a) * y})
+    assert image.terms == {}
+    # Two-term factors take the generic product, where the x*y term is 0.
+    z = Polynomial.variable(ring, VARS, "z")
+    wide = (left + y) * (right + z)
+    assert wide.terms == ((1 + a * a) * x * z + y * right + y * z).terms
+
+
+def expand(field, f, images):
+    """f with variable i replaced by images[i], by repeated schoolbook
+    products; the other variables keep their exponents."""
+    out = {}
+    for exps, c in f.items():
+        term = {tuple(0 if i in images else e for i, e in enumerate(exps)): c}
+        for i, image in images.items():
+            for _ in range(exps[i]):
+                term = schoolbook(field, term, image)
+        for e, v in term.items():
+            prev = out.get(e, (Fraction(0),) * field.degree)
+            out[e] = tuple(p + q for p, q in zip(prev, v))
+    return {e: v for e, v in out.items() if any(v)}
+
+
+@st.composite
+def partial_images(draw, field):
+    """Images for at most all but one of VARS, so some variable stays."""
+    indices = st.integers(0, len(VARS) - 1)
+    mapped = draw(st.lists(indices, max_size=len(VARS) - 1, unique=True))
+    return {i: draw(ring_terms(field, max_terms=3, max_exp=2)) for i in mapped}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(field_and(lambda field: ring_terms(field, 4, 3), partial_images))
+def test_substitute_matches_expansion(case):
+    field, f, images = case
+    mapping = {VARS[i]: as_poly(field, image) for i, image in images.items()}
+    assert plain(as_poly(field, f).substitute(mapping)) == expand(field, f, images)
 
 
 def test_seeded_generator_shapes():

@@ -1,6 +1,7 @@
 """Blow-up charts: substitution bookkeeping, classification, and drivers."""
 
 import pytest
+from hypothesis import given, settings
 
 from lctkit import (
     Auto,
@@ -23,6 +24,8 @@ from lctkit import (
     translate,
     verify_jacobian,
 )
+from lctkit.blowup import _classify
+from test_algebra import as_poly, field_and, ring_terms
 
 P = parse_poly
 
@@ -93,6 +96,21 @@ def test_classify_unit_and_smooth_and_open():
     assert uz.status is ChartStatus.SMOOTH_STRICT
     assert make_root_chart(P("x^2 + y^2")).status is ChartStatus.OPEN
     assert make_root_chart(P("z + x^2")).status is ChartStatus.SMOOTH_STRICT
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(field_and(lambda field: ring_terms(field, max_exp=2)))
+def test_classify_matches_gradient_definition(case):
+    # Exponents up to 2 make constant, linear and higher terms all common.
+    field, terms = case
+    f = as_poly(field, terms)
+    if f.constant_term:
+        expected = ChartStatus.UNIT_STRICT
+    elif any(f.partial(v).constant_term for v in f.variables):
+        expected = ChartStatus.SMOOTH_STRICT
+    else:
+        expected = ChartStatus.OPEN
+    assert _classify(f) is expected
 
 
 # -- chains of origin blow-ups --------------------------------------------------
