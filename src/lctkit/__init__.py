@@ -34,9 +34,7 @@ from .blowup import (
 )
 from .catalogue import (
     FAMILIES,
-    FamilySpec,
     VerifyReport,
-    family_spec,
     generator,
     paper_claim,
     script_text,
@@ -99,9 +97,7 @@ __all__ = [
     "translate",
     "verify_jacobian",
     "FAMILIES",
-    "FamilySpec",
     "VerifyReport",
-    "family_spec",
     "generator",
     "paper_claim",
     "script_text",

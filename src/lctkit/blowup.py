@@ -16,6 +16,10 @@ stores only its path (`steps`); map_from_root is derived from it on demand,
 by composing the step maps of _step_substitution, and is None once a
 triangular (power-series) rewrite is on the path.
 
+_step_substitution is the one source of step geometry: child strict
+transforms, the identity check, map_from_root and the Jacobian audit
+(verify_jacobian, which tests call and resolve does not) all read it.
+
 One recursive walk, `_expand`, builds every resolution tree. It follows
 the script steps it is given along one path and resolves every other chart
 automatically, which is the walk with no steps left: `Auto` is the empty
@@ -134,21 +138,23 @@ def _step_substitution(
 ) -> Optional[dict[str, Polynomial]]:
     """The coordinate map of one step: each old coordinate it moves, as a
     polynomial in the new ones. None for a triangular rewrite, whose inverse
-    is only a power series."""
-    def var(name: str) -> Polynomial:
-        return Polynomial.variable(field, variables, name)
-
+    is only a power series. This is the only code that knows what a step
+    kind does to coordinates."""
     if isinstance(step, BlowupStep):
         v = step.chart_variable
-        return {w: var(w) * var(v) for w in step.center if w != v}
+        return {
+            w: Polynomial.monomial(field, variables, {w: 1, v: 1})
+            for w in step.center
+            if w != v
+        }
+    moved = Polynomial.monomial(field, variables, {step.variable: 1})
     if isinstance(step, TranslateStep):
-        shift = Polynomial.constant(field, variables, step.value)
-        return {step.variable: var(step.variable) + shift}
+        return {step.variable: moved + step.value}
     if not step.exact_inverse:
         return None
     offset = step.expression.coefficient_of(step.variable, 0)
     c1 = step.expression.coefficient_of(step.variable, 1).constant_term
-    return {step.variable: (var(step.variable) - offset) / c1}
+    return {step.variable: (moved - offset) / c1}
 
 
 @dataclass(frozen=True)
@@ -217,11 +223,8 @@ def _assert_content_free(chart: Chart) -> None:
 
 
 def _monomial_times_strict(chart: Chart) -> Polynomial:
-    total = chart.strict
-    for e, record in chart.divisors.items():
-        if record.k:
-            total *= Polynomial.variable(chart.field, chart.variables, e) ** record.k
-    return total
+    exponents = {e: record.k for e, record in chart.divisors.items()}
+    return chart.strict * Polynomial.monomial(chart.field, chart.variables, exponents)
 
 
 def _assert_step_identity(
@@ -338,7 +341,9 @@ def translate(chart: Chart, var: str, value) -> Chart:
     carries an exceptional divisor is allowed only for value != 0: the
     divisor then misses the new origin, its monomial factor (var + value)^k
     is absorbed into the strict transform as a unit, and its divisor record
-    is dropped from the chart.
+    is dropped from the chart. A translation that leaves the strict transform
+    divisible by var is refused: the origin would sit on a component
+    {var = 0} that has no divisor record.
     """
     value = chart.field.coerce(value)
     if var not in chart.variables:
@@ -353,6 +358,12 @@ def translate(chart: Chart, var: str, value) -> Chart:
     step = TranslateStep(var, value, localized)
     substitution = _step_substitution(chart.field, chart.variables, step)
     strict_new = chart.strict.substitute(substitution)
+    if strict_new.order_in(var):
+        raise ChartError(
+            f"translation of {var!r} puts the origin on the component "
+            f"{{{var} = 0}} of the strict transform, whose divisor and h the "
+            "chart does not record"
+        )
     divisors = dict(chart.divisors)
     if localized:
         strict_new = substitution[var] ** divisors.pop(var).k * strict_new
@@ -459,78 +470,33 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
 def _poly_determinant(rows: list[list[Polynomial]]) -> Polynomial:
     """Cofactor expansion along the first row; exact and independent of the
     additive bookkeeping it is used to audit."""
-    n = len(rows)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    first = rows[0]
-    total = None
-    for j in range(n):
-        entry = first[j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = entry * _poly_determinant(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        zero_ring = rows[0][0]
-        return Polynomial.zero(zero_ring.field, zero_ring.variables)
+    total = Polynomial.zero(rows[0][0].field, rows[0][0].variables)
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+            term = entry * _poly_determinant(minor)
+            total = total - term if j % 2 else total + term
     return total
 
 
-def _verify_stepwise(chart: Chart) -> bool:
-    """Replay the path, recomputing each step's Jacobian determinant by
-    cofactor expansion and accumulating divisor exponents independently."""
-    field = chart.field
-    variables = chart.variables
-    exponents: dict[str, int] = {}
-    for step in chart.steps:
-        if isinstance(step, BlowupStep):
-            v = step.chart_variable
-            substitution = _step_substitution(field, variables, step)
-            rows = []
-            for old in variables:
-                image = substitution.get(
-                    old, Polynomial.variable(field, variables, old)
-                )
-                rows.append([image.partial(new) for new in variables])
-            det = _poly_determinant(rows)
-            if det.is_zero():
-                return False
-            c, residual = det.monomial_content(v)
-            if not residual.is_unit_at_origin() or residual.variables_present():
-                return False
-            pulled = sum(
-                exponents.get(w, 0) for w in step.center if w != v
-            )
-            exponents[v] = exponents.get(v, 0) + c + pulled
-        elif isinstance(step, TranslateStep):
-            if step.localized:
-                if step.value.is_zero():
-                    return False
-                exponents.pop(step.variable, None)
-            # A pure translation has Jacobian 1 and moves no divisor order.
-        else:
-            unit = step.expression.partial(step.variable)
-            if unit != step.jacobian_unit:
-                return False
-            if not unit.is_unit_at_origin():
-                return False
-    recorded = {v: r.h for v, r in chart.divisors.items() if r.h != 0}
-    accumulated = {v: h for v, h in exponents.items() if h != 0}
-    return recorded == accumulated
+def _map_determinant(chart: Chart, images: Mapping[str, Polynomial]) -> Polynomial:
+    """det(d old / d new) of a coordinate map given by the images of the old
+    coordinates it moves; every other coordinate maps to itself."""
+    field, variables = chart.field, chart.variables
+    images = {
+        v: images[v] if v in images else Polynomial.monomial(field, variables, {v: 1})
+        for v in variables
+    }
+    return _poly_determinant(
+        [[images[old].partial(new) for new in variables] for old in variables]
+    )
 
 
-def _verify_composed(chart: Chart) -> bool:
-    """Cofactor-expand the Jacobian matrix of the composed chart map and
-    check it is a unit times the recorded exceptional monomial."""
-    assert chart.map_from_root is not None
-    rows = [
-        [chart.map_from_root[old].partial(new) for new in chart.variables]
-        for old in chart.variables
-    ]
-    det = _poly_determinant(rows)
+def _is_recorded_jacobian(chart: Chart, det: Polynomial) -> bool:
+    """True iff det is a unit at the origin times prod e**h_e over the
+    chart's divisor records."""
     if det.is_zero():
         return False
     residual = det
@@ -541,10 +507,44 @@ def _verify_composed(chart: Chart) -> bool:
     return residual.is_unit_at_origin()
 
 
+def _verify_stepwise(chart: Chart) -> bool:
+    """Replay the path with one Jacobian polynomial: at each step pull it
+    back through the step's own map and multiply by that map's determinant.
+    A triangular rewrite has no polynomial inverse; it must carry its own
+    unit Jacobian, the carried polynomial must be a monomial times a unit,
+    and only the monomial goes on (the rewrite maps each coordinate to
+    itself times a unit)."""
+    jacobian = Polynomial.one(chart.field, chart.variables)
+    for step in chart.steps:
+        substitution = _step_substitution(chart.field, chart.variables, step)
+        if substitution is not None:
+            jacobian = jacobian.substitute(substitution) * _map_determinant(
+                chart, substitution
+            )
+            continue
+        unit = step.expression.partial(step.variable)
+        if unit != step.jacobian_unit or not unit.is_unit_at_origin() or not jacobian:
+            return False
+        content, rest = jacobian.coordinate_content()
+        if not rest.is_unit_at_origin():
+            return False
+        jacobian = Polynomial.monomial(chart.field, chart.variables, content)
+    return _is_recorded_jacobian(chart, jacobian)
+
+
+def _verify_composed(chart: Chart) -> bool:
+    """Cofactor-expand the Jacobian matrix of the composed chart map and
+    check it is a unit times the recorded exceptional monomial."""
+    assert chart.map_from_root is not None
+    return _is_recorded_jacobian(chart, _map_determinant(chart, chart.map_from_root))
+
+
 def verify_jacobian(chart: Chart) -> bool:
-    """True iff an independent Jacobian computation reproduces the recorded
-    h-exponents: the composed-map determinant when the polynomial chart map
-    exists, and a stepwise determinant replay always."""
+    """True iff the Jacobian determinant of the chart map is a unit times
+    the recorded h monomial: checked on the composed map when the polynomial
+    chart map exists, and by the stepwise replay always. Both read only the
+    step maps, never the h rule of blowup_origin. An audit: resolve does not
+    call it."""
     if chart.map_from_root is not None and not _verify_composed(chart):
         return False
     return _verify_stepwise(chart)

@@ -130,27 +130,6 @@ def scripted_resolution(
 
 
 @dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    n: Optional[int]
-    polynomial: Polynomial
-    claimed_values: tuple[Fraction, ...]
-    script: str
-
-
-def family_spec(
-    family: str, n: Optional[int] = None, field: NumberField = GAUSS
-) -> FamilySpec:
-    return FamilySpec(
-        family=family,
-        n=n,
-        polynomial=generator(family, n, field),
-        claimed_values=paper_claim(family, n),
-        script=script_text(family, n, field),
-    )
-
-
-@dataclass(frozen=True)
 class VerifyReport:
     family: str
     n: Optional[int]
@@ -168,28 +147,23 @@ class VerifyReport:
         return self.family if self.n is None else f"{self.family}{self.n}"
 
 
-def verify(
-    family: str,
-    n: Optional[int] = None,
-    max_depth: int = 12,
-    field: NumberField = GAUSS,
-) -> VerifyReport:
+def verify(family: str, n: Optional[int] = None, max_depth: int = 12) -> VerifyReport:
     """Run the scripted resolution and the polyhedron oracle on one family
     member and compare everything by exact equality. A claim matches when
     any of its stored branch values equals the oracle value."""
-    spec = family_spec(family, n, field)
-    script = parse_script(spec.script, field, DEFAULT_VARIABLES)
-    tree = resolve(spec.polynomial, Scripted(script, max_depth))
-    report = lambda_uncapped(tree, lambda_newton(spec.polynomial))
+    f = generator(family, n)
+    claimed = paper_claim(family, n)
+    tree = resolve(f, Scripted(scripted_resolution(family, n), max_depth))
+    report = lambda_uncapped(tree, lambda_newton(f))
     newton_value = report.newton_value
     assert newton_value is not None
-    claim_match = any(v == newton_value for v in spec.claimed_values)
+    claim_match = any(v == newton_value for v in claimed)
     engine_match = report.lambda_uncapped == newton_value
     return VerifyReport(
         family=family,
         n=n,
-        polynomial=format_poly(spec.polynomial),
-        claimed_values=spec.claimed_values,
+        polynomial=format_poly(f),
+        claimed_values=claimed,
         newton_value=newton_value,
         engine_value=report.lambda_uncapped,
         engine_certified=report.certified,
@@ -199,15 +173,13 @@ def verify(
     )
 
 
-def verify_all(
-    max_depth: int = 12, field: NumberField = GAUSS
-) -> tuple[VerifyReport, ...]:
+def verify_all(max_depth: int = 12) -> tuple[VerifyReport, ...]:
     """The full audit table: A1..A20, D4..D12, and the three E members."""
     rows = []
     for n in range(1, 21):
-        rows.append(verify("A", n, max_depth, field))
+        rows.append(verify("A", n, max_depth))
     for n in range(4, 13):
-        rows.append(verify("D", n, max_depth, field))
+        rows.append(verify("D", n, max_depth))
     for family in ("E6", "E7", "E8"):
-        rows.append(verify(family, None, max_depth, field))
+        rows.append(verify(family, None, max_depth))
     return tuple(rows)

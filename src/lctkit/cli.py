@@ -97,6 +97,14 @@ def _add_ring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _add_tree_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("poly")
+    sub.add_argument("--script", help="path to a resolution script")
+    sub.add_argument("--max-depth", type=int, default=24)
+    sub.add_argument("--dot", help="write a Graphviz rendering to this path")
+    _add_ring_flags(sub)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # usage mistakes are input errors (exit 1); argparse's built-in
     # SystemExit(2) would collide with the depth-limit exit code
@@ -123,19 +131,10 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("poly")
     _add_ring_flags(p)
 
-    p = subs.add_parser("resolve", help="build the blow-up chart tree")
-    p.add_argument("poly")
-    p.add_argument("--script", help="path to a resolution script")
-    p.add_argument("--max-depth", type=int, default=24)
-    p.add_argument("--dot", help="write a Graphviz rendering to this path")
-    _add_ring_flags(p)
-
-    p = subs.add_parser("pole", help="minimal pole index from a resolution tree")
-    p.add_argument("poly")
-    p.add_argument("--script", help="path to a resolution script")
-    p.add_argument("--max-depth", type=int, default=24)
-    p.add_argument("--dot", help="write a Graphviz rendering to this path")
-    _add_ring_flags(p)
+    _add_tree_args(subs.add_parser("resolve", help="build the blow-up chart tree"))
+    _add_tree_args(
+        subs.add_parser("pole", help="minimal pole index from a resolution tree")
+    )
 
     p = subs.add_parser("verify", help="audit catalogue families against the oracle")
     group = p.add_mutually_exclusive_group(required=True)
@@ -192,24 +191,33 @@ def _cmd_newton(args) -> int:
     return EXIT_OK
 
 
-def _load_strategy(args, field, variables):
+def _resolve_tree(args):
+    """Parse the input and resolve it with the script or automatically: the
+    shared start of `resolve` and `pole`."""
+    field, variables = _session(args)
+    poly = parse_poly(args.poly, field, variables)
     if args.script:
         with open(args.script, "r", encoding="utf-8") as handle:
             text = handle.read()
-        return Scripted(parse_script(text, field, variables), args.max_depth), True
-    return Auto(args.max_depth), False
+        strategy = Scripted(parse_script(text, field, variables), args.max_depth)
+    else:
+        strategy = Auto(args.max_depth)
+    return poly, resolve(poly, strategy)
 
 
-def _cmd_resolve(args) -> int:
-    field, variables = _session(args)
-    poly = parse_poly(args.poly, field, variables)
-    strategy, scripted = _load_strategy(args, field, variables)
-    tree = resolve(poly, strategy)
+def _write_dot(args, tree) -> None:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(tree_dot(tree))
+
+
+def _cmd_resolve(args) -> int:
+    poly, tree = _resolve_tree(args)
+    _write_dot(args, tree)
     if args.json:
-        sys.stdout.write(dump_json(tree_json(tree, args.max_depth, scripted)))
+        sys.stdout.write(
+            dump_json(tree_json(tree, args.max_depth, bool(args.script)))
+        )
     else:
         counts = leaf_counts(tree)
         print(f"input: {format_poly(poly)}")
@@ -222,14 +230,9 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_pole(args) -> int:
-    field, variables = _session(args)
-    poly = parse_poly(args.poly, field, variables)
-    strategy, _ = _load_strategy(args, field, variables)
-    tree = resolve(poly, strategy)
+    poly, tree = _resolve_tree(args)
     report = lambda_uncapped(tree, lambda_newton(poly))
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(tree_dot(tree))
+    _write_dot(args, tree)
     if args.json:
         sys.stdout.write(dump_json(pole_json(tree, report)))
     else:

@@ -57,7 +57,6 @@ class EstimatorConfig:
     t_min: float = 1e-5
     t_max: float = 1e-2
     levels: int = 8
-    box_radius: float = 1.0
     seed: int = 0
     min_hits: int = 100
 
@@ -72,8 +71,6 @@ class EstimatorConfig:
             raise ValueError("need at least 2 threshold levels")
         if self.samples_per_level < 1:
             raise ValueError("need at least one sample")
-        if self.box_radius <= 0:
-            raise ValueError("box radius must be positive")
         if self.min_hits < 1:
             raise ValueError("min_hits must be at least 1")
         if not 0 <= self.seed < 2**63:
@@ -188,16 +185,13 @@ def _unit_disk(rng: np.random.Generator, out: np.ndarray) -> None:
 
 def _sample_chunk(config: EstimatorConfig, chunk: int, count: int, dims: int):
     """Uniform samples from the (seed, chunk) stream, one coordinate per row:
-    on the box in real mode, on the polydisk in complex mode."""
+    on the box [-1, 1]^n in real mode, on the unit polydisk in complex mode."""
     rng = np.random.Generator(np.random.Philox(key=[config.seed, chunk]))
-    r = config.box_radius
     if config.mode == "real":
-        return rng.uniform(-r, r, size=(count, dims)).T
+        return rng.uniform(-1.0, 1.0, size=(count, dims)).T
     points = np.empty((dims, count), dtype=np.complex128)
     for row in points:
         _unit_disk(rng, row)
-    if r != 1:
-        points *= r
     return points
 
 
@@ -217,14 +211,13 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
     The target u has density h(u) = 1 / (2 pi K max(|u|, t_min)^2) on
     |u| <= t_max, with K = 1/2 + log(t_max / t_min) (`mass`): uniform on
     the disk |u| <= t_min, log-uniform in |u| above it. A directed sample
-    draws u from its own uniform draw z of v: s = |z|^2 / r^2 is uniform on
+    draws u from its own uniform draw z of v: s = |z|^2 is uniform on
     [0, 1] and independent of z/|z|, so s sets |u| and (z/|z|)^d its phase,
     and for d = 2 the half-plane of z picks one of the two roots.
     """
     d = len(direction.coeffs) - 1
     t_min, t_max = config.t_min, config.t_max
     mass = 0.5 + math.log(t_max / t_min)
-    r = config.box_radius
     coeffs = [_coefficient(terms, points) for terms in direction.coeffs]
     c, b = [k if np.ndim(k) == 0 else k[first:] for k in coeffs[:2]]
     v = points[direction.axis]
@@ -232,7 +225,7 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
     with np.errstate(divide="ignore", invalid="ignore"):
         radius = np.abs(z)
         # depth in [0, K] is K times the radial CDF of h at |u|
-        depth = mass * (radius / r) ** 2
+        depth = mass * radius ** 2
         modulus = (t_min * np.sqrt(np.minimum(2 * depth, 1))
                    * np.exp(np.maximum(depth - 0.5, 0)))
         unit = z / radius
@@ -260,14 +253,14 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
             value = (a * v + b) * v + c
             slope = 2 * a * v + b
         values = np.abs(value)
-        # q/p = plain + (1 - plain) h(f) |f'|^2 / (d p), with p = 1/(pi r^2)
+        # q/p = plain + (1 - plain) h(f) |f'|^2 / (d p), with p = 1/pi
         # and plain the share of uniform draws
         floor = np.maximum(values, t_min)
         ratio = np.divide(np.abs(slope) ** 2, floor * floor,
                           out=np.zeros(len(values)), where=values <= t_max)
-        weights = 1 / (plain_share + (1 - plain_share) * r * r / (2 * d * mass) * ratio)
+        weights = 1 / (plain_share + (1 - plain_share) / (2 * d * mass) * ratio)
     # p is 0 off the disk, which only directed samples can leave.
-    weights[first:][~(np.abs(v[first:]) <= r)] = 0.0
+    weights[first:][~(np.abs(v[first:]) <= 1)] = 0.0
     return values, weights
 
 

@@ -1,5 +1,7 @@
 """Blow-up charts: substitution bookkeeping, classification, and drivers."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,7 +26,7 @@ from lctkit import (
     translate,
     verify_jacobian,
 )
-from lctkit.blowup import _classify
+from lctkit.blowup import _classify, _verify_stepwise
 from test_algebra import as_poly, field_and, ring_terms
 
 P = parse_poly
@@ -127,6 +129,36 @@ def test_chain_exponents_double_depth():
         assert chart.strict == P(f"x^2 + y^2 + z^{21 - 2 * k}")
         assert verify_jacobian(chart)
     assert chart.status is ChartStatus.SMOOTH_STRICT
+
+
+def with_h(chart, var, h):
+    """The chart with the h of one divisor record replaced."""
+    record = replace(chart.divisors[var], h=h)
+    return replace(chart, divisors={**chart.divisors, var: record})
+
+
+def test_jacobian_audit_rejects_a_tampered_h_on_a_chain():
+    chart = make_root_chart(P("x^2 + y^2 + z^21"))
+    for _ in range(3):
+        chart = z_chart(chart)
+    assert verify_jacobian(chart) and _verify_stepwise(chart)
+    for h in (5, 7):
+        tampered = with_h(chart, "z", h)
+        # the replay alone catches it, not only the composed determinant
+        assert not _verify_stepwise(tampered)
+        assert not verify_jacobian(tampered)
+
+
+def test_jacobian_audit_rejects_a_tampered_h_after_a_triangular_rewrite():
+    root = make_root_chart(generator("D", 5))
+    uy = blowup_origin(root, ("x", "y", "z"))[1]
+    fixed = apply_affine(uy, "z", P("z + y*z^4"))
+    # no polynomial chart map: only the stepwise replay runs
+    assert fixed.map_from_root is None
+    assert fixed.divisors["y"].h == 2
+    assert verify_jacobian(fixed)
+    for h in (1, 3):
+        assert not verify_jacobian(with_h(fixed, "y", h))
 
 
 def test_sibling_charts_share_divisor_id():

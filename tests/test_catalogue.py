@@ -8,7 +8,6 @@ from lctkit import (
     FAMILIES,
     FieldError,
     RATIONALS,
-    family_spec,
     generator,
     paper_claim,
     parse_poly,
@@ -31,6 +30,7 @@ def test_generators():
     assert generator("A", 1) == P("x^2 + y^2 + z^2")
     assert generator("A", 7) == P("x^2 + y^2 + z^8")
     assert generator("D", 4) == P("x^2 + y^2*z + z^3")
+    assert generator("D", 5) == P("x^2 + y^2*z + z^4")
     assert generator("D", 9) == P("x^2 + y^2*z + z^8")
     assert generator("E6") == P("x^2 + y^3 + z^4")
     assert generator("E7") == P("x^2 + y^3 + y*z^3")
@@ -80,14 +80,6 @@ def test_d_even_script_needs_a_square_root_of_minus_one():
         script_text("D", 6, RATIONALS)
     # odd members never recentre, so plain rationals are fine
     scripted_resolution("D", 7, RATIONALS)
-
-
-def test_family_spec_bundle():
-    spec = family_spec("D", 5)
-    assert spec.family == "D" and spec.n == 5
-    assert spec.polynomial == P("x^2 + y^2*z + z^4")
-    assert spec.claimed_values == (F(6, 5),)
-    assert spec.script is not None
 
 
 def test_verify_single_rows():

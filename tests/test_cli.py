@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from conftest import run_cli
-from lctkit import FieldMismatchError, VariableMismatchError, cli
+from lctkit import FieldMismatchError, VariableMismatchError, cli, script_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +87,22 @@ def test_untranslated_origin_without_center_is_not_certified(tmp_path):
     assert code == 2
     nodes = json.loads(out)["nodes"]
     assert [n["path"] for n in nodes if n["status"] == "DepthLimit"] == ["U_y/S_x"]
+
+
+def test_exit_1_translate_back_onto_a_dropped_divisor(tmp_path):
+    # The first translate drops the divisor {z = 0} of the z-chart; the
+    # second moves the origin back onto it, where the strict transform is
+    # divisible by z and the chart would hold no record of that divisor.
+    script = tmp_path / "back.script"
+    script.write_text(
+        "blowup x y z\nchart z\ntranslate z := z + 1\ntranslate z := z - 1\n"
+    )
+    code, out, err = run_cli(
+        ["pole", "x^2+y^2+z^3", "--script", str(script), "--max-depth", "4"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_3_internal_inconsistency(tmp_path):
@@ -193,6 +209,34 @@ def test_newton_lists_facets():
 )
 def test_newton_json_matches_golden(poly, golden):
     code, out, _ = run_cli(["newton", poly, "--json"])
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "--all", "--json"], "verify_all.json"),
+        (["pole", "x^2+y^2*z+z^6", "--json"], "pole_x2_y2z_z6.json"),
+    ],
+)
+def test_json_matches_golden(argv, golden):
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "n, poly, golden",
+    [
+        (4, "x^2 + y^2*z + z^3", "resolve_d4_scripted.json"),
+        (7, "x^2 + y^2*z + z^6", "resolve_d7_scripted.json"),
+    ],
+)
+def test_scripted_resolve_json_matches_golden(tmp_path, n, poly, golden):
+    script = tmp_path / f"d{n}.script"
+    script.write_text(script_text("D", n))
+    code, out, _ = run_cli(["resolve", poly, "--script", str(script), "--json"])
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 

@@ -38,8 +38,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig("real", min_hits=0)
     with pytest.raises(ValueError):
-        EstimatorConfig("real", box_radius=0.0)
-    with pytest.raises(ValueError):
         EstimatorConfig("real", seed=1 << 63)
 
 
