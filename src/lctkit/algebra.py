@@ -468,16 +468,23 @@ class Polynomial:
         _set_terms(self, clean)
         _set_hash(self, None)
 
-    def _with_terms(self, terms: Terms) -> "Polynomial":
-        """A polynomial of this ring with the given terms, unchecked. The
-        caller guarantees one exponent per variable and no zero coefficient,
-        as every ring operation on valid polynomials of this ring can."""
+    @staticmethod
+    def _trusted(
+        field: NumberField, variables: tuple[str, ...], terms: Terms
+    ) -> "Polynomial":
+        """A polynomial with the given terms, unchecked. The caller guarantees
+        one exponent per variable and no zero coefficient, as every ring
+        operation on valid polynomials of one ring can."""
         poly = _new(Polynomial)
-        _set_field(poly, self.field)
-        _set_variables(poly, self.variables)
+        _set_field(poly, field)
+        _set_variables(poly, variables)
         _set_terms(poly, terms)
         _set_hash(poly, None)
         return poly
+
+    def _with_terms(self, terms: Terms) -> "Polynomial":
+        """A polynomial of this ring with the given terms, unchecked."""
+        return Polynomial._trusted(self.field, self.variables, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -512,12 +519,22 @@ class Polynomial:
         exponents: Mapping[str, int],
         coeff=1,
     ) -> "Polynomial":
+        """coeff * prod v**e over exponents, built without the constructor's
+        per-term pass but with the same checks on variables and exponents."""
         variables = tuple(variables)
-        unknown = set(exponents) - set(variables)
-        if unknown:
+        if any(v not in variables for v in exponents):
+            unknown = set(exponents) - set(variables)
             raise VariableMismatchError(f"unknown variables {sorted(unknown)}")
         exps = tuple(exponents.get(v, 0) for v in variables)
-        return Polynomial(field, variables, {exps: field.coerce(coeff)})
+        if not all(
+            isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
+        ):
+            raise ValueError(f"exponents must be non-negative integers: {exps}")
+        if type(coeff) is int and coeff == 1:
+            coeff = field.one()
+        else:
+            coeff = field.coerce(coeff)
+        return Polynomial._trusted(field, variables, {exps: coeff} if coeff else {})
 
     # -- ring structure ------------------------------------------------------
 

@@ -284,12 +284,22 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
 
     Returns one child chart per center variable v; in that child every other
     center variable w is replaced by w*v and {v = 0} is the new exceptional
-    divisor, shared (same divisor id) across the siblings.
+    divisor, shared (same divisor id) across the siblings. A chart whose
+    strict transform is divisible by a variable is refused: a coordinate
+    rewrite put its origin on a component {var = 0} that no divisor record
+    covers, and a resolution through it would report a minimum without it.
     """
     if chart.status is not ChartStatus.OPEN:
         raise ChartError(
             f"blow-up of a chart with status {chart.status.value} at "
             f"{chart.path_text()}"
+        )
+    content = [v for v in chart.variables if chart.strict.order_in(v)]
+    if content:
+        raise ChartError(
+            f"blow-up at {chart.path_text()} passes through the component "
+            f"{{{content[0]} = 0}} of the strict transform, whose divisor and "
+            "h the chart does not record"
         )
     center = tuple(center)
     unknown = set(center) - set(chart.variables)

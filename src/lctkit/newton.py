@@ -3,11 +3,14 @@ independent of any blow-up.
 
 For f vanishing at the origin, t0 is the parameter where the diagonal
 (t, ..., t) first meets the polyhedron conv(support + positive orthant);
-the reported value is 1/t0. One exact simplex over Fraction solves the
-min-max program and returns its primal convex weights lam and its dual
-weights w. The value is accepted only if they prove each other by LP
-duality: lam is feasible at t0, w >= 0 sums to 1, and min_i w . a_i = t0.
-Facet normals are enumerated only when they are displayed, and there the
+the reported value is 1/t0. One exact simplex solves the min-max program
+and returns its primal convex weights lam and its dual weights w. It is
+fraction-free: an integer tableau over one common denominator, pivoted by
+exact division and Bland's rule, so Fractions are built only from the
+optimum. The value is accepted only if lam and w prove each other by LP
+duality, decided on integer numerators: lam is feasible at t0, w >= 0 sums
+to 1, and min_i w . a_i = t0. Facet normals, whose null spaces use the same
+integer pivot, are enumerated only when they are displayed, and there the
 largest N/sum(w) over the facets must equal the certified t0. The value is
 what the polyhedron alone determines; for degenerate boundaries it is only
 a candidate, and no nondegeneracy check is attempted.
@@ -19,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .algebra import Polynomial, Rational, _fraction
@@ -31,59 +34,51 @@ from .errors import (
 
 
 # ---------------------------------------------------------------------------
-# Small exact linear algebra over Fraction.
+# Fraction-free elimination. A tableau is a list of integer rows standing for
+# rows / den, with den > 0 their common denominator. Every entry is then
+# +-adj(B) M for the current basis B of the starting integer matrix M, so a
+# pivot's division by the old den is exact (Edmonds 1967; Bareiss, Math.
+# Comp. 22, 1968) and no Fraction is built while pivoting.
 
 
-def _null_space(matrix: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the null space of a (possibly non-square) matrix with n columns."""
+def _pivot(rows: list[list[int]], r: int, j: int, den: int) -> int:
+    """Pivot on rows[r][j] in place; returns the new common denominator."""
+    p = rows[r][j]
+    pivot_row = rows[r] if p > 0 else [-a for a in rows[r]]
+    p = abs(p)
+    for i, row in enumerate(rows):
+        factor = row[j]
+        if i != r and (factor or p != den):
+            rows[i] = [(p * a - factor * b) // den for a, b in zip(row, pivot_row)]
+    rows[r] = pivot_row
+    return p
+
+
+def _null_space(matrix: list[list[int]], n: int) -> list[list[int]]:
+    """Primitive integer basis of the null space of a matrix with n columns."""
     rows = [row[:] for row in matrix]
     pivots: list[int] = []
-    r = 0
+    den = 1
     for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        den = _pivot(rows, r, col, den)
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivots):
+        # pivot row i reads den * x_pc + rows[i][fc] * x_fc = 0
+        vec = [0] * n
+        vec[fc] = den
         for i, pc in enumerate(pivots):
             vec[pc] = -rows[i][fc]
-        basis.append(vec)
+        g = gcd(*vec)
+        basis.append([v // g for v in vec])
     return basis
-
-
-def _rank(matrix: list[list[Fraction]], n: int) -> int:
-    if not matrix:
-        return 0
-    return n - len(_null_space(matrix, n))
-
-
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    denoms = [v.denominator for v in vec]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +140,12 @@ def weighted_candidate(f: Polynomial, weights: Sequence[Rational]) -> Fraction:
     return sum(w) / n
 
 
-def _dot(w: Sequence[Fraction], a: Sequence[int]) -> Fraction:
+def _dot(w: Sequence[int], a: Sequence[int]) -> int:
     return sum(c * e for c, e in zip(w, a))
+
+
+def _unit_rows(d: int, coords) -> list[list[int]]:
+    return [[int(c == zc) for c in range(d)] for zc in coords]
 
 
 def _facet_normals(pts: list[tuple[int, ...]], d: int):
@@ -157,21 +156,14 @@ def _facet_normals(pts: list[tuple[int, ...]], d: int):
     brute force over (point subset, coordinate subset) pairs finds them all;
     each candidate normal is validated globally before being kept.
     """
-    found: dict[tuple[int, ...], Fraction] = {}
+    found: dict[tuple[int, ...], int] = {}
     indices = range(len(pts))
     for s in range(1, d + 1):
         for subset in itertools.combinations(indices, s):
             base = pts[subset[0]]
-            rows = [
-                [Fraction(pts[i][c] - base[c]) for c in range(d)]
-                for i in subset[1:]
-            ]
+            rows = [[pts[i][c] - base[c] for c in range(d)] for i in subset[1:]]
             for coords in itertools.combinations(range(d), d - s):
-                matrix = rows + [
-                    [Fraction(1 if c == zc else 0) for c in range(d)]
-                    for zc in coords
-                ]
-                basis = _null_space(matrix, d)
+                basis = _null_space(rows + _unit_rows(d, coords), d)
                 if len(basis) != 1:
                     continue
                 w = basis[0]
@@ -183,30 +175,20 @@ def _facet_normals(pts: list[tuple[int, ...]], d: int):
                 if any(_dot(w, a) < n_val for a in pts):
                     continue
                 # Keep genuine facets only: the touching face must have
-                # affine dimension d-1.
+                # affine dimension d-1, a null space of dimension 1.
                 touching = [a for a in pts if _dot(w, a) == n_val]
                 span_rows = [
-                    [Fraction(a[c] - touching[0][c]) for c in range(d)]
-                    for a in touching[1:]
+                    [a[c] - touching[0][c] for c in range(d)] for a in touching[1:]
                 ]
-                span_rows += [
-                    [Fraction(1 if c == zc else 0) for c in range(d)]
-                    for zc in range(d)
-                    if w[zc] == 0
-                ]
-                if _rank(span_rows, d) != d - 1:
-                    continue
-                key = _primitive(w)
-                found.setdefault(key, Fraction(int(_dot([Fraction(k) for k in key], base))))
-    return sorted(
-        ((w, int(n)) for w, n in found.items()),
-        key=lambda item: item[0],
-    )
+                span_rows += _unit_rows(d, (c for c in range(d) if w[c] == 0))
+                if len(_null_space(span_rows, d)) == 1:
+                    found.setdefault(tuple(w), n_val)
+    return sorted(found.items())
 
 
 def _t0_primal(pts: list[tuple[int, ...]], d: int):
     """min t such that (t, ..., t) dominates a convex combination of support
-    points, by an exact simplex; returns (t, lam, w).
+    points, by an exact simplex; returns (t, lam, w) as Fractions.
 
     The program is min t subject to sum_i lam_i a_i + s = t * 1,
     sum_i lam_i = 1 and lam, s, t >= 0. Columns are ordered lam, s, t, and
@@ -215,51 +197,59 @@ def _t0_primal(pts: list[tuple[int, ...]], d: int):
     basis is closed-form: lam = 1 at the point whose largest coordinate M is
     smallest, t = M, and slacks M - a_c on every other row. At the optimum
     the reduced cost of slack c is -y_c for the dual y of B^T y = c_B, so
-    w = -y is read off the objective row.
+    w = -y is read off the objective row. The tableau is integer over one
+    common denominator (see _pivot), so the ratio test cross-multiplies and
+    Fractions are built only from the optimal tableau.
     """
     n = len(pts)
     t_col = n + d
     # Rows 0..d-1: sum_i lam_i a_ic + s_c - t = 0; row d: sum_i lam_i = 1;
     # last row: the objective t, kept reduced against the basis.
     rows = [
-        [Fraction(a[c]) for a in pts]
-        + [Fraction(int(k == c)) for k in range(d)]
-        + [Fraction(-1), Fraction(0)]
+        [a[c] for a in pts] + [int(k == c) for k in range(d)] + [-1, 0]
         for c in range(d)
     ]
-    rows.append([Fraction(1)] * n + [Fraction(0)] * (d + 1) + [Fraction(1)])
-    rows.append([Fraction(0)] * (n + d) + [Fraction(1), Fraction(0)])
+    rows.append([1] * n + [0] * (d + 1) + [1])
+    rows.append([0] * (n + d) + [1, 0])
     basis = [n + c for c in range(d)] + [None]
-
-    def pivot(r: int, j: int) -> None:
-        inv = 1 / rows[r][j]
-        rows[r] = [v * inv for v in rows[r]]
-        for i, row in enumerate(rows):
-            factor = row[j]
-            if i != r and factor != 0:
-                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
-        basis[r] = j
-
+    den = 1
     start = min(range(n), key=lambda i: max(pts[i]))
     top = max(range(d), key=lambda c: pts[start][c])
-    pivot(d, start)
-    pivot(top, t_col)
+    for r, j in ((d, start), (top, t_col)):
+        den = _pivot(rows, r, j, den)
+        basis[r] = j
     while True:
         objective = rows[-1]
         entering = next((j for j in range(t_col + 1) if objective[j] < 0), None)
         if entering is None:
             break
-        # t >= 0 bounds the objective, so some row always limits the step
-        leaving = min(
-            (rows[r][-1] / rows[r][entering], basis[r], r)
-            for r in range(d + 1)
-            if rows[r][entering] > 0
-        )
-        pivot(leaving[2], entering)
-    values = [Fraction(0)] * (t_col + 1)
+        # t >= 0 bounds the objective, so some row always limits the step;
+        # rhs_r / a_r < rhs_l / a_l is compared as rhs_r * a_l < rhs_l * a_r
+        leaving = None
+        for r in range(d + 1):
+            a = rows[r][entering]
+            if a > 0 and (
+                leaving is None
+                or (rows[r][-1] * rows[leaving][entering], basis[r])
+                < (rows[leaving][-1] * a, basis[leaving])
+            ):
+                leaving = r
+        den = _pivot(rows, leaving, entering, den)
+        basis[leaving] = entering
+    values = [0] * (t_col + 1)
     for r, j in enumerate(basis):
         values[j] = rows[r][-1]
-    return values[t_col], values[:n], objective[n:t_col]
+    return (
+        Fraction(values[t_col], den),
+        [Fraction(v, den) for v in values[:n]],
+        [Fraction(v, den) for v in objective[n:t_col]],
+    )
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """Integer numerators of rationals over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _check_certificate(pts, t: Fraction, lam, w) -> None:
@@ -267,21 +257,25 @@ def _check_certificate(pts, t: Fraction, lam, w) -> None:
 
     If lam is a feasible convex combination with every coordinate <= t, and
     w >= 0 with sum w = 1 has w . a_i >= t for every support point, then
-    any feasible (lam', t') has t' >= w . (sum lam'_i a_i) >= t.
+    any feasible (lam', t') has t' >= w . (sum lam'_i a_i) >= t. Each
+    condition is decided on integer numerators over a common denominator.
     """
-    if any(c < 0 for c in lam) or sum(lam) != 1:
+    lam_num, lam_den = _numerators(lam)
+    if any(c < 0 for c in lam_num) or sum(lam_num) != lam_den:
         raise InternalInconsistencyError(
             f"primal weights {lam} are not a convex combination"
         )
-    point = [sum(c * a[k] for c, a in zip(lam, pts)) for k in range(len(w))]
-    if any(coord > t for coord in point):
+    point = [sum(c * a[k] for c, a in zip(lam_num, pts)) for k in range(len(w))]
+    if any(coord * t.denominator > t.numerator * lam_den for coord in point):
+        point = [Fraction(coord, lam_den) for coord in point]
         raise InternalInconsistencyError(f"primal point {point} exceeds t0 = {t}")
-    if any(c < 0 for c in w) or sum(w) != 1:
+    w_num, w_den = _numerators(w)
+    if any(c < 0 for c in w_num) or sum(w_num) != w_den:
         raise InternalInconsistencyError(f"dual weights {w} are not dual-feasible")
-    bound = min(_dot(w, a) for a in pts)
-    if bound != t:
+    bound = min(_dot(w_num, a) for a in pts)
+    if bound * t.denominator != t.numerator * w_den:
         raise InternalInconsistencyError(
-            f"duality gap: primal t0 = {t}, dual bound {bound}"
+            f"duality gap: primal t0 = {t}, dual bound {Fraction(bound, w_den)}"
         )
 
 

@@ -181,6 +181,25 @@ def test_constructor_checks_outside_terms():
     assert Polynomial(GAUSS, VARS, {(0, 0, 1): GAUSS.zero()}).is_zero()
 
 
+@pytest.mark.parametrize("bad", [-1, 1.0, "1", None, True, False])
+def test_monomial_rejects_non_integer_exponents(bad):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        Polynomial.monomial(GAUSS, VARS, {"x": 1, "y": bad})
+
+
+def test_monomial_checks_variables_and_coefficients():
+    with pytest.raises(VariableMismatchError, match="unknown variables"):
+        Polynomial.monomial(GAUSS, VARS, {"x": 1, "w": 2})
+    with pytest.raises(FieldMismatchError):
+        Polynomial.monomial(GAUSS, VARS, {"x": 1}, EISENSTEIN.one())
+    with pytest.raises(TypeError):
+        Polynomial.monomial(GAUSS, VARS, {"x": 1}, 1.0)
+    assert Polynomial.monomial(GAUSS, VARS, {"y": 2}, 0).is_zero()
+    for coeff in (1, Fraction(1, 2), GAUSS.element([0, 1])):
+        f = Polynomial.monomial(GAUSS, VARS, {"x": 1, "z": 3}, coeff)
+        assert f == Polynomial(GAUSS, VARS, {(1, 0, 3): coeff})
+
+
 def test_power_matches_repeated_product():
     f = parse_poly("x + y + 1")
     g = f

@@ -105,6 +105,20 @@ def test_exit_1_translate_back_onto_a_dropped_divisor(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_exit_1_rewrite_onto_an_unrecorded_component(tmp_path):
+    # x := x + y turns (x+y)^2 into the strict transform x^2, so the origin
+    # sits on {x = 0}, which no divisor record covers. Blowing that origin up
+    # would report 1 from the new divisor alone; the true value is 1/2.
+    script = tmp_path / "subst.script"
+    script.write_text("subst x := x + y\n")
+    code, out, err = run_cli(
+        ["pole", "(x+y)^2", "--vars", "x,y", "--script", str(script)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exit_3_internal_inconsistency(tmp_path):
     script = tmp_path / "bad.script"
     # (t^2+1)(t^2+2) passes the modulus checks, and 1 + a^2 is a zero divisor

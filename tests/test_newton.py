@@ -189,6 +189,77 @@ def test_certified_t0_matches_facet_enumeration():
         assert nd.t0 == max(Fraction(order, sum(w)) for w, order in facets)
 
 
+def fraction_t0_primal(pts, d):
+    """Reference: the same Bland simplex as newton._t0_primal, pivoted over
+    Fraction row by row, as the oracle computed it before it went
+    fraction-free."""
+    n = len(pts)
+    t_col = n + d
+    rows = [
+        [Fraction(a[c]) for a in pts]
+        + [Fraction(int(k == c)) for k in range(d)]
+        + [Fraction(-1), Fraction(0)]
+        for c in range(d)
+    ]
+    rows.append([Fraction(1)] * n + [Fraction(0)] * (d + 1) + [Fraction(1)])
+    rows.append([Fraction(0)] * (n + d) + [Fraction(1), Fraction(0)])
+    basis = [n + c for c in range(d)] + [None]
+
+    def pivot(r, j):
+        inv = 1 / rows[r][j]
+        rows[r] = [v * inv for v in rows[r]]
+        for i, row in enumerate(rows):
+            factor = row[j]
+            if i != r and factor != 0:
+                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
+        basis[r] = j
+
+    start = min(range(n), key=lambda i: max(pts[i]))
+    top = max(range(d), key=lambda c: pts[start][c])
+    pivot(d, start)
+    pivot(top, t_col)
+    while True:
+        objective = rows[-1]
+        entering = next((j for j in range(t_col + 1) if objective[j] < 0), None)
+        if entering is None:
+            break
+        leaving = min(
+            (rows[r][-1] / rows[r][entering], basis[r], r)
+            for r in range(d + 1)
+            if rows[r][entering] > 0
+        )
+        pivot(leaving[2], entering)
+    values = [Fraction(0)] * (t_col + 1)
+    for r, j in enumerate(basis):
+        values[j] = rows[r][-1]
+    return values[t_col], values[:n], objective[n:t_col]
+
+
+def reference_supports():
+    rng = random.Random(1968)
+    # three points tie for the start vertex, and the optimum is degenerate
+    yield [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    yield [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    for k in range(600):
+        d = 1 + k % 5
+        # small exponent boxes give many ties and degenerate optima
+        max_exp = (1, 2, 3, 6, 9)[k // 5 % 5]
+        n = rng.randint(1, min(10, (max_exp + 1) ** d - 1))
+        yield random_support(rng, d, n, max_exp)
+
+
+def test_integer_simplex_matches_fraction_reference():
+    checked = 0
+    for points in reference_supports():
+        d = len(points[0])
+        t, lam, w = SOLVE(points, d)
+        assert (t, lam, w) == fraction_t0_primal(points, d)
+        assert all(type(v) is Fraction for v in [t, *lam, *w])
+        checked += 1
+    assert checked >= 500
+
+
+SOLVE = newton._t0_primal
 SOLVE = newton._t0_primal
 
 
@@ -222,6 +293,41 @@ def test_tampered_certificate_is_rejected(monkeypatch, change):
     monkeypatch.setattr(newton, "_t0_primal", _tampered(change))
     with pytest.raises(InternalInconsistencyError):
         lambda_newton(parse_poly("x^2 + y^3 + z^5"))
+
+
+QUARTER = Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "text, variables, change",
+    [
+        # lam scaled off the simplex: its point stays below t0
+        ("x^2 + y^3 + z^5", "xyz", lambda t, lam, w: (t, [c / 2 for c in lam], w)),
+        # t0 and w scaled together: min_i w . a_i still equals the claimed t0
+        ("x^2 + y^3 + z^5", "xyz", lambda t, lam, w: (2 * t, lam, [2 * c for c in w])),
+        # a negative weight on x^3 keeps the point (3/4, 1) below t0 = 1
+        (
+            "x^2 + y^2 + x^3",
+            "xy",
+            lambda t, lam, w: (t, [lam[0] + QUARTER, lam[1], lam[2] - QUARTER], w),
+        ),
+        # a negative weight on the absent z keeps min_i w . a_i = t0 = 1
+        (
+            "x^2 + y^2",
+            "xyz",
+            lambda t, lam, w: (t, lam, [w[0], w[1] + QUARTER, w[2] - QUARTER]),
+        ),
+    ],
+    ids=["lam-halved", "t-and-w-doubled", "lam-negative-inside", "w-negative-inside"],
+)
+def test_each_simplex_condition_of_the_certificate_is_needed(
+    monkeypatch, text, variables, change
+):
+    # each forgery passes every other check, so only sum = 1 or >= 0 of
+    # lam or w can reject it
+    monkeypatch.setattr(newton, "_t0_primal", _tampered(change))
+    with pytest.raises(InternalInconsistencyError, match="convex|dual-feasible"):
+        lambda_newton(parse_poly(text, GAUSS, tuple(variables)))
 
 
 def test_tampered_t0_is_caught_by_facets():
