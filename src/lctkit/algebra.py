@@ -20,16 +20,17 @@ can multiply to 0, e.g. (1 + a^2)(2 + a^2) mod a^4 + 3a^2 + 2, so every path
 that multiplies coefficients drops such terms itself, and is_zero() stays
 exact.
 
-One term-dict product, `_mul_terms`, serves `*`, the generic `**` and
-`substitute`. Blow-up maps and divisor factors are monomials, so a one-term
-factor shifts the other factor's exponents and scales its coefficients in
-O(terms), and a coefficient of 1 skips the scaling. `substitute` adds every
-term's image into one dict, and variables it does not map keep their
-exponents. A one-term Polynomial to the n-th power multiplies its exponents
-by n and takes one coefficient power. FieldElement * and ** with a rational
-operand (every coordinate above degree 0 is zero) scale the coordinates by
-one Fraction, or take one Fraction power, instead of convolving and reducing
-mod the modulus.
+One term-dict product, `_mul_terms`, serves `*`, `**` and `substitute`, and
+one term-dict power, `_pow_terms`, serves `**` and the parser. Blow-up maps
+and divisor factors are monomials, so a one-term factor shifts the other
+factor's exponents and scales its coefficients in O(terms), and a
+coefficient of 1 skips the scaling. `substitute` adds every term's image
+into one dict, and variables it does not map keep their exponents. A
+one-term Polynomial to the n-th power multiplies its exponents by n and
+takes one coefficient power. FieldElement * and ** with a rational operand
+(every coordinate above degree 0 is zero) scale the coordinates by one
+Fraction, or take one Fraction power, instead of convolving and reducing mod
+the modulus.
 """
 
 from __future__ import annotations
@@ -588,15 +589,8 @@ class Polynomial:
             if not power:
                 return self._with_terms({})
             return self._with_terms({tuple(n * e for e in exps): power})
-        terms = {(0,) * len(self.variables): self.field.one()}
-        base = self.terms
-        while n:
-            if n & 1:
-                terms = _mul_terms(terms, base)
-            n >>= 1
-            if n:
-                base = _mul_terms(base, base)
-        return self._with_terms(terms)
+        one = {(0,) * len(self.variables): self.field.one()}
+        return self._with_terms(_pow_terms(self.terms, n, one))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -818,4 +812,18 @@ def _mul_terms(f: Terms, g: Terms) -> Terms:
     out = {}
     for e1, c1 in f.items():
         _add_into(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in g.items()})
+    return out
+
+
+def _pow_terms(f: Terms, n: int, one: Terms) -> Terms:
+    """The n-th power (n >= 0) of a term dict by binary powering with
+    `_mul_terms`. `one` is a fresh unit term dict of the ring, returned as
+    is for n = 0."""
+    out, base = one, f
+    while n:
+        if n & 1:
+            out = _mul_terms(out, base)
+        n >>= 1
+        if n:
+            base = _mul_terms(base, base)
     return out

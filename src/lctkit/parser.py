@@ -11,12 +11,22 @@ Grammar (whitespace insensitive, multiplication always explicit):
 '^' binds tighter than unary minus, so -x^2 is -(x^2). '/' occurs only
 inside rational literals. NAME resolves to a session variable or to the
 field generator; anything else is an error with a source span.
+
+One regular expression splits a text into tokens; a token's line and column
+are worked out from its offset only when an error reports them. The parser
+builds term dicts (exponent tuple -> nonzero coefficient, as in algebra.py)
+and makes one Polynomial at the end. In a product, every one-term factor
+folds into one exponent vector and one coefficient, and only factors with
+several terms are multiplied as term dicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .algebra import (
@@ -24,11 +34,21 @@ from .algebra import (
     FieldElement,
     NumberField,
     Polynomial,
+    Terms,
+    _add_into,
+    _mul_terms,
+    _pow_terms,
     format_element,
 )
 from .errors import ParseError, ScriptError
 
 DEFAULT_VARIABLES = ("x", "y", "z")
+
+# Whitespace, then one token: a run of decimal digits (INT), a word, ':=' or
+# any other single character. `\s` is str.isspace and `\w` is str.isalnum
+# plus '_', so a word is a NAME exactly when it starts with a letter or '_'.
+_TOKEN = re.compile(r"\s*(\d+|\w+|:=|\S)")
+_OPERATORS = frozenset(("+", "-", "*", "/", "^", "(", ")", ":="))
 
 
 @dataclass(frozen=True)
@@ -40,67 +60,57 @@ class SourceSpan:
     length: int
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT NAME OP EOF
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.text)))
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _tokenize(text: str, line: int = 1, column: int = 1) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, column))
-            column += j - i
-            i = j
-            continue
-        if text[i : i + 2] == ":=":
-            tokens.append(_Token("OP", ":=", line, column))
-            column += 2
-            i += 2
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("OP", ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}", SourceSpan(line, column, 1)
-        )
-    tokens.append(_Token("EOF", "", line, column))
-    return tokens
+class _Tokens:
+    """The tokens of one text, ending in the empty EOF token. The text may
+    be one line of a script, whose number is `line`."""
+
+    __slots__ = ("text", "line", "tokens")
+
+    def __init__(self, text: str, line: int = 1):
+        self.text = text
+        self.line = line
+        self.tokens = tokens = _TOKEN.findall(text)
+        tokens.append("")
+        # A character outside the grammar, or a word that starts with none
+        # of a letter, '_' or a decimal digit (such as '²', a digit for
+        # str.isdigit but not for int).
+        bad = [
+            tok
+            for tok in set(tokens) - _OPERATORS
+            if tok and not (tok[0].isalpha() or tok[0].isdecimal() or tok[0] == "_")
+        ]
+        if bad:
+            index = min(map(tokens.index, bad))
+            span = replace(self.span(index), length=1)
+            raise ParseError(f"unexpected character {tokens[index][0]!r}", span)
+
+    def span(self, index: int) -> SourceSpan:
+        text = self.text
+        if index < len(self.tokens) - 1:
+            match = next(islice(_TOKEN.finditer(text), index, None))
+            start, length = match.start(1), len(match.group(1))
+        else:
+            start, length = len(text), 1
+        line = self.line + text.count("\n", 0, start)
+        return SourceSpan(line, start - text.rfind("\n", 0, start), length)
+
+    def integer(self, index: int) -> int:
+        tok = self.tokens[index]
+        try:
+            return int(tok)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ParseError(
+                f"integer literal of {len(tok)} digits is too long", self.span(index)
+            ) from None
 
 
 class _Session:
-    """Resolves names against the session's variables and field generator."""
+    """The ring of one parse, with the term dict of each variable. Those
+    dicts are shared, never changed."""
 
     def __init__(self, field: NumberField, variables: Sequence[str]):
         variables = tuple(variables)
@@ -117,108 +127,125 @@ class _Session:
             )
         self.field = field
         self.variables = variables
-
-    def resolve(self, name: str, span: SourceSpan) -> Polynomial:
-        if name in self.variables:
-            return Polynomial.variable(self.field, self.variables, name)
-        if name == self.field.generator_name:
-            return Polynomial.constant(
-                self.field, self.variables, self.field.generator()
-            )
-        raise ParseError(f"unknown symbol {name!r}", span)
+        self.one = one = field.one()
+        self.origin = origin = (0,) * len(variables)
+        self.names = {
+            v: {origin[:k] + (1,) + origin[k + 1 :]: one}
+            for k, v in enumerate(variables)
+        }
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[_Token], session: _Session):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source: _Tokens, pos: int, session: _Session):
+        self.source = source
+        self.tokens = source.tokens
+        self.pos = pos
         self.session = session
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.source.span(self.pos))
 
-    def _advance(self) -> _Token:
+    def parse_polynomial(self) -> Polynomial:
+        """An expr that ends the tokens, as a Polynomial of the session."""
+        try:
+            terms = self.parse_expr()
+        except RecursionError:  # too many parentheses in one another
+            raise self.error("expression nested too deeply") from None
         tok = self.tokens[self.pos]
+        if tok:  # after an expr, a NAME or INT means a missing '*'
+            hint = " (multiplication must be written with '*')"
+            raise self.error(f"unexpected {tok!r}{'' if tok in _OPERATORS else hint}")
+        session = self.session
+        return Polynomial._trusted(session.field, session.variables, terms)
+
+    def parse_expr(self) -> Terms:
+        out = self.parse_term(False)
+        while True:
+            op = self.tokens[self.pos]
+            if op != "+" and op != "-":
+                return out
+            self.pos += 1
+            _add_into(out, self.parse_term(op == "-"))
+
+    def parse_term(self, negate: bool) -> Terms:
+        """The product of one term's factors, negated if asked. One-term
+        factors fold into `exps` and `coeff`; the others (several terms, or
+        none) are multiplied into `product`."""
+        tokens, session = self.tokens, self.session
+        one = session.one
+        exps, coeff, product = session.origin, one, None
+        while True:
+            while tokens[self.pos] == "-":
+                negate = not negate
+                self.pos += 1
+            factor = self.parse_atom()
+            n = 1
+            if tokens[self.pos] == "^":
+                self.pos += 1
+                if not tokens[self.pos][:1].isdecimal():
+                    raise self.error("exponent must be a non-negative integer literal")
+                n = self.source.integer(self.pos)
+                self.pos += 1
+                if len(factor) != 1:
+                    factor, n = _pow_terms(factor, n, {session.origin: one}), 1
+            if len(factor) == 1:
+                (e, c), = factor.items()
+                if n != 1:
+                    e = [n * k for k in e]
+                    if c is not one:
+                        c = c**n
+                exps = tuple(map(add, exps, e))
+                if c is not one:
+                    coeff = c if coeff is one else coeff * c
+            else:
+                product = factor if product is None else _mul_terms(product, factor)
+            if tokens[self.pos] != "*":
+                break
+            self.pos += 1
+        if negate:
+            coeff = -coeff
+        # A zero coefficient needs zero divisors, i.e. a reducible modulus.
+        if coeff is not one and not coeff:
+            return {}
+        if product is None:
+            return {exps: coeff}
+        return _mul_terms(product, {exps: coeff})
+
+    def parse_atom(self) -> Terms:
+        """An atom's term dict; a variable's is shared and must not be changed."""
+        tokens, session = self.tokens, self.session
+        tok = tokens[self.pos]
         self.pos += 1
-        return tok
-
-    def _expect_op(self, text: str) -> _Token:
-        tok = self.current
-        if tok.kind == "OP" and tok.text == text:
-            return self._advance()
-        raise ParseError(f"expected {text!r}", tok.span)
-
-    def parse_expr(self) -> Polynomial:
-        result = self.parse_term()
-        while self.current.kind == "OP" and self.current.text in "+-":
-            op = self._advance().text
-            rhs = self.parse_term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
-
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while self.current.kind == "OP" and self.current.text == "*":
-            self._advance()
-            result = result * self.parse_factor()
-        return result
-
-    def parse_factor(self) -> Polynomial:
-        if self.current.kind == "OP" and self.current.text == "-":
-            self._advance()
-            return -self.parse_factor()
-        return self.parse_power()
-
-    def parse_power(self) -> Polynomial:
-        base = self.parse_atom()
-        if self.current.kind == "OP" and self.current.text == "^":
-            self._advance()
-            tok = self.current
-            if tok.kind != "INT":
-                raise ParseError(
-                    "exponent must be a non-negative integer literal", tok.span
-                )
-            self._advance()
-            return base ** int(tok.text)
-        return base
-
-    def parse_atom(self) -> Polynomial:
-        tok = self.current
-        if tok.kind == "INT":
-            self._advance()
-            value = Fraction(int(tok.text))
-            if self.current.kind == "OP" and self.current.text == "/":
-                self._advance()
-                den = self.current
-                if den.kind != "INT":
-                    raise ParseError("expected an integer denominator", den.span)
-                self._advance()
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.span)
-                value = value / int(den.text)
-            return Polynomial.constant(
-                self.session.field, self.session.variables, value
-            )
-        if tok.kind == "NAME":
-            self._advance()
-            return self.session.resolve(tok.text, tok.span)
-        if tok.kind == "OP" and tok.text == "(":
-            self._advance()
+        atom = session.names.get(tok)
+        if atom is not None:
+            return atom
+        if tok == "(":
             inner = self.parse_expr()
-            self._expect_op(")")
+            if tokens[self.pos] != ")":
+                raise self.error("expected ')'")
+            self.pos += 1
             return inner
-        if tok.kind == "EOF":
-            raise ParseError("unexpected end of expression", tok.span)
-        raise ParseError(f"unexpected {tok.text!r}", tok.span)
-
-    def expect_done(self) -> None:
-        tok = self.current
-        if tok.kind != "EOF":
-            hint = ""
-            if tok.kind in ("NAME", "INT"):
-                hint = " (multiplication must be written with '*')"
-            raise ParseError(f"unexpected {tok.text!r}{hint}", tok.span)
+        if tok[:1].isdecimal():
+            value = Fraction(self.source.integer(self.pos - 1))
+            if tokens[self.pos] == "/":
+                self.pos += 1
+                if not tokens[self.pos][:1].isdecimal():
+                    raise self.error("expected an integer denominator")
+                den = self.source.integer(self.pos)
+                if den == 0:
+                    raise self.error("zero denominator")
+                self.pos += 1
+                value /= den
+            return {session.origin: session.field.rational(value)} if value else {}
+        if tok == session.field.generator_name:
+            gen = session.field.generator()
+            return {session.origin: gen} if gen else {}
+        self.pos -= 1
+        if not tok:
+            raise self.error("unexpected end of expression")
+        raise self.error(
+            f"unexpected {tok!r}" if tok in _OPERATORS else f"unknown symbol {tok!r}"
+        )
 
 
 def parse_poly(
@@ -228,12 +255,10 @@ def parse_poly(
 ) -> Polynomial:
     """Parse an expression into an exact Polynomial over the session ring."""
     session = _Session(field, variables)
-    parser = _ExprParser(_tokenize(text), session)
-    if parser.current.kind == "EOF":
-        raise ParseError("empty expression", parser.current.span)
-    result = parser.parse_expr()
-    parser.expect_done()
-    return result
+    source = _Tokens(text)
+    if not source.tokens[0]:
+        raise ParseError("empty expression", source.span(0))
+    return _ExprParser(source, 0, session).parse_polynomial()
 
 
 def format_poly(poly: Polynomial) -> str:
@@ -365,32 +390,30 @@ def parse_script(
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = _tokenize(line, line=line_no, column=1)
-        head = tokens[0]
-        if head.kind != "NAME":
-            raise ScriptError(f"expected a script command", head.span)
+        source = _Tokens(line, line_no)
+        # tokens[0] is the command and tokens[-1] the EOF token ''.
+        tokens, span = source.tokens, source.span
+        command, head_span = tokens[0], span(0)
+        if not _is_name(command):
+            raise ScriptError(f"expected a script command", head_span)
         if stopped:
-            raise ScriptError("no steps allowed after stop", head.span)
-        command = head.text
-        rest = tokens[1:]
+            raise ScriptError("no steps allowed after stop", head_span)
 
         if command == "blowup":
             names = []
-            for tok in rest[:-1]:
-                if tok.kind != "NAME" or tok.text not in session.variables:
+            for k, tok in enumerate(tokens[1:-1], start=1):
+                if tok not in session.variables:
                     raise ScriptError(
-                        f"blowup center must list session variables", tok.span
+                        f"blowup center must list session variables", span(k)
                     )
-                names.append(tok.text)
-            if rest[-1].kind != "EOF":
-                raise ScriptError("unexpected trailing input", rest[-1].span)
+                names.append(tok)
             if len(set(names)) != len(names):
-                raise ScriptError("duplicate variable in blowup center", head.span)
+                raise ScriptError("duplicate variable in blowup center", head_span)
             if len(names) < 2:
                 raise ScriptError(
-                    "blowup center needs at least 2 variables", head.span
+                    "blowup center needs at least 2 variables", head_span
                 )
-            step = BlowupDirective(tuple(names), head.span)
+            step = BlowupDirective(tuple(names), head_span)
             steps.append(step)
             last_blowup = step
             continue
@@ -399,71 +422,57 @@ def parse_script(
             if last_blowup is None or not (
                 steps and steps[-1] is last_blowup
             ):
-                raise ScriptError("chart must immediately follow blowup", head.span)
-            if (
-                len(rest) != 2
-                or rest[0].kind != "NAME"
-                or rest[1].kind != "EOF"
-            ):
-                raise ScriptError("usage: chart VARIABLE", head.span)
-            var = rest[0].text
+                raise ScriptError("chart must immediately follow blowup", head_span)
+            if len(tokens) != 3 or not _is_name(tokens[1]):
+                raise ScriptError("usage: chart VARIABLE", head_span)
+            var = tokens[1]
             if var not in last_blowup.center:
                 raise ScriptError(
-                    f"chart variable {var!r} not in the blowup center", rest[0].span
+                    f"chart variable {var!r} not in the blowup center", span(1)
                 )
-            steps.append(ChartDirective(var, head.span))
+            steps.append(ChartDirective(var, head_span))
             continue
 
         if command in ("subst", "translate"):
-            if len(rest) < 3 or rest[0].kind != "NAME":
-                raise ScriptError(f"usage: {command} VARIABLE := EXPRESSION", head.span)
-            var_tok = rest[0]
-            if var_tok.text not in session.variables:
-                raise ScriptError(f"unknown variable {var_tok.text!r}", var_tok.span)
-            if not (rest[1].kind == "OP" and rest[1].text == ":="):
-                raise ScriptError("expected ':='", rest[1].span)
-            expr_parser = _ExprParser(rest[2:], session)
-            expression = expr_parser.parse_expr()
-            expr_parser.expect_done()
+            if len(tokens) < 4 or not _is_name(tokens[1]):
+                raise ScriptError(f"usage: {command} VARIABLE := EXPRESSION", head_span)
+            var = tokens[1]
+            if var not in session.variables:
+                raise ScriptError(f"unknown variable {var!r}", span(1))
+            if tokens[2] != ":=":
+                raise ScriptError("expected ':='", span(2))
+            expression = _ExprParser(source, 3, session).parse_polynomial()
             if command == "subst":
-                steps.append(SubstDirective(var_tok.text, expression, head.span))
+                steps.append(SubstDirective(var, expression, head_span))
             else:
-                var_poly = Polynomial.variable(
-                    session.field, session.variables, var_tok.text
-                )
+                var_poly = Polynomial.variable(session.field, session.variables, var)
                 shift = expression - var_poly
                 if shift.variables_present():
                     raise ScriptError(
                         "translate right-hand side must be the variable "
                         "plus a field constant",
-                        head.span,
+                        head_span,
                     )
-                steps.append(
-                    TranslateDirective(var_tok.text, shift.constant_term, head.span)
-                )
+                steps.append(TranslateDirective(var, shift.constant_term, head_span))
             continue
 
         if command == "orbit":
-            if (
-                len(rest) != 2
-                or rest[0].kind != "INT"
-                or rest[1].kind != "EOF"
-            ):
-                raise ScriptError("usage: orbit COUNT", head.span)
-            count = int(rest[0].text)
+            if len(tokens) != 3 or not tokens[1][0].isdecimal():
+                raise ScriptError("usage: orbit COUNT", head_span)
+            count = source.integer(1)
             if count < 1:
-                raise ScriptError("orbit count must be at least 1", rest[0].span)
-            steps.append(OrbitDirective(count, head.span))
+                raise ScriptError("orbit count must be at least 1", span(1))
+            steps.append(OrbitDirective(count, head_span))
             continue
 
         if command == "stop":
-            if rest[0].kind != "EOF":
-                raise ScriptError("stop takes no arguments", rest[0].span)
-            steps.append(StopDirective(head.span))
+            if tokens[1]:
+                raise ScriptError("stop takes no arguments", span(1))
+            steps.append(StopDirective(head_span))
             stopped = True
             continue
 
-        raise ScriptError(f"unknown command {command!r}", head.span)
+        raise ScriptError(f"unknown command {command!r}", head_span)
 
     # A blowup not followed by a chart is allowed only as the final step
     # (all children then resolve automatically).

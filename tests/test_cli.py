@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: output formats and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -33,6 +36,23 @@ def test_exit_1_parse_error_with_span():
     code, _, err = run_cli(["pole", "x^"])
     assert code == 1
     assert err.startswith("error at line 1 col 3:")
+
+
+@pytest.mark.parametrize(
+    "poly", ["x^²", "x^" + "1" * 5000], ids=["superscript-digit", "5000-digits"]
+)
+def test_exit_1_bad_integer_literal_in_a_fresh_process(poly):
+    # A digit int() rejects, or more digits than it converts by default.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "lctkit.cli", "pole", poly],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error at line 1 col 3:")
+    assert "Traceback" not in result.stderr
 
 
 def test_exit_1_usage_errors():

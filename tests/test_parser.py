@@ -1,18 +1,26 @@
 """Expression and script parsing: grammar, spans, and print round-trips."""
 
+import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import parse_corpus
 from conftest import random_poly
 from lctkit import (
     DEFAULT_VARIABLES,
     EISENSTEIN,
+    GAUSS,
+    NumberField,
     ParseError,
     Polynomial,
     RATIONALS,
     ScriptError,
+    SourceSpan,
     format_poly,
     parse_poly,
     parse_script,
@@ -91,6 +99,158 @@ def test_division_only_inside_rational_literals():
         parse_poly("x/y")
     with pytest.raises(ParseError):
         parse_poly("1/0")
+
+
+def test_non_decimal_digits_are_unexpected_characters():
+    # str.isdigit() holds for '²', but int() rejects it.
+    for text, column in [("x^²", 3), ("²", 1), ("x + 2*y^1²", 10)]:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert info.value.message == "unexpected character '²'"
+        assert info.value.span == SourceSpan(1, column, 1)
+
+
+@pytest.mark.parametrize(
+    "prefix,suffix",
+    [("x^", ""), ("", "/2*x"), ("x + 1/", ""), ("\n  (", ")*y")],
+)
+def test_oversized_integer_literal_has_a_span(prefix, suffix):
+    # Longer than Python's default int conversion limit of 4300 digits.
+    text = prefix + "1" * 5000 + suffix
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert info.value.message == "integer literal of 5000 digits is too long"
+    start = text.index("1" * 5000)
+    line = 1 + text.count("\n", 0, start)
+    column = start - text.rfind("\n", 0, start)
+    assert info.value.span == SourceSpan(line, column, 5000)
+
+
+def test_zero_divisor_coefficients_cancel():
+    # (1 + a^2)(2 + a^2) = 0 mod (a^2 + 1)(a^2 + 2), which make() accepts.
+    field = NumberField.make((2, 0, 3, 0, 1), "a")
+    assert parse_poly("(1+a^2)*(2+a^2)*x", field).is_zero()
+    assert parse_poly("(1+a^2)*x*(2+a^2)*(x+y)", field).is_zero()
+
+
+def test_deep_nesting_is_a_parse_error():
+    depth = 2 * sys.getrecursionlimit()
+    with pytest.raises(ParseError) as info:
+        parse_poly("(" * depth + "x" + ")" * depth)
+    assert info.value.message == "expression nested too deeply"
+    assert info.value.span.line == 1
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == parse_poly("x")
+
+
+# -- the parse corpus ----------------------------------------------------------
+
+# Where the reference parser raised a bare ValueError, or (for "x ²") read
+# '²' as an integer literal: (message, line, column, length) now.
+FIXED = {
+    "x^²": ("unexpected character '²'", 1, 3, 1),
+    "²": ("unexpected character '²'", 1, 1, 1),
+    "x ²": ("unexpected character '²'", 1, 3, 1),
+    "x^" + "1" * 5000: ("integer literal of 5000 digits is too long", 1, 3, 5000),
+    "1" * 5000 + "/2*x": ("integer literal of 5000 digits is too long", 1, 1, 5000),
+    "x + 1/" + "1" * 5000: ("integer literal of 5000 digits is too long", 1, 7, 5000),
+}
+
+
+def test_parse_corpus_matches_reference_parser():
+    entries = json.loads(parse_corpus.PATH.read_text())
+    assert len(entries) > 2000
+    assert set(FIXED) == set(parse_corpus.FIXED_CASES)
+    for entry in entries:
+        got = parse_corpus.record(entry["text"])
+        if entry["text"] in FIXED:
+            message, line, column, length = FIXED[entry["text"]]
+            assert got != entry
+            assert got["error"] == {
+                "type": "ParseError",
+                "message": message,
+                "line": line,
+                "column": column,
+                "length": length,
+            }
+        else:
+            assert got == entry
+
+
+# -- an independent oracle -------------------------------------------------------
+
+# Precedence levels: expr < term < factor < power < atom.
+_LEVEL = {"+": 0, "-": 0, "*": 1, "neg": 2, "^": 3}
+
+
+@st.composite
+def _trees(draw, depth=4):
+    """A random expression tree: a name, (numerator, denominator), or an
+    operator with its operands; sums come up most often."""
+    if depth == 0 or draw(st.integers(0, 5)) == 0:
+        if draw(st.booleans()):
+            return draw(st.sampled_from(["x", "y", "z", "i"]))
+        return draw(st.tuples(st.integers(0, 30), st.integers(1, 4)))
+    op = draw(st.sampled_from(["+", "-", "+", "-", "*", "*", "neg", "^"]))
+    if op == "neg":
+        return (op, draw(_trees(depth - 1)))
+    if op == "^":
+        return (op, draw(_trees(depth - 1)), draw(st.integers(0, 3)))
+    return (op, draw(_trees(depth - 1)), draw(_trees(depth - 1)))
+
+
+def _render(tree, level, sep):
+    """Text for `tree` where the grammar expects `level`, in parentheses
+    only where the grammar needs them."""
+    if isinstance(tree, str):
+        return tree
+    if isinstance(tree[0], int):
+        num, den = tree
+        return str(num) if den == 1 else f"{num}/{den}"
+    op = tree[0]
+    if op == "neg":
+        text = "-" + _render(tree[1], 2, sep)
+    elif op == "^":
+        text = f"{_render(tree[1], 4, sep)}^{tree[2]}"
+    else:
+        left = _render(tree[1], _LEVEL[op], sep)
+        right = _render(tree[2], _LEVEL[op] + 1, sep)
+        text = f"{left}{sep}{op}{sep}{right}"
+    return f"({text})" if _LEVEL[op] < level else text
+
+
+def _evaluate(tree):
+    """The same tree through Polynomial's ring operators."""
+    if isinstance(tree, str):
+        if tree == "i":
+            return Polynomial.constant(GAUSS, DEFAULT_VARIABLES, GAUSS.generator())
+        return Polynomial.variable(GAUSS, DEFAULT_VARIABLES, tree)
+    if isinstance(tree[0], int):
+        return Polynomial.constant(GAUSS, DEFAULT_VARIABLES, Fraction(*tree))
+    op = tree[0]
+    if op == "neg":
+        return -_evaluate(tree[1])
+    if op == "^":
+        return _evaluate(tree[1]) ** tree[2]
+    left, right = _evaluate(tree[1]), _evaluate(tree[2])
+    return left + right if op == "+" else left - right if op == "-" else left * right
+
+
+def _degree(tree):
+    """A bound on the degree (constants count 1) that keeps expansions small."""
+    if isinstance(tree, str) or isinstance(tree[0], int):
+        return 1
+    if tree[0] == "neg":
+        return _degree(tree[1])
+    if tree[0] == "^":
+        return _degree(tree[1]) * tree[2]
+    return _degree(tree[1]) + _degree(tree[2])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_trees(), st.sampled_from(["", " ", " \n "]))
+def test_parser_agrees_with_ring_operators(tree, sep):
+    assume(_degree(tree) <= 12)
+    assert parse_poly(_render(tree, 0, sep)) == _evaluate(tree)
 
 
 # -- printing round-trips ----------------------------------------------------
@@ -182,3 +342,12 @@ def test_script_spans_use_line_numbers():
 def test_empty_polynomial_rejected_in_scripts():
     with pytest.raises(ParseError):
         parse_script("subst z :=")
+
+
+def test_script_orbit_count_errors_have_spans():
+    with pytest.raises(ParseError) as info:
+        parse_script("orbit " + "9" * 5000)
+    assert info.value.span == SourceSpan(1, 7, 5000)
+    with pytest.raises(ParseError) as info:
+        parse_script("blowup x y\norbit ²")
+    assert info.value.span == SourceSpan(2, 7, 1)
