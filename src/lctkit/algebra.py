@@ -20,17 +20,19 @@ can multiply to 0, e.g. (1 + a^2)(2 + a^2) mod a^4 + 3a^2 + 2, so every path
 that multiplies coefficients drops such terms itself, and is_zero() stays
 exact.
 
-One term-dict product, `_mul_terms`, serves `*`, `**` and `substitute`, and
-one term-dict power, `_pow_terms`, serves `**` and the parser. Blow-up maps
-and divisor factors are monomials, so a one-term factor shifts the other
-factor's exponents and scales its coefficients in O(terms), and a
-coefficient of 1 skips the scaling. `substitute` adds every term's image
-into one dict, and variables it does not map keep their exponents. A
-one-term Polynomial to the n-th power multiplies its exponents by n and
-takes one coefficient power. FieldElement * and ** with a rational operand
-(every coordinate above degree 0 is zero) scale the coordinates by one
-Fraction, or take one Fraction power, instead of convolving and reducing mod
-the modulus.
+One term-dict product, `_mul_terms`, serves `*` and `**`, and one term-dict
+power, `_pow_terms`, serves `**` and the parser. A one-term factor, such as
+a divisor monomial, shifts the other factor's exponents and scales its
+coefficients in O(terms); a coefficient of 1 skips the scaling. A blow-up
+chart map sends each variable to a monomial, so `substitute` folds each
+one-term image c * x^a into an integer exponent map: a term's exponent e of
+the mapped variable adds e * a to the exponents it keeps and multiplies its
+coefficient by c^e (skipped for c = 1). Only images with several terms, such
+as translations, go through `_mul_terms`, in the same loop. A one-term
+Polynomial to the n-th power multiplies its exponents by n and takes one
+coefficient power. FieldElement * and ** with a rational operand (every
+coordinate above degree 0 is zero) scale the coordinates by one Fraction, or
+take one Fraction power, instead of convolving and reducing mod the modulus.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import add
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     FieldError,
@@ -702,25 +704,45 @@ class Polynomial:
         unknown = set(assignments) - set(self.variables)
         if unknown:
             raise VariableMismatchError(f"unknown variables {sorted(unknown)}")
-        images: list[tuple[int, Polynomial]] = []
+        # A one-term image c * x^a is kept as the nonzero entries of a and
+        # c, or None for c = 1; an image with several terms as itself.
+        monomials: list[tuple[int, list, Optional[FieldElement]]] = []
+        wide: list[tuple[int, Polynomial]] = []
+        mapped: set[int] = set()
         for i, name in enumerate(self.variables):
             img = assignments.get(name)
-            if img is not None:
-                self._check_ring(img)
-                images.append((i, img))
-        mapped = {i for i, _ in images}
+            if img is None:
+                continue
+            self._check_ring(img)
+            mapped.add(i)
+            if len(img.terms) == 1:
+                (a, c), = img.terms.items()
+                shift = [(k, n) for k, n in enumerate(a) if n]
+                monomials.append((i, shift, None if c == self.field.one() else c))
+            else:
+                wide.append((i, img))
         terms: Terms = {}
         powers: dict[tuple[int, int], Terms] = {}
         for exps, coeff in self.terms.items():
-            # Unmapped variables keep their exponents in the one-term start.
-            term = {tuple(0 if i in mapped else e for i, e in enumerate(exps)): coeff}
-            for i, img in images:
+            # Unmapped variables keep their exponents; each one-term image
+            # adds e * a to them and multiplies the coefficient by c^e.
+            out = [0 if i in mapped else e for i, e in enumerate(exps)]
+            for i, shift, c in monomials:
+                e = exps[i]
+                if e:
+                    for k, n in shift:
+                        out[k] += e * n
+                    if c is not None:
+                        coeff = coeff * c**e
+            term = {tuple(out): coeff}
+            for i, img in wide:
                 e = exps[i]
                 if e:
                     pw = powers.get((i, e))
                     if pw is None:
                         pw = powers[i, e] = (img**e).terms
                     term = _mul_terms(term, pw)
+            # This also drops a coefficient that folded to 0 (zero divisors).
             _add_into(terms, term)
         return self._with_terms(terms)
 

@@ -118,8 +118,10 @@ class _Session:
             raise ParseError("at least one variable is required")
         if len(set(variables)) != len(variables):
             raise ParseError(f"duplicate variables in {variables}")
-        for v in variables:
-            if not v.isidentifier():
+        for v in variables:  # must read back as one NAME; ASCII identifiers do
+            if not v.isidentifier() or not (
+                v.isascii() or _is_name(v) and _TOKEN.findall(v) == [v]
+            ):
                 raise ParseError(f"bad variable name {v!r}")
         if field.generator_name in variables:
             raise ParseError(

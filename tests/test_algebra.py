@@ -321,6 +321,10 @@ def test_substitution_identity_and_composition(f):
 
 CUBIC = NumberField.make([-2, 0, 0, 1], "c")  # t^3 - 2
 FIELDS = (GAUSS, EISENSTEIN, CUBIC)
+# (t^2 + 1)(t^2 + 2), which make() accepts: 1 + a^2 and 2 + a^2 are nonzero
+# and their product is 0.
+REDUCIBLE = NumberField.make([2, 0, 3, 0, 1], "a")
+ZERO_DIVISORS = [tuple(map(Fraction, c)) for c in ((1, 0, 1, 0), (2, 0, 1, 0))]
 
 
 def convolve(field, a, b):
@@ -356,7 +360,10 @@ coords = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 @st.composite
 def field_coeffs(draw, field):
-    """Coordinates of a nonzero element; rational or 1 about half the time."""
+    """Coordinates of a nonzero element; rational or 1 about half the time.
+    Over REDUCIBLE, one of two zero divisors whose product is 0."""
+    if field is REDUCIBLE:
+        return draw(st.sampled_from(ZERO_DIVISORS))
     kind = draw(st.sampled_from(["one", "rational", "any", "any"]))
     if kind == "one":
         return (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
@@ -460,15 +467,36 @@ def expand(field, f, images):
 
 
 @st.composite
-def partial_images(draw, field):
-    """Images for at most all but one of VARS, so some variable stays."""
+def substitution_cases(draw):
+    """A ring, f and images for at most all but one of VARS. Half the images
+    have one term, with a coefficient that may be 1, rational, non-rational
+    or (over REDUCIBLE) a zero divisor, so a folded coefficient can vanish.
+    Half the time a mapped variable p takes the image of another variable q,
+    or q itself if q is unmapped, and f pairs terms with their negatives
+    under the swap of p and q, so that image terms collide and cancel."""
+    field = draw(st.sampled_from(FIELDS + (REDUCIBLE,)))
+    f = draw(ring_terms(field, 4, 3))
     indices = st.integers(0, len(VARS) - 1)
     mapped = draw(st.lists(indices, max_size=len(VARS) - 1, unique=True))
-    return {i: draw(ring_terms(field, max_terms=3, max_exp=2)) for i in mapped}
+    images = {}
+    for i in mapped:
+        wide = draw(st.booleans())
+        images[i] = draw(ring_terms(field, 3, 2) if wide else one_term(field))
+    if mapped and draw(st.booleans()):
+        p = mapped[0]
+        q = draw(indices.filter(lambda q: q != p))
+        unit = tuple(int(k == q) for k in range(len(VARS)))
+        images[p] = images.get(q, {unit: field.one().coeffs})
+        for e, c in list(f.items()):
+            swapped = list(e)
+            swapped[p], swapped[q] = e[q], e[p]
+            if draw(st.booleans()):
+                f[tuple(swapped)] = tuple(-v for v in c)
+    return field, f, images
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(field_and(lambda field: ring_terms(field, 4, 3), partial_images))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(substitution_cases())
 def test_substitute_matches_expansion(case):
     field, f, images = case
     mapping = {VARS[i]: as_poly(field, image) for i, image in images.items()}

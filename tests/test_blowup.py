@@ -10,7 +10,9 @@ from lctkit import (
     ChartError,
     ChartStatus,
     FactorizationDestroyedError,
+    InternalInconsistencyError,
     PoleIndex,
+    Polynomial,
     Scripted,
     UnitInputError,
     ZeroPolynomialError,
@@ -26,6 +28,7 @@ from lctkit import (
     translate,
     verify_jacobian,
 )
+import lctkit.blowup as blowup_module
 from lctkit.blowup import _classify, _verify_stepwise
 from test_algebra import as_poly, field_and, ring_terms
 
@@ -159,6 +162,39 @@ def test_jacobian_audit_rejects_a_tampered_h_after_a_triangular_rewrite():
     assert verify_jacobian(fixed)
     for h in (1, 3):
         assert not verify_jacobian(with_h(fixed, "y", h))
+
+
+def doubled_coefficient(chart):
+    """The chart with the coefficient of its lowest strict term doubled."""
+    exps, coeff = next(chart.strict.sorted_terms())
+    terms = {**chart.strict.terms, exps: coeff * 2}
+    return replace(chart, strict=Polynomial(chart.field, chart.variables, terms))
+
+
+def raised_k(chart):
+    """The chart with the k of one divisor record raised by 1."""
+    var = next(iter(chart.divisors))
+    record = replace(chart.divisors[var], k=chart.divisors[var].k + 1)
+    return replace(chart, divisors={**chart.divisors, var: record})
+
+
+@pytest.mark.parametrize("corrupt", [doubled_coefficient, raised_k])
+@pytest.mark.parametrize(
+    "step",
+    [lambda c: blowup_origin(c, ("x", "y", "z")), lambda c: translate(c, "x", 1)],
+    ids=["blowup", "translate"],
+)
+def test_step_identity_catches_a_corrupted_child(monkeypatch, step, corrupt):
+    # The exact per-step check f(map) = monomial * strict is what stands
+    # behind every pulled-back strict transform and divisor record.
+    chart = z_chart(make_root_chart(P("x^2 + y^2 + z^5")))
+    assert step(chart)
+    child = blowup_module._child
+    monkeypatch.setattr(
+        blowup_module, "_child", lambda *args, **kw: corrupt(child(*args, **kw))
+    )
+    with pytest.raises(InternalInconsistencyError, match="identity failed at U_z/"):
+        step(chart)
 
 
 def test_sibling_charts_share_divisor_id():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import parse_corpus
-from conftest import random_poly
+from conftest import random_poly, run_cli
 from lctkit import (
     DEFAULT_VARIABLES,
     EISENSTEIN,
@@ -70,6 +70,33 @@ def test_custom_variables():
     assert f.variables == ("u", "v")
     with pytest.raises(ParseError):
         parse_poly("x", variables=("u", "v"))
+
+
+@pytest.mark.parametrize(
+    "name,accepted",
+    [
+        ("Ⅻ", False),  # an identifier, but a letter number, not a letter
+        ("a·b", False),  # an identifier that reads as 'a', '·', 'b'
+        ("x²", False),  # one word, but not an identifier
+        ("_y1", True),
+        ("é", True),
+        ("xⅫ", True),
+        ("x١", True),
+    ],
+)
+def test_variable_names_read_back(name, accepted):
+    # A variable name is accepted only when the tokenizer reads it back as
+    # one NAME, so every accepted ring can print and reparse its elements.
+    variables = ("x", name)
+    if not accepted:
+        with pytest.raises(ParseError, match="bad variable name"):
+            parse_poly("x^2", variables=variables)
+        code, _, err = run_cli(["newton", "x^2", "--vars", f"x,{name}"])
+        assert code == 1 and err.startswith("error: bad variable name")
+        return
+    f = parse_poly(f"x^2 + {name}^3 - (1 + i)*x*{name}", variables=variables)
+    assert len(f.terms) == 3
+    assert parse_poly(format_poly(f), variables=variables) == f
 
 
 @pytest.mark.parametrize(
