@@ -185,6 +185,16 @@ def _rational_root(coeffs: Sequence[Fraction]):
     return None if root is None else Fraction(root, scale)
 
 
+def reads_as_name(text: str) -> bool:
+    """True iff text reads back as one NAME token of parser.py, as variable and
+    generator names must: an identifier of str.isalnum or '_' characters that
+    starts with a letter or '_'. Not so 'Ⅻ' (a letter number) or 'a·b'."""
+    if text.isascii():  # every ASCII identifier does
+        return text.isidentifier()
+    word = text.replace("_", "a")  # '_' counts as a letter
+    return text.isidentifier() and word[:1].isalpha() and word.isalnum()
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -218,7 +228,7 @@ class NumberField:
             raise FieldError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
-        if not generator_name.isidentifier():
+        if not reads_as_name(generator_name):
             raise FieldError(f"bad generator name {generator_name!r}")
         if len(_uni_ext_gcd(tuple(coeffs), _uni_derivative(coeffs))[0]) != 1:
             raise FieldError("minimal polynomial must be squarefree")

@@ -52,7 +52,6 @@ from .errors import (
 )
 from .parser import (
     BlowupDirective,
-    ChartDirective,
     OrbitDirective,
     ResolutionScript,
     ScriptStep,
@@ -228,10 +227,10 @@ def _monomial_times_strict(chart: Chart) -> Polynomial:
 
 
 def _assert_step_identity(
-    parent: Chart, child: Chart, substitution: Mapping[str, Polynomial]
+    parent_total: Polynomial, child: Chart, substitution: Mapping[str, Polynomial]
 ) -> None:
-    """The total transform must pull back exactly across one step."""
-    lhs = _monomial_times_strict(parent).substitute(dict(substitution))
+    """The parent's total transform must pull back exactly across one step."""
+    lhs = parent_total.substitute(dict(substitution))
     rhs = _monomial_times_strict(child)
     if lhs != rhs:
         raise InternalInconsistencyError(
@@ -312,6 +311,7 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     center = tuple(v for v in chart.variables if v in center)
     s = len(center)
     divisor = f"E@{chart.path_text()}"
+    total = _monomial_times_strict(chart)
     children = []
     for v in center:
         step = BlowupStep(center, v, divisor)
@@ -333,7 +333,7 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
         child = _child(
             chart, step, strict_child, divisors={**chart.divisors, v: record}
         )
-        _assert_step_identity(chart, child, substitution)
+        _assert_step_identity(total, child, substitution)
         children.append(child)
     new = {child.divisors[child.steps[-1].chart_variable] for child in children}
     if len(new) != 1:
@@ -378,7 +378,7 @@ def translate(chart: Chart, var: str, value) -> Chart:
     if localized:
         strict_new = substitution[var] ** divisors.pop(var).k * strict_new
     child = _child(chart, step, strict_new, divisors=divisors)
-    _assert_step_identity(chart, child, substitution)
+    _assert_step_identity(_monomial_times_strict(chart), child, substitution)
     return child
 
 
@@ -603,7 +603,6 @@ class TreeNode:
 class ResolutionTree:
     root_polynomial: Polynomial
     root: TreeNode
-    strategy_log: tuple[str, ...]
 
     def nodes(self) -> Iterator[TreeNode]:
         stack = [self.root]
@@ -634,63 +633,41 @@ def _auto_center(chart: Chart) -> Optional[tuple[str, ...]]:
     return None
 
 
-def _depth_limited(chart: Chart, log: list[str], reason: str) -> TreeNode:
-    log.append(f"[{chart.path_text()}] {reason}")
+def _depth_limited(chart: Chart) -> TreeNode:
     return TreeNode(replace(chart, status=ChartStatus.DEPTH_LIMIT), ())
 
 
-def _expand(
-    chart: Chart, steps: tuple[ScriptStep, ...], max_depth: int, log: list[str]
-) -> TreeNode:
+def _expand(chart: Chart, steps: tuple[ScriptStep, ...], max_depth: int) -> TreeNode:
     """Resolve the chart: follow the script steps along one path, and with
     no steps left blow up the origin of every Open chart automatically."""
     step = steps[0] if steps else None
     rest = steps[1:]
 
     if isinstance(step, OrbitDirective):
-        log.append(
-            f"[{chart.path_text()}] orbit {step.count}: candidates below "
-            "replicated"
-        )
         chart = replace(chart, orbit_factor=chart.orbit_factor * step.count)
-        return _expand(chart, rest, max_depth, log)
+        return _expand(chart, rest, max_depth)
 
     if isinstance(step, StopDirective):
         if chart.status is ChartStatus.OPEN:
-            return _depth_limited(chart, log, "stopped by script while open")
+            return _depth_limited(chart)
         return TreeNode(chart, ())
 
     if isinstance(step, SubstDirective):
-        log.append(
-            f"[{chart.path_text()}] subst {step.variable} := "
-            f"{format_poly(step.expression)}"
-        )
         rewritten = apply_affine(chart, step.variable, step.expression)
-        jac = rewritten.steps[-1].jacobian_unit
-        log.append(
-            f"[{chart.path_text()}] rewrite Jacobian factor "
-            f"{format_poly(jac)} (unit; h unchanged)"
-        )
-        return TreeNode(chart, (_expand(rewritten, rest, max_depth, log),))
+        return TreeNode(chart, (_expand(rewritten, rest, max_depth),))
 
     if isinstance(step, TranslateDirective):
-        log.append(
-            f"[{chart.path_text()}] translate {step.variable} to the point "
-            f"{step.variable} = {step.value}"
-        )
         moved = translate(chart, step.variable, step.value)
-        moved_node = _expand(moved, rest, max_depth, log)
+        moved_node = _expand(moved, rest, max_depth)
         # The untranslated origin still needs its own analysis: it resolves
         # automatically, its charts (or its DepthLimit leaf) as siblings.
-        origin = _expand(chart, (), max_depth, log)
+        origin = _expand(chart, (), max_depth)
         if origin.chart.status is ChartStatus.DEPTH_LIMIT:
             origin_children: tuple[TreeNode, ...] = (origin,)
         else:
             origin_children = origin.children
         return TreeNode(chart, origin_children + (moved_node,))
 
-    if isinstance(step, ChartDirective):
-        raise ScriptError("chart must immediately follow blowup", step.span)
     if step is not None and not isinstance(step, BlowupDirective):
         span = getattr(step, "span", None)
         raise ScriptError(f"unsupported script step {step!r}", span)
@@ -704,20 +681,17 @@ def _expand(
             )
         return TreeNode(chart, ())
     if chart.depth >= max_depth:
-        return _depth_limited(chart, log, f"depth limit {max_depth} reached")
+        return _depth_limited(chart)
     center = _auto_center(chart) if step is None else step.center
     if center is None:
-        return _depth_limited(chart, log, "no valid origin center")
-    log.append(f"[{chart.path_text()}] blowup center ({', '.join(center)})")
-    # The script goes on in the chart its `chart` directive names; every
-    # other child resolves automatically.
-    follow: Optional[str] = None
-    if rest and isinstance(rest[0], ChartDirective):
-        follow = rest[0].variable
+        return _depth_limited(chart)
+    # The script goes on in the chart the step names; every other child
+    # resolves automatically.
+    follow = None if step is None else step.chart
     nodes = []
     for child in blowup_origin(chart, center):
-        below = rest[1:] if child.steps[-1].chart_variable == follow else ()
-        nodes.append(_expand(child, below, max_depth, log))
+        below = rest if child.steps[-1].chart_variable == follow else ()
+        nodes.append(_expand(child, below, max_depth))
     return TreeNode(chart, tuple(nodes))
 
 
@@ -731,18 +705,13 @@ def resolve(f: Polynomial, strategy: Strategy) -> ResolutionTree:
     dropped.
     """
     root = make_root_chart(f)
-    content = {v: r.k for v, r in root.divisors.items()}
-    log = [f"[root] content {content!r} strict {format_poly(root.strict)}"]
     if isinstance(strategy, Auto):
         steps: tuple[ScriptStep, ...] = ()
     elif isinstance(strategy, Scripted):
         steps = strategy.script.steps
     else:
         raise ChartError(f"unknown strategy {strategy!r}")
-    node = _expand(root, steps, strategy.max_depth, log)
-    for leaf in ResolutionTree(f, node, ()).leaves():
-        log.append(f"[{leaf.chart.path_text()}] leaf {leaf.chart.status.value}")
-    return ResolutionTree(f, node, tuple(log))
+    return ResolutionTree(f, _expand(root, steps, strategy.max_depth))
 
 
 def total_transform_identity(tree: ResolutionTree, chart: Chart) -> bool:

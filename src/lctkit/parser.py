@@ -39,6 +39,7 @@ from .algebra import (
     _mul_terms,
     _pow_terms,
     format_element,
+    reads_as_name,
 )
 from .errors import ParseError, ScriptError
 
@@ -118,10 +119,8 @@ class _Session:
             raise ParseError("at least one variable is required")
         if len(set(variables)) != len(variables):
             raise ParseError(f"duplicate variables in {variables}")
-        for v in variables:  # must read back as one NAME; ASCII identifiers do
-            if not v.isidentifier() or not (
-                v.isascii() or _is_name(v) and _TOKEN.findall(v) == [v]
-            ):
+        for v in variables:
+            if not reads_as_name(v):
                 raise ParseError(f"bad variable name {v!r}")
         if field.generator_name in variables:
             raise ParseError(
@@ -305,14 +304,13 @@ def format_poly(poly: Polynomial) -> str:
 
 @dataclass(frozen=True)
 class BlowupDirective:
+    """Blow up the origin along `center` and follow the script into the chart
+    U_`chart` that the next line names; the other charts resolve on their own.
+    Only the last step of a script may have no chart: then all of them do."""
+
     center: tuple[str, ...]
     span: SourceSpan
-
-
-@dataclass(frozen=True)
-class ChartDirective:
-    variable: str
-    span: SourceSpan
+    chart: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -360,7 +358,6 @@ class StopDirective:
 
 ScriptStep = Union[
     BlowupDirective,
-    ChartDirective,
     SubstDirective,
     TranslateDirective,
     OrbitDirective,
@@ -380,13 +377,12 @@ def parse_script(
 ) -> ResolutionScript:
     """Parse the line-oriented script DSL.
 
-    One step per line: `blowup x y z`, `chart z`, `subst z := z + y*z^4`,
-    `translate z := z - 1`, `orbit 2`, `stop`. Blank lines and text after
-    '#' are ignored.
+    One directive per line: `blowup x y z` (a `chart z` line after it names
+    the chart to follow), `subst z := z + y*z^4`, `translate z := z - 1`,
+    `orbit 2`, `stop`. Blank lines and text after '#' are ignored.
     """
     session = _Session(field, variables)
     steps: list[ScriptStep] = []
-    last_blowup: Optional[BlowupDirective] = None
     stopped = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -415,24 +411,21 @@ def parse_script(
                 raise ScriptError(
                     "blowup center needs at least 2 variables", head_span
                 )
-            step = BlowupDirective(tuple(names), head_span)
-            steps.append(step)
-            last_blowup = step
+            steps.append(BlowupDirective(tuple(names), head_span))
             continue
 
         if command == "chart":
-            if last_blowup is None or not (
-                steps and steps[-1] is last_blowup
-            ):
+            blowup = steps[-1] if steps else None
+            if not isinstance(blowup, BlowupDirective) or blowup.chart is not None:
                 raise ScriptError("chart must immediately follow blowup", head_span)
             if len(tokens) != 3 or not _is_name(tokens[1]):
                 raise ScriptError("usage: chart VARIABLE", head_span)
             var = tokens[1]
-            if var not in last_blowup.center:
+            if var not in blowup.center:
                 raise ScriptError(
                     f"chart variable {var!r} not in the blowup center", span(1)
                 )
-            steps.append(ChartDirective(var, head_span))
+            steps[-1] = replace(blowup, chart=var)
             continue
 
         if command in ("subst", "translate"):
@@ -476,14 +469,12 @@ def parse_script(
 
         raise ScriptError(f"unknown command {command!r}", head_span)
 
-    # A blowup not followed by a chart is allowed only as the final step
-    # (all children then resolve automatically).
-    for i, step in enumerate(steps[:-1]):
-        if isinstance(step, BlowupDirective) and not isinstance(
-            steps[i + 1], ChartDirective
-        ):
+    # A blowup without a chart is allowed only as the final step (all
+    # children then resolve automatically). Checked after the loop, so an
+    # error inside the next line is reported first.
+    for step, after in zip(steps, steps[1:]):
+        if isinstance(step, BlowupDirective) and step.chart is None:
             raise ScriptError(
-                "blowup must be followed by chart (or end the script)",
-                steps[i + 1].span,
+                "blowup must be followed by chart (or end the script)", after.span
             )
     return ResolutionScript(tuple(steps))

@@ -345,7 +345,6 @@ def test_auto_terminates_and_logs():
     assert not tree.has_depth_limit()
     statuses = {node.chart.status for node in tree.nodes() if node.is_leaf}
     assert statuses <= {ChartStatus.UNIT_STRICT, ChartStatus.SMOOTH_STRICT}
-    assert any("blowup" in line for line in tree.strategy_log)
     assert all(verify_jacobian(node.chart) for node in tree.nodes())
     assert all(total_transform_identity(tree, node.chart) for node in tree.nodes())
 

@@ -275,6 +275,34 @@ def test_scripted_resolve_json_matches_golden(tmp_path, n, poly, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_exit_1_blowup_on_a_resolved_chart(tmp_path):
+    # One blow-up resolves x^2+y^2+z^2: the z-chart is already UnitStrict.
+    script = tmp_path / "a1.script"
+    script.write_text("blowup x y z\nchart z\nblowup x y z\n")
+    code, out, err = run_cli(["pole", "x^2+y^2+z^2", "--script", str(script)])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error at line 3 col 1: blowup requested on a UnitStrict chart at U_z\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, expected_code, golden",
+    [
+        # A bare blowup may end a script: all of its charts resolve alone.
+        ("blowup x y z\nchart z\nblowup x y z\n", 0, "pole_a5_bare_blowup_last.json"),
+        ("blowup x y z\nchart z\nstop\n", 2, "pole_a5_stop_in_chart.json"),
+    ],
+)
+def test_scripted_pole_json_matches_golden(tmp_path, text, expected_code, golden):
+    script = tmp_path / "a5.script"
+    script.write_text(text)
+    code, out, _ = run_cli(["pole", "x^2+y^2+z^6", "--script", str(script), "--json"])
+    assert code == expected_code
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_family_table():
     code, out, _ = run_cli(["verify", "--family", "E6"])
     assert code == 0

@@ -15,6 +15,7 @@ from lctkit import (
     DEFAULT_VARIABLES,
     EISENSTEIN,
     GAUSS,
+    FieldError,
     NumberField,
     ParseError,
     Polynomial,
@@ -27,7 +28,6 @@ from lctkit import (
 )
 from lctkit.parser import (
     BlowupDirective,
-    ChartDirective,
     OrbitDirective,
     StopDirective,
     SubstDirective,
@@ -97,6 +97,22 @@ def test_variable_names_read_back(name, accepted):
     f = parse_poly(f"x^2 + {name}^3 - (1 + i)*x*{name}", variables=variables)
     assert len(f.terms) == 3
     assert parse_poly(format_poly(f), variables=variables) == f
+
+
+@pytest.mark.parametrize("name,accepted", [("Ⅻ", False), ("a·b", False), ("α", True)])
+def test_generator_names_read_back(name, accepted):
+    # The field generator obeys the variable-name rule, so the elements of
+    # every accepted field print and reparse too.
+    if not accepted:
+        with pytest.raises(FieldError, match="bad generator name"):
+            NumberField.make((1, 0, 1), name)
+        code, out, err = run_cli(["newton", "x^2+y^3", "--field", f"{name}:t^2+1"])
+        assert (code, out, err) == (1, "", f"error: bad generator name {name!r}\n")
+        return
+    field = NumberField.make((1, 0, 1), name)
+    f = parse_poly(f"x^2*{name} + y", field)
+    assert format_poly(f) == f"y + ({name})*x^2"
+    assert parse_poly(format_poly(f), field) == f
 
 
 @pytest.mark.parametrize(
@@ -327,15 +343,14 @@ def test_script_directives():
     kinds = [type(s) for s in script.steps]
     assert kinds == [
         BlowupDirective,
-        ChartDirective,
         SubstDirective,
         TranslateDirective,
         OrbitDirective,
         StopDirective,
     ]
-    blow, chart, subst, trans, orbit, _ = script.steps
+    blow, subst, trans, orbit, _ = script.steps
     assert blow.center == ("x", "y", "z")
-    assert chart.variable == "z"
+    assert blow.chart == "z"
     assert subst.expression == parse_poly("z + y*z^4")
     assert trans.value == parse_poly("i").constant_term
     assert orbit.count == 2
@@ -351,6 +366,7 @@ def test_script_directives():
         ("orbit", "usage"),
         ("frobnicate x", "unknown command"),
         ("blowup x y y", "duplicate"),
+        ("blowup x y z\nsubst z := z", "must be followed by chart"),
     ],
 )
 def test_script_errors(text, message_part):
@@ -358,6 +374,18 @@ def test_script_errors(text, message_part):
         parse_script(text)
     assert message_part in info.value.message
     assert info.value.span is not None
+
+
+def test_missing_chart_is_reported_after_the_line_errors():
+    with pytest.raises(ScriptError, match="must be followed by chart") as info:
+        parse_script("blowup x y z\nsubst z := z")
+    assert info.value.span == SourceSpan(2, 1, 5)
+    # An error inside the line after the blowup wins over the missing chart.
+    with pytest.raises(ParseError) as info:
+        parse_script("blowup x y z\nsubst z := (")
+    assert not isinstance(info.value, ScriptError)
+    assert info.value.message == "unexpected end of expression"
+    assert info.value.span == SourceSpan(2, 13, 1)
 
 
 def test_script_spans_use_line_numbers():

@@ -128,7 +128,7 @@ def test_multiplicity_requires_attained_value():
 
 def test_candidates_reject_unexpanded_tree():
     root = make_root_chart(P("x^2 + y^2"))
-    tree = ResolutionTree(P("x^2 + y^2"), TreeNode(root, ()), ())
+    tree = ResolutionTree(P("x^2 + y^2"), TreeNode(root, ()))
     with pytest.raises(ChartError):
         divisor_candidates(tree)
 
@@ -143,7 +143,6 @@ def test_candidates_reject_divisor_seen_with_two_exponent_pairs():
     bad = ResolutionTree(
         tree.root_polynomial,
         TreeNode(tree.root.chart, (TreeNode(forged, ()), uy, uz)),
-        (),
     )
     assert len(divisor_candidates(tree)) == 1
     with pytest.raises(InternalInconsistencyError, match="E@root"):
