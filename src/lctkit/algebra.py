@@ -27,8 +27,11 @@ coefficients in O(terms); a coefficient of 1 skips the scaling. A blow-up
 chart map sends each variable to a monomial, so `substitute` folds each
 one-term image c * x^a into an integer exponent map: a term's exponent e of
 the mapped variable adds e * a to the exponents it keeps and multiplies its
-coefficient by c^e (skipped for c = 1). Only images with several terms, such
-as translations, go through `_mul_terms`, in the same loop. A one-term
+coefficient by c^e (skipped for c = 1), and with no other image the result
+term goes straight into the output dict. Only images with several terms,
+such as translations, go through `_mul_terms`, in the same loop; the powers
+a wide image needs are built in ascending order, each as the next lower one
+times the image to the power of the gap, not each from scratch. A one-term
 Polynomial to the n-th power multiplies its exponents by n and takes one
 coefficient power. FieldElement * and ** with a rational operand (every
 coordinate above degree 0 is zero) scale the coordinates by one Fraction, or
@@ -718,25 +721,25 @@ class Polynomial:
         # c, or None for c = 1; an image with several terms as itself.
         monomials: list[tuple[int, list, Optional[FieldElement]]] = []
         wide: list[tuple[int, Polynomial]] = []
-        mapped: set[int] = set()
+        keep = [True] * len(self.variables)
         for i, name in enumerate(self.variables):
             img = assignments.get(name)
             if img is None:
                 continue
             self._check_ring(img)
-            mapped.add(i)
+            keep[i] = False
             if len(img.terms) == 1:
                 (a, c), = img.terms.items()
                 shift = [(k, n) for k, n in enumerate(a) if n]
                 monomials.append((i, shift, None if c == self.field.one() else c))
             else:
                 wide.append((i, img))
+        powers = [(i, self._powers(img, i)) for i, img in wide]
         terms: Terms = {}
-        powers: dict[tuple[int, int], Terms] = {}
         for exps, coeff in self.terms.items():
             # Unmapped variables keep their exponents; each one-term image
             # adds e * a to them and multiplies the coefficient by c^e.
-            out = [0 if i in mapped else e for i, e in enumerate(exps)]
+            out = [e if k else 0 for e, k in zip(exps, keep)]
             for i, shift, c in monomials:
                 e = exps[i]
                 if e:
@@ -744,17 +747,36 @@ class Polynomial:
                         out[k] += e * n
                     if c is not None:
                         coeff = coeff * c**e
-            term = {tuple(out): coeff}
-            for i, img in wide:
-                e = exps[i]
-                if e:
-                    pw = powers.get((i, e))
-                    if pw is None:
-                        pw = powers[i, e] = (img**e).terms
-                    term = _mul_terms(term, pw)
-            # This also drops a coefficient that folded to 0 (zero divisors).
-            _add_into(terms, term)
+            key = tuple(out)
+            if powers:
+                term = {key: coeff}
+                for i, pw in powers:
+                    e = exps[i]
+                    if e:
+                        term = _mul_terms(term, pw[e])
+                _add_into(terms, term)
+                continue
+            # _add_into for the one term: a sum that cancels is deleted, and
+            # a coefficient that folded to 0 (zero divisors) is not stored.
+            cur = terms.get(key)
+            new = coeff if cur is None else cur + coeff
+            if new:
+                terms[key] = new
+            elif cur is not None:
+                del terms[key]
         return self._with_terms(terms)
+
+    def _powers(self, img: "Polynomial", i: int) -> dict[int, Terms]:
+        """img**e for every positive exponent e of variable i in this
+        polynomial, each built from the next lower one by img**(gap)."""
+        one = {(0,) * len(self.variables): self.field.one()}
+        powers: dict[int, Terms] = {}
+        last = 0
+        for e in sorted({exps[i] for exps in self.terms} - {0}):
+            gap = img.terms if e - last == 1 else _pow_terms(img.terms, e - last, one)
+            powers[e] = _mul_terms(powers[last], gap) if last else gap
+            last = e
+        return powers
 
     def monomial_content(self, name: str) -> tuple[int, "Polynomial"]:
         """Split off the largest power of one variable: f = name**k * g with

@@ -6,18 +6,31 @@ divisor: `divisors[v]` is the PoleIndex (id, k, h) of {v = 0}, where the id
 names the blow-up (or root hyperplane) that created the divisor, k is the
 order of the total transform and h the order of the Jacobian determinant
 along it. The variables with a record are the chart's `exceptional` ones.
-The defining identity
+A chart carries its total transform `total` = strict * (prod e**k_e),
+built once with `*`. The root chart's total must equal f, and the
+defining identity
 
-    f(map_from_root) = (prod of e**k_e) * strict
+    (parent total)(step map) = child total
 
-is asserted exactly across every blow-up and translation, and the rewrite
-of apply_affine is checked to reproduce the strict transform. A chart
-stores only its path (`steps`); map_from_root is derived from it on demand,
-by composing the step maps of _step_substitution, and is None once a
-triangular (power-series) rewrite is on the path.
+is asserted exactly across every blow-up and translation, so the chain of
+checks is anchored at f. The rewrite of apply_affine is checked to
+reproduce the strict transform. A chart stores only its path (`steps`);
+map_from_root is derived from it on demand, by composing the step maps of
+_step_substitution, and is None once a triangular (power-series) rewrite is
+on the path.
 
-_step_substitution is the one source of step geometry: child strict
-transforms, the identity check, map_from_root and the Jacobian audit
+Two independent codes pull a strict transform back through an origin
+blow-up. blowup_origin builds each child's strict transform directly as an
+integer exponent map: in chart U_v, v's exponent becomes the order of the
+term along the center, and the chart's order c of the strict transform is
+divided out, all in one pass over the parent's terms with the coefficients
+reused. The identity check instead substitutes the step map of
+_step_substitution into the parent's total with Polynomial.substitute,
+which does not use that code. Translations and rewrites build their strict
+transforms with Polynomial.substitute from the same step maps.
+
+_step_substitution is the one source of step maps: the identity check,
+translate, apply_affine, map_from_root and the Jacobian audit
 (verify_jacobian, which tests call and resolve does not) all read it.
 
 One recursive walk, `_expand`, builds every resolution tree. It follows
@@ -71,7 +84,7 @@ class PoleIndex:
     k: int
     h: int
 
-    @property
+    @cached_property
     def value(self) -> Fraction:
         return Fraction(self.h + 1, self.k)
 
@@ -132,21 +145,36 @@ class RewriteStep:
 PathStep = Union[BlowupStep, TranslateStep, RewriteStep]
 
 
+def _columns(variables: tuple[str, ...], names: Sequence[str]) -> tuple[int, ...]:
+    """The positions of the named variables in the chart's variable tuple."""
+    return tuple(variables.index(name) for name in names)
+
+
+def _unit_monomial(
+    field: NumberField, variables: tuple[str, ...], columns: Sequence[int]
+) -> Polynomial:
+    """The product of the variables at the given distinct columns."""
+    exps = [0] * len(variables)
+    for k in columns:
+        exps[k] = 1
+    return Polynomial._trusted(field, variables, {tuple(exps): field.one()})
+
+
 def _step_substitution(
     field: NumberField, variables: tuple[str, ...], step: PathStep
 ) -> Optional[dict[str, Polynomial]]:
     """The coordinate map of one step: each old coordinate it moves, as a
     polynomial in the new ones. None for a triangular rewrite, whose inverse
-    is only a power series. This is the only code that knows what a step
-    kind does to coordinates."""
+    is only a power series. This is the only code that gives a step kind's
+    map as polynomials."""
     if isinstance(step, BlowupStep):
-        v = step.chart_variable
+        j = variables.index(step.chart_variable)
         return {
-            w: Polynomial.monomial(field, variables, {w: 1, v: 1})
-            for w in step.center
-            if w != v
+            w: _unit_monomial(field, variables, (k, j))
+            for w, k in zip(step.center, _columns(variables, step.center))
+            if k != j
         }
-    moved = Polynomial.monomial(field, variables, {step.variable: 1})
+    moved = _unit_monomial(field, variables, (variables.index(step.variable),))
     if isinstance(step, TranslateStep):
         return {step.variable: moved + step.value}
     if not step.exact_inverse:
@@ -165,6 +193,15 @@ class Chart:
     strict: Polynomial
     status: ChartStatus
     orbit_factor: int = 1
+
+    @cached_property
+    def total(self) -> Polynomial:
+        """The total transform strict * (prod e**k_e), built once per chart:
+        the right-hand side of the identity check that made this chart, and
+        the parent side of the checks of its children."""
+        divisors, field, variables = self.divisors, self.field, self.variables
+        exps = tuple(divisors[v].k if v in divisors else 0 for v in variables)
+        return self.strict * Polynomial._trusted(field, variables, {exps: field.one()})
 
     @property
     def exceptional(self) -> tuple[str, ...]:
@@ -221,18 +258,13 @@ def _assert_content_free(chart: Chart) -> None:
             )
 
 
-def _monomial_times_strict(chart: Chart) -> Polynomial:
-    exponents = {e: record.k for e, record in chart.divisors.items()}
-    return chart.strict * Polynomial.monomial(chart.field, chart.variables, exponents)
-
-
 def _assert_step_identity(
     parent_total: Polynomial, child: Chart, substitution: Mapping[str, Polynomial]
 ) -> None:
-    """The parent's total transform must pull back exactly across one step."""
-    lhs = parent_total.substitute(dict(substitution))
-    rhs = _monomial_times_strict(child)
-    if lhs != rhs:
+    """The parent's total transform must pull back exactly across one step
+    to the child's total. The left side goes through Polynomial.substitute,
+    not through the exponent map that built an origin blow-up's child."""
+    if parent_total.substitute(substitution) != child.total:
         raise InternalInconsistencyError(
             f"total transform identity failed at {child.path_text()}"
         )
@@ -275,6 +307,11 @@ def make_root_chart(f: Polynomial) -> Chart:
         status=_classify(strict),
     )
     _assert_content_free(chart)
+    # Every later identity check reads this total as its parent side.
+    if chart.total != f:
+        raise InternalInconsistencyError(
+            "the root chart's total transform differs from f"
+        )
     return chart
 
 
@@ -309,31 +346,41 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     if len(center) < 2:
         raise ChartError("center must contain at least 2 variables")
     center = tuple(v for v in chart.variables if v in center)
-    s = len(center)
-    divisor = f"E@{chart.path_text()}"
-    total = _monomial_times_strict(chart)
-    children = []
-    for v in center:
-        step = BlowupStep(center, v, divisor)
-        substitution = _step_substitution(chart.field, chart.variables, step)
-        pulled = chart.strict.substitute(substitution)
-        c, strict_child = pulled.monomial_content(v)
-        if c < 1:
-            raise InternalInconsistencyError(
-                f"blow-up produced no exceptional order in chart U_{v}"
-            )
-        # The new divisor collects the orders of every divisor through the
-        # center, plus c for f and s - 1 for the Jacobian of the blow-up.
-        below = [chart.divisors[w] for w in center if w in chart.divisors]
-        record = PoleIndex(
-            divisor,
-            sum(r.k for r in below) + c,
-            sum(r.h for r in below) + (s - 1),
+    columns = _columns(chart.variables, center)
+    # In every chart U_v, v's exponent in a term becomes the term's order
+    # along the center, and v**c divides out, c the least such order.
+    terms = chart.strict.terms.items()
+    orders = [sum([exps[k] for k in columns]) for exps, _ in terms]
+    c = min(orders)
+    if c < 1:
+        raise InternalInconsistencyError(
+            f"blow-up produced no exceptional order in chart U_{center[0]}"
         )
+    # The new divisor collects the orders of every divisor through the
+    # center, plus c for f and s - 1 for the Jacobian of the blow-up.
+    divisor = f"E@{chart.path_text()}"
+    below = [chart.divisors[w] for w in center if w in chart.divisors]
+    record = PoleIndex(
+        divisor,
+        sum(r.k for r in below) + c,
+        sum(r.h for r in below) + (len(center) - 1),
+    )
+    children = []
+    for v, j in zip(center, columns):
+        # The exponent map is injective, so the coefficients carry over.
+        strict_child = chart.strict._with_terms(
+            {
+                exps[:j] + (order - c,) + exps[j + 1 :]: coeff
+                for (exps, coeff), order in zip(terms, orders)
+            }
+        )
+        step = BlowupStep(center, v, divisor)
         child = _child(
             chart, step, strict_child, divisors={**chart.divisors, v: record}
         )
-        _assert_step_identity(total, child, substitution)
+        _assert_step_identity(
+            chart.total, child, _step_substitution(chart.field, chart.variables, step)
+        )
         children.append(child)
     new = {child.divisors[child.steps[-1].chart_variable] for child in children}
     if len(new) != 1:
@@ -378,7 +425,7 @@ def translate(chart: Chart, var: str, value) -> Chart:
     if localized:
         strict_new = substitution[var] ** divisors.pop(var).k * strict_new
     child = _child(chart, step, strict_new, divisors=divisors)
-    _assert_step_identity(_monomial_times_strict(chart), child, substitution)
+    _assert_step_identity(chart.total, child, substitution)
     return child
 
 
@@ -695,6 +742,19 @@ def _expand(chart: Chart, steps: tuple[ScriptStep, ...], max_depth: int) -> Tree
     return TreeNode(chart, tuple(nodes))
 
 
+def _check_script_shape(steps: tuple[ScriptStep, ...]) -> None:
+    """Refuse a script whose later steps the walk could not reach: a step
+    after a `stop`, or after a blowup with no chart to follow. parse_script
+    never builds one; a script assembled by hand can."""
+    for step in steps[:-1]:
+        if isinstance(step, StopDirective):
+            raise ScriptError("no steps allowed after stop", step.span)
+        if isinstance(step, BlowupDirective) and step.chart is None:
+            raise ScriptError(
+                "blowup must be followed by chart (or end the script)", step.span
+            )
+
+
 def resolve(f: Polynomial, strategy: Strategy) -> ResolutionTree:
     """Build the resolution tree for f (which must vanish at the origin).
 
@@ -709,6 +769,7 @@ def resolve(f: Polynomial, strategy: Strategy) -> ResolutionTree:
         steps: tuple[ScriptStep, ...] = ()
     elif isinstance(strategy, Scripted):
         steps = strategy.script.steps
+        _check_script_shape(steps)
     else:
         raise ChartError(f"unknown strategy {strategy!r}")
     return ResolutionTree(f, _expand(root, steps, strategy.max_depth))
@@ -720,8 +781,8 @@ def total_transform_identity(tree: ResolutionTree, chart: Chart) -> bool:
     constant-Jacobian rescaling legitimately introduces."""
     if chart.map_from_root is None:
         return True
-    lhs = tree.root_polynomial.substitute(dict(chart.map_from_root))
-    rhs = _monomial_times_strict(chart)
+    lhs = tree.root_polynomial.substitute(chart.map_from_root)
+    rhs = chart.total
     if lhs == rhs:
         return True
     if lhs.is_zero() or rhs.is_zero():

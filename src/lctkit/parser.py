@@ -136,6 +136,24 @@ class _Session:
         }
 
 
+_SESSIONS: dict[tuple[int, tuple[str, ...]], _Session] = {}
+
+
+def _session(field: NumberField, variables: Sequence[str]) -> _Session:
+    """The session of one ring, built and validated once. Sessions are never
+    changed, so sharing one between calls shares no state. The key is the
+    field's identity: the cached session holds the field, so the id cannot
+    be reused while the entry lives. Only a session that validated is
+    cached, so a bad variable list raises its ParseError on every call."""
+    key = (id(field), tuple(variables))
+    session = _SESSIONS.get(key)
+    if session is None:
+        if len(_SESSIONS) >= 64:
+            _SESSIONS.clear()
+        session = _SESSIONS[key] = _Session(field, key[1])
+    return session
+
+
 class _ExprParser:
     def __init__(self, source: _Tokens, pos: int, session: _Session):
         self.source = source
@@ -255,7 +273,7 @@ def parse_poly(
     variables: Sequence[str] = DEFAULT_VARIABLES,
 ) -> Polynomial:
     """Parse an expression into an exact Polynomial over the session ring."""
-    session = _Session(field, variables)
+    session = _session(field, variables)
     source = _Tokens(text)
     if not source.tokens[0]:
         raise ParseError("empty expression", source.span(0))
@@ -381,7 +399,7 @@ def parse_script(
     the chart to follow), `subst z := z + y*z^4`, `translate z := z - 1`,
     `orbit 2`, `stop`. Blank lines and text after '#' are ignored.
     """
-    session = _Session(field, variables)
+    session = _session(field, variables)
     steps: list[ScriptStep] = []
     stopped = False
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -6,7 +6,9 @@ Every exceptional divisor seen in a leaf chart contributes the candidate
 in several sibling charts is counted once; its record (id, k, h) is
 asserted equal across sightings. Charts under an orbit annotation stand for
 several points with identical local analysis, and the divisors born below
-them are replicated accordingly under suffixed ids.
+them are replicated accordingly under suffixed ids. lambda_uncapped reads
+the candidates, their multiplicity and the certificate off one walk of the
+tree.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .blowup import BlowupStep, ChartStatus, PoleIndex, ResolutionTree, TreeNode
+from .blowup import (
+    BlowupStep,
+    Chart,
+    ChartStatus,
+    PoleIndex,
+    ResolutionTree,
+    TreeNode,
+)
 from .errors import ChartError, InternalInconsistencyError
 from .newton import NewtonData
 
@@ -31,25 +40,32 @@ class PoleReport:
     newton_agrees: Optional[bool] = None
 
 
-def _birth_factors(node: TreeNode, inherited: int, out: dict[str, int]) -> None:
-    factor = inherited * node.chart.orbit_factor
-    for child in node.children:
-        last = child.chart.steps[-1] if child.chart.steps else None
-        if isinstance(last, BlowupStep):
-            out[last.divisor] = factor
-        _birth_factors(child, factor, out)
+def _survey(tree: ResolutionTree) -> tuple[list[Chart], dict[str, int]]:
+    """One walk over the tree: the leaf charts in order, and for each divisor
+    born at a blow-up the orbit factor in force where it was born."""
+    leaves: list[Chart] = []
+    factors: dict[str, int] = {}
+
+    def walk(node: TreeNode, inherited: int) -> None:
+        factor = inherited * node.chart.orbit_factor
+        if not node.children:
+            leaves.append(node.chart)
+        for child in node.children:
+            last = child.chart.steps[-1] if child.chart.steps else None
+            if isinstance(last, BlowupStep):
+                factors[last.divisor] = factor
+            walk(child, factor)
+
+    walk(tree.root, 1)
+    return leaves, factors
 
 
-def divisor_candidates(tree: ResolutionTree) -> tuple[PoleIndex, ...]:
-    """Candidates (h+1)/k from every exceptional divisor in every leaf,
-    deduplicated by the divisor's creating event and replicated by the orbit
-    factor in force where it was created."""
-    leaves = list(tree.leaves())
-    if any(leaf.chart.status is ChartStatus.OPEN for leaf in leaves):
+def _candidates(leaves: list[Chart], factors: dict[str, int]) -> tuple[PoleIndex, ...]:
+    if any(leaf.status is ChartStatus.OPEN for leaf in leaves):
         raise ChartError("tree has unresolved Open leaves")
     seen: dict[str, PoleIndex] = {}
     for leaf in leaves:
-        for record in leaf.chart.divisors.values():
+        for record in leaf.divisors.values():
             prior = seen.setdefault(record.divisor, record)
             if prior != record:
                 raise InternalInconsistencyError(
@@ -57,26 +73,34 @@ def divisor_candidates(tree: ResolutionTree) -> tuple[PoleIndex, ...]:
                     f"{(record.k, record.h)} in one chart and "
                     f"{(prior.k, prior.h)} in another"
                 )
-    factors: dict[str, int] = {}
-    _birth_factors(tree.root, 1, factors)
     out = []
     for divisor, record in seen.items():
-        for copy in range(factors.get(divisor, 1)):
-            name = divisor if copy == 0 else f"{divisor}~{copy + 1}"
-            out.append(PoleIndex(name, record.k, record.h))
+        out.append(record)
+        for copy in range(2, factors.get(divisor, 1) + 1):
+            out.append(PoleIndex(f"{divisor}~{copy}", record.k, record.h))
     return tuple(sorted(out, key=lambda c: (c.value, c.divisor)))
+
+
+def _multiplicity(leaves: list[Chart], value: Fraction) -> int:
+    best = max(
+        sum(1 for r in leaf.divisors.values() if r.value == value) for leaf in leaves
+    )
+    if best == 0:
+        raise ChartError(f"value {value} is not attained in any leaf chart")
+    return best
+
+
+def divisor_candidates(tree: ResolutionTree) -> tuple[PoleIndex, ...]:
+    """Candidates (h+1)/k from every exceptional divisor in every leaf,
+    deduplicated by the divisor's creating event and replicated by the orbit
+    factor in force where it was created."""
+    return _candidates(*_survey(tree))
 
 
 def multiplicity(tree: ResolutionTree, value: Fraction) -> int:
     """Largest number of divisors meeting in one leaf chart that all attain
     the given candidate value."""
-    best = 0
-    for leaf in tree.leaves():
-        count = sum(1 for r in leaf.chart.divisors.values() if r.value == value)
-        best = max(best, count)
-    if best == 0:
-        raise ChartError(f"value {value} is not attained in any leaf chart")
-    return best
+    return _multiplicity(_survey(tree)[0], value)
 
 
 def lambda_uncapped(
@@ -88,18 +112,17 @@ def lambda_uncapped(
     bound). A smooth input with no content yields no candidates; the capped
     value is then 1.
     """
-    candidates = divisor_candidates(tree)
+    leaves, factors = _survey(tree)
+    candidates = _candidates(leaves, factors)
     if candidates:
-        lam: Optional[Fraction] = min(c.value for c in candidates)
-        mult = multiplicity(tree, lam)
+        lam: Optional[Fraction] = candidates[0].value
+        mult = _multiplicity(leaves, lam)
         capped = min(Fraction(1), lam)
     else:
         lam = None
         mult = 1
         capped = Fraction(1)
-    certified = all(
-        leaf.chart.status is ChartStatus.UNIT_STRICT for leaf in tree.leaves()
-    )
+    certified = all(leaf.status is ChartStatus.UNIT_STRICT for leaf in leaves)
     newton_value = newton.lambda_np if newton is not None else None
     newton_agrees = None if newton is None else (lam == newton_value)
     return PoleReport(

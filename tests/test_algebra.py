@@ -503,6 +503,49 @@ def test_substitute_matches_expansion(case):
     assert plain(as_poly(field, f).substitute(mapping)) == expand(field, f, images)
 
 
+def power_expansion(f, name, image):
+    """f with `name` replaced by image, one term at a time: the term's other
+    exponents times image**e, each power taken by Polynomial.__pow__."""
+    k = f.variables.index(name)
+    out = Polynomial.zero(f.field, f.variables)
+    for exps, c in f.terms.items():
+        rest = Polynomial(f.field, f.variables, {exps[:k] + (0,) + exps[k + 1 :]: c})
+        out = out + rest * image ** exps[k]
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^2*z^2 + (1+i)*y*z^7", "z^7 + x*z^2", "x^3 + z^2*y + i*z^3 + z^5*x", "x*y"],
+)
+def test_wide_image_powers_match_binary_powering(text):
+    # Powers of a wide image are built incrementally, each from the next
+    # lower exponent that f needs; here the z exponents are sparse.
+    f = parse_poly(text)
+    for image in ("z + i", "z + y - 2", "x*z + i*y + z^2"):
+        img = parse_poly(image)
+        assert f.substitute({"z": img}) == power_expansion(f, "z", img)
+
+
+@st.composite
+def sparse_z_cases(draw):
+    """f with one term per z exponent from a sparse set up to 7, and a wide
+    image for z."""
+    field = draw(st.sampled_from(FIELDS))
+    z_exponents = draw(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True))
+    low = st.integers(0, 2)
+    f = {(draw(low), draw(low), e): draw(field_coeffs(field)) for e in z_exponents}
+    image = draw(ring_terms(field, 3, 1).filter(lambda t: len(t) > 1))
+    return as_poly(field, f), as_poly(field, image)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sparse_z_cases())
+def test_sparse_exponents_of_a_wide_image(case):
+    f, img = case
+    assert f.substitute({"z": img}) == power_expansion(f, "z", img)
+
+
 def test_seeded_generator_shapes():
     import random
 

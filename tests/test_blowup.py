@@ -1,11 +1,13 @@
 """Blow-up charts: substitution bookkeeping, classification, and drivers."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from lctkit import (
+    GAUSS,
     Auto,
     ChartError,
     ChartStatus,
@@ -13,6 +15,7 @@ from lctkit import (
     InternalInconsistencyError,
     PoleIndex,
     Polynomial,
+    ScriptError,
     Scripted,
     UnitInputError,
     ZeroPolynomialError,
@@ -30,7 +33,14 @@ from lctkit import (
 )
 import lctkit.blowup as blowup_module
 from lctkit.blowup import _classify, _verify_stepwise
-from test_algebra import as_poly, field_and, ring_terms
+from lctkit.parser import (
+    BlowupDirective,
+    ResolutionScript,
+    SourceSpan,
+    StopDirective,
+    SubstDirective,
+)
+from test_algebra import as_poly, field_and, field_coeffs, ring_terms
 
 P = parse_poly
 
@@ -195,6 +205,86 @@ def test_step_identity_catches_a_corrupted_child(monkeypatch, step, corrupt):
     )
     with pytest.raises(InternalInconsistencyError, match="identity failed at U_z/"):
         step(chart)
+
+
+def test_root_chart_total_is_anchored_at_f(monkeypatch):
+    # Every identity check reads the root's total as the start of its chain,
+    # so a wrong content split must fail at the root itself.
+    f = P("x^2*y^2 + x^3*y^2")
+    assert make_root_chart(f).total == f
+    split = Polynomial.coordinate_content
+
+    def corrupted(self):
+        content, strict = split(self)
+        return {**content, "x": content["x"] + 1}, strict
+
+    monkeypatch.setattr(Polynomial, "coordinate_content", corrupted)
+    with pytest.raises(InternalInconsistencyError, match="root chart"):
+        make_root_chart(f)
+
+
+def reference_children(chart, center):
+    """blowup_origin by the schoolbook route: substitute w*v for every other
+    center variable w, then split off the largest power of v."""
+    field, variables = chart.field, chart.variables
+    var = lambda name: Polynomial.variable(field, variables, name)
+    below = [chart.divisors[w] for w in center if w in chart.divisors]
+    out = []
+    for v in center:
+        pulled = chart.strict.substitute({w: var(w) * var(v) for w in center if w != v})
+        c, strict = pulled.monomial_content(v)
+        k = sum(r.k for r in below) + c
+        h = sum(r.h for r in below) + len(center) - 1
+        record = PoleIndex(f"E@{chart.path_text()}", k, h)
+        if strict.constant_term:
+            status = ChartStatus.UNIT_STRICT
+        elif any(strict.partial(w).constant_term for w in variables):
+            status = ChartStatus.SMOOTH_STRICT
+        else:
+            status = ChartStatus.OPEN
+        out.append((strict, {**chart.divisors, v: record}, status))
+    return out
+
+
+def blowable(chart, center):
+    """The chart is Open and every strict term meets the center."""
+    columns = [chart.variables.index(w) for w in center]
+    return chart.status is ChartStatus.OPEN and all(
+        any(exps[k] for k in columns) for exps in chart.strict.terms
+    )
+
+
+@st.composite
+def gauss_polys(draw):
+    """A GAUSS polynomial in 2-4 variables with every term of degree >= 2,
+    so coordinate content and Open roots are both common."""
+    variables = ("x", "y", "z", "w")[: draw(st.integers(2, 4))]
+    exps = st.tuples(*[st.integers(0, 3)] * len(variables)).filter(
+        lambda e: sum(e) >= 2
+    )
+    keys = draw(st.lists(exps, min_size=1, max_size=5, unique=True))
+    terms = {e: GAUSS.element(draw(field_coeffs(GAUSS))) for e in keys}
+    return Polynomial(GAUSS, variables, terms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(gauss_polys())
+def test_blowup_children_match_the_schoolbook_pullback(f):
+    # The children are built by an exponent map; the reference goes through
+    # substitute and monomial_content. Each Open child of the full center is
+    # blown up once more, so records below the center are summed too.
+    charts = [make_root_chart(f)]
+    full = f.variables
+    for child in blowup_origin(charts[0], full) if blowable(charts[0], full) else ():
+        charts.append(child)
+    for chart in charts:
+        for size in range(2, len(full) + 1):
+            for center in combinations(full, size):
+                if not blowable(chart, center):
+                    continue
+                children = blowup_origin(chart, center)
+                got = [(c.strict, dict(c.divisors), c.status) for c in children]
+                assert got == reference_children(chart, center)
 
 
 def test_sibling_charts_share_divisor_id():
@@ -397,6 +487,31 @@ def test_scripted_rejects_blowup_on_finished_chart():
     script = parse_script("blowup x y z\nchart x\nblowup x y z\nchart x")
     with pytest.raises(ScriptError):
         resolve(P("x^2 + y^2 + z^3"), Scripted(script, max_depth=10))
+
+
+def test_script_steps_past_a_bare_blowup_are_refused():
+    # parse_script never builds this shape; a hand-built script must not
+    # lose the subst silently.
+    at = SourceSpan(1, 1, 6)
+    steps = (
+        BlowupDirective(("x", "y", "z"), at),
+        SubstDirective("z", P("z + y*z^4"), at),
+    )
+    with pytest.raises(ScriptError, match="must be followed by chart") as info:
+        resolve(P("x^2 + y^2*z + z^4"), Scripted(ResolutionScript(steps)))
+    assert info.value.span == at
+    # With the chart named, the same steps reach U_y/S_z.
+    named = (replace(steps[0], chart="y"), steps[1])
+    tree = resolve(P("x^2 + y^2*z + z^4"), Scripted(ResolutionScript(named)))
+    assert "U_y/S_z" in {node.chart.path_text() for node in tree.nodes()}
+
+
+def test_script_steps_past_stop_are_refused():
+    at, later = SourceSpan(1, 1, 4), SourceSpan(2, 1, 6)
+    steps = (StopDirective(at), BlowupDirective(("x", "y", "z"), later))
+    with pytest.raises(ScriptError, match="after stop") as info:
+        resolve(P("x^2 + y^2 + z^3"), Scripted(ResolutionScript(steps)))
+    assert info.value.span == at
 
 
 # -- full-tree invariants ----------------------------------------------------------

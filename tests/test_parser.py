@@ -72,6 +72,25 @@ def test_custom_variables():
         parse_poly("x", variables=("u", "v"))
 
 
+def test_one_session_per_ring_and_bad_rings_always_raise():
+    # A session is built once per (field, variables) and reused; a variable
+    # list that fails validation is never cached, so it raises every time.
+    from lctkit.parser import _session
+
+    assert _session(GAUSS, ("x", "y")) is _session(GAUSS, ["x", "y"])
+    assert _session(GAUSS, ("x", "y")) is not _session(GAUSS, ("y", "x"))
+    for _ in range(2):
+        with pytest.raises(ParseError, match="duplicate variables"):
+            parse_poly("x", variables=("x", "x"))
+        with pytest.raises(ParseError, match="collides"):
+            parse_script("stop", variables=("x", "i"))
+    # An equal field that is another object keeps its own identity.
+    twin = NumberField.make((1, 0, 1), "i")
+    assert twin == GAUSS and twin is not GAUSS
+    assert parse_poly("x + i", twin).field is twin
+    assert parse_poly("x + i").field is GAUSS
+
+
 @pytest.mark.parametrize(
     "name,accepted",
     [

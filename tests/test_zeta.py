@@ -8,6 +8,7 @@ import pytest
 from lctkit import (
     Auto,
     ChartError,
+    ChartStatus,
     InternalInconsistencyError,
     PoleIndex,
     ResolutionTree,
@@ -35,6 +36,9 @@ def report_for(text, depth=12):
 def test_pole_index_value():
     assert PoleIndex("E@root", k=4, h=4).value == Fraction(5, 4)
     assert PoleIndex("E@root", k=2, h=0).value == Fraction(1, 2)
+    record = PoleIndex("E@root", k=6, h=4)
+    assert record.value is record.value  # built once per record
+    assert replace(record, h=5).value == 1
 
 
 def test_a5_certified_chain():
@@ -117,6 +121,27 @@ def test_orbit_replicates_divisors():
     # the three minimal divisors never pass through a common point, so the
     # pole order stays 1 (multiplicity counts divisors met inside one chart)
     assert rep.multiplicity == 1
+
+
+@pytest.mark.parametrize(
+    "family,n,depth", [("A", 5, 12), ("D", 4, 12), ("D", 7, 12), ("E7", None, 6)]
+)
+def test_report_matches_separate_walks(family, n, depth):
+    # lambda_uncapped walks the tree once; each field must equal its own
+    # definition read off tree.leaves().
+    script = Scripted(scripted_resolution(family, n), depth)
+    tree = resolve(generator(family, n), script)
+    rep = lambda_uncapped(tree)
+    leaves = [leaf.chart for leaf in tree.leaves()]
+    lam = min(Fraction(c.h + 1, c.k) for c in rep.candidates)
+    assert rep.lambda_uncapped == lam
+    assert rep.candidates == divisor_candidates(tree)
+    assert rep.multiplicity == multiplicity(tree, lam) == max(
+        sum(Fraction(r.h + 1, r.k) == lam for r in leaf.divisors.values())
+        for leaf in leaves
+    )
+    unit = ChartStatus.UNIT_STRICT
+    assert rep.certified == all(leaf.status is unit for leaf in leaves)
 
 
 def test_multiplicity_requires_attained_value():
