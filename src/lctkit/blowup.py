@@ -353,8 +353,15 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     orders = [sum([exps[k] for k in columns]) for exps, _ in terms]
     c = min(orders)
     if c < 1:
-        raise InternalInconsistencyError(
-            f"blow-up produced no exceptional order in chart U_{center[0]}"
+        # A term of order 0 along the center does not vanish on it: the
+        # caller's center misses the hypersurface. Auto's centers hold every
+        # variable the strict transform involves, so only a script's can.
+        exps, coeff = next(t for t, order in zip(terms, orders) if order < 1)
+        raise ChartError(
+            f"blow-up center {{{' = '.join(center)} = 0}} at "
+            f"{chart.path_text()} does not lie on the strict transform: its "
+            f"term {format_poly(chart.strict._with_terms({exps: coeff}))} "
+            "does not vanish there"
         )
     # The new divisor collects the orders of every divisor through the
     # center, plus c for f and s - 1 for the Jacobian of the blow-up.

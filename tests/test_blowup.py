@@ -324,6 +324,18 @@ def test_center_validation():
         blowup_origin(root, ("x", "w"))
 
 
+def test_center_must_lie_on_the_strict_transform():
+    root = make_root_chart(P("x^2 + y^2 + z^3"))
+    with pytest.raises(ChartError, match=r"center \{x = y = 0\} at root .* term z\^3"):
+        blowup_origin(root, ("x", "y"))
+    # deeper down, the chart's own strict transform decides
+    uz = blowup_origin(make_root_chart(P("x^2 + y^2 + z^6")), ("x", "y", "z"))[2]
+    assert uz.strict == P("x^2 + y^2 + z^4")
+    with pytest.raises(ChartError, match=r"center \{x = z = 0\} at U_z .* term y\^2"):
+        blowup_origin(uz, ("x", "z"))
+    assert len(blowup_origin(uz, ("x", "y", "z"))) == 3
+
+
 # -- affine substitutions -------------------------------------------------------
 
 

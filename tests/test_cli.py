@@ -287,6 +287,20 @@ def test_exit_1_blowup_on_a_resolved_chart(tmp_path):
     )
 
 
+def test_exit_1_blowup_center_off_the_hypersurface(tmp_path):
+    # z^3 does not vanish on the line {x = y = 0}: the script's center misses
+    # the hypersurface, which is an input error, not an internal one.
+    script = tmp_path / "xy.script"
+    script.write_text("blowup x y\nchart x\n")
+    code, out, err = run_cli(["pole", "x^2+y^2+z^3", "--script", str(script)])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: blow-up center {x = y = 0} at root does not lie on the strict "
+        "transform: its term z^3 does not vanish there\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, expected_code, golden",
     [

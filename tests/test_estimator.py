@@ -1,19 +1,23 @@
 """Monte Carlo level-set estimator: determinism, slopes, and failure modes."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from conftest import random_element
 
 from lctkit import (
     EISENSTEIN,
+    GAUSS,
     EstimatorConfig,
+    Polynomial,
     UnreliableEstimateError,
     estimate,
     hit_counts,
     parse_poly,
 )
-from lctkit.estimator import t_grid
+from lctkit.estimator import _compiled_terms, _evaluate, _power_table, t_grid
 
 P = parse_poly
 
@@ -192,6 +196,65 @@ def test_real_mode_counts_and_slope_are_pinned():
     assert e.stderr >= 0.0034672175788191726
 
 
+# Counts and fits at seed 7, taken when the powers went through pow. Real mode
+# must reproduce them bit for bit; complex mode must reproduce the counts, and
+# its floats to 1e-12 relative, since a multiplication chain may differ from
+# complex pow in the last ulp.
+PINNED_REAL = [
+    ("x^2+y^3+z^5", (36, 97, 264, 646, 1693, 4079, 9729, 22921),
+     0.8859172861696514, 0.010453046086429024),
+    ("x^4+y^4", (1348, 2231, 3716, 6095, 9901, 16175, 26724, 43931),
+     0.5025312354335343, 0.0026730753314362144),
+    ("x^2+y^2+z^3", (12, 29, 82, 229, 593, 1607, 4287, 11472),
+     0.9966215155389208, 0.010461627960866802),
+]
+PINNED_COMPLEX = [
+    ("x^2+y^3", (5153, 15193, 25218, 35169, 45287, 55328, 65559, 77410),
+     0.8052335893245993, 0.005259371316641281,
+     (4.7550733548012e-07, 2.480846592460596e-06, 1.1355113208816816e-05,
+      5.060334341378252e-05, 0.00026693558703678723, 0.0013646344229183457,
+      0.006581554137324764, 0.03135724652394321)),
+    ("x^2+y^4", (5153, 15193, 25220, 35176, 45311, 55400, 65743, 78105),
+     0.7359095956326275, 0.0028656323609902385,
+     (1.554553075446551e-06, 6.538807006411638e-06, 2.87893676429816e-05,
+      0.00012101756890269916, 0.0005237722964296203, 0.002286982061566768,
+      0.009634686340369717, 0.040868778413009246)),
+    ("z^3", (323, 602, 1187, 2295, 4533, 8795, 16705, 32354),
+     0.33366666952468355, 0.0021136717410372265,
+     (0.0021533333333333335, 0.004013333333333333, 0.007913333333333333,
+      0.0153, 0.03022, 0.058633333333333336,
+      0.11136666666666667, 0.21569333333333332)),
+    ("x^2+y^2+z^7", (5152, 15192, 25216, 35164, 45268, 55245, 65220, 76220),
+     0.9786298483508096, 0.005069973437167282,
+     (2.1805056288464555e-08, 1.4485594643976624e-07, 1.0247148857470543e-06,
+      7.461472248415978e-06, 5.579875808144571e-05, 0.00037001761635680375,
+      0.0024987126450534726, 0.0161468932945933)),
+    ("x^3*y^2+z^2", (5075, 14772, 24741, 34732, 44901, 55242, 65998, 79054),
+     0.7389888414208937, 0.016342301982112922,
+     (8.190370971720846e-07, 1.780668889703837e-06, 8.52100463486881e-06,
+      0.00011720648075416349, 0.0005684022021710035, 0.0030115421285872193,
+      0.013172610388034111, 0.05462927444724036)),
+]
+
+
+@pytest.mark.parametrize("text, hits, lam, stderr", PINNED_REAL)
+def test_real_mode_pins(text, hits, lam, stderr):
+    config = cfg("real", seed=7)
+    e = estimate(P(text), config)
+    assert hit_counts(P(text), config) == e.hit_counts == hits
+    assert (e.lambda_hat, e.stderr) == (lam, stderr)
+
+
+@pytest.mark.parametrize("text, hits, lam, stderr, volumes", PINNED_COMPLEX)
+def test_complex_mode_pins(text, hits, lam, stderr, volumes):
+    config = cfg("complex", seed=7)
+    e = estimate(P(text), config)
+    assert hit_counts(P(text), config) == e.hit_counts == hits
+    got = (e.lambda_hat, e.stderr, *e.volumes)
+    for a, b in zip(got, (lam, stderr, *volumes), strict=True):
+        assert a == pytest.approx(b, rel=1e-12, abs=0)
+
+
 def test_stderr_carries_the_birge_ratio():
     # x*y*z over R has vol ~ t log^2 t: the log-log curve bends, and the
     # spread of the levels about the line must widen the error.
@@ -209,3 +272,54 @@ def test_stderr_carries_the_birge_ratio():
     birge = math.sqrt(chi2 / (len(used) - 2))
     assert birge > 2
     assert e.stderr >= birge / math.sqrt(s_xx) * (1 - 1e-9)
+
+
+# -- evaluation kernel ---------------------------------------------------------
+
+
+def _kernel_case(seed, real):
+    """Eight terms in x, y, z, each axis raised to several exponents in 1-9
+    with gaps (no 4 or 8, so the table steps over missing powers), and
+    nonzero Q(i) coefficients (rational ones when `real`)."""
+    rng = random.Random(seed)
+    variables = ("x", "y", "z")
+    f = Polynomial.zero(GAUSS, variables)
+    while len(f.terms) < 8:
+        exps = {v: rng.choice((0, 1, 2, 3, 5, 6, 7, 9)) for v in variables}
+        coeff = random_element(rng, zero_ok=False)
+        if real:
+            coeff = GAUSS.element([coeff.coeffs[0] or 1, 0])
+        f = f + Polynomial.monomial(GAUSS, variables, exps, coeff)
+    return _compiled_terms(f)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("points_dtype, out_dtype", [
+    (np.float64, np.float64),  # real mode, rational coefficients
+    (np.float64, np.complex128),  # real mode, Q(i) coefficients
+    (np.complex128, np.complex128),  # complex mode
+])
+def test_kernel_matches_python_arithmetic(seed, points_dtype, out_dtype):
+    # 100 points a case, 500 a dtype: every power in the table and every sum
+    # against plain Python float / complex arithmetic, to 1e-12 relative.
+    terms = _kernel_case(seed, real=out_dtype is np.float64)
+    if out_dtype is np.float64:
+        terms = [(c.real, exps) for c, exps in terms]
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1, 1, size=(3, 100))
+    if points_dtype is np.complex128:
+        points = points + 1j * rng.uniform(-1, 1, size=(3, 100))
+    table = _power_table([terms], points)
+    needed = {(axis, e) for _, exps in terms for axis, e in enumerate(exps) if e}
+    assert set(table) == needed | {(axis, 1) for axis in range(3)}
+    for (axis, e), power in table.items():
+        assert power.dtype == points_dtype
+        for x, got in zip(points[axis].tolist(), power.tolist()):
+            assert abs(got - x**e) <= 1e-12 * abs(x**e)
+    values = _evaluate(terms, table, np.empty(100, dtype=out_dtype))
+    for j, got in enumerate(values.tolist()):
+        parts = [coeff * math.prod(points[axis, j].item() ** e
+                                   for axis, e in enumerate(exps))
+                 for coeff, exps in terms]
+        # relative to the size of the terms: the sum itself may cancel
+        assert abs(got - sum(parts)) <= 1e-12 * sum(map(abs, parts))
