@@ -67,12 +67,7 @@ from .parser import (
     parse_poly,
     parse_script,
 )
-from .zeta import (
-    PoleReport,
-    divisor_candidates,
-    lambda_uncapped,
-    multiplicity,
-)
+from .zeta import PoleReport, lambda_uncapped
 
 __version__ = "0.1.0"
 
@@ -134,8 +129,6 @@ __all__ = [
     "parse_script",
     "PoleIndex",
     "PoleReport",
-    "divisor_candidates",
     "lambda_uncapped",
-    "multiplicity",
     "__version__",
 ]

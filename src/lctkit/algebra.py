@@ -1,12 +1,13 @@
 """Exact arithmetic: a rational number field with one generator, and sparse
 multivariate polynomials over it.
 
-A NumberField is Q[t] modulo a monic rational polynomial. A modulus that is
-not squarefree or has a rational root is rejected up front; any other
-reducible modulus, such as (t^2+1)(t^2+2), is taken on faith: some inversion
-will eventually hit a zero divisor and raise, which is the designed failure
-mode. FieldElement and Polynomial are immutable values; every operation
-returns a new object and nothing here mutates shared state.
+A NumberField is Q[t] modulo a monic rational polynomial that is proved
+irreducible when the field is built: it has degree 1, or degree 2 or 3 and
+no rational root, since a factorization of such a polynomial needs a linear
+factor. Degree 4 and up is refused, since (t^2+1)(t^2+2) has no rational
+root either. Every ring is therefore a field, where a product of nonzero
+elements is nonzero. FieldElement and Polynomial are immutable values; every
+operation returns a new object and nothing here mutates shared state.
 
 Each ring result is built once. The public `Polynomial(...)` constructor
 guards outside input: it checks every exponent vector and coerces every
@@ -15,10 +16,8 @@ substitute, monomial_content, coefficient_of) combines terms that are already
 valid in one ring, so it builds its result with `_with_terms`, which skips
 those checks. That is sound only under the invariant every such path keeps:
 the exponent tuples have one entry per variable, and no stored coefficient
-is zero. Under an accepted but reducible modulus two nonzero coefficients
-can multiply to 0, e.g. (1 + a^2)(2 + a^2) mod a^4 + 3a^2 + 2, so every path
-that multiplies coefficients drops such terms itself, and is_zero() stays
-exact.
+is zero. A product of stored coefficients is then nonzero, so only sums can
+cancel, and is_zero() stays exact.
 
 One term-dict product, `_mul_terms`, serves `*` and `**`, and one term-dict
 power, `_pow_terms`, serves `**` and the parser. A one-term factor, such as
@@ -206,40 +205,42 @@ class NumberField:
     """Q(g) for g a root of a monic rational polynomial.
 
     minpoly_tail holds the coefficients of t^0 .. t^(m-1); the leading 1 is
-    implicit. Construct through NumberField.make, which validates the shape.
+    implicit. Every instance, however built, passes the modulus checks of
+    __post_init__.
     """
 
     generator_name: str
     minpoly_tail: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        tail = tuple(_fraction(c) for c in self.minpoly_tail)
+        object.__setattr__(self, "minpoly_tail", tail)
+        if not 1 <= len(tail) <= 3:
+            raise FieldError(
+                f"minimal polynomial must have degree 1, 2 or 3, where having "
+                f"no rational root proves it irreducible, not {len(tail)}"
+            )
+        if not reads_as_name(self.generator_name):
+            raise FieldError(f"bad generator name {self.generator_name!r}")
+        coeffs = tail + (Fraction(1),)
+        if len(_uni_ext_gcd(coeffs, _uni_derivative(coeffs))[0]) != 1:
+            raise FieldError("minimal polynomial must be squarefree")
+        root = _rational_root(coeffs) if len(tail) > 1 else None
+        if root is not None:
+            raise FieldError(
+                f"minimal polynomial has the rational root {root}, so it is reducible"
+            )
         zeros = (Fraction(0),) * (self.degree - 1)
         object.__setattr__(self, "_zero", _element(self, (Fraction(0),) + zeros))
         object.__setattr__(self, "_one", _element(self, (Fraction(1),) + zeros))
 
     @staticmethod
     def make(minpoly: Sequence[Rational], generator_name: str = "i") -> "NumberField":
-        """Build a field from the full coefficient list, low degree first.
-
-        The list must describe a monic polynomial of degree at least 1,
-        e.g. (1, 0, 1) for t^2 + 1. It must also be squarefree and, from
-        degree 2 on, have no rational root; irreducibility beyond that is not
-        checked.
-        """
+        """Build a field from the full coefficient list, low degree first, e.g.
+        (1, 0, 1) for t^2 + 1. The list must describe a monic polynomial."""
         coeffs = [_fraction(c) for c in minpoly]
-        if len(coeffs) < 2:
-            raise FieldError("minimal polynomial must have degree >= 1")
-        if coeffs[-1] != 1:
+        if not coeffs or coeffs[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
-        if not reads_as_name(generator_name):
-            raise FieldError(f"bad generator name {generator_name!r}")
-        if len(_uni_ext_gcd(tuple(coeffs), _uni_derivative(coeffs))[0]) != 1:
-            raise FieldError("minimal polynomial must be squarefree")
-        root = _rational_root(coeffs) if len(coeffs) > 2 else None
-        if root is not None:
-            raise FieldError(
-                f"minimal polynomial has the rational root {root}, so it is reducible"
-            )
         return NumberField(generator_name, tuple(coeffs[:-1]))
 
     @property
@@ -363,12 +364,8 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisorError("division by zero")
         modulus = tuple(self.field.minpoly_tail) + (Fraction(1),)
+        # The modulus is irreducible, so the gcd is a nonzero constant.
         g, s, _ = _uni_ext_gcd(_uni_trim(self.coeffs), modulus)
-        if len(g) != 1:
-            raise ZeroDivisorError(
-                f"{self} is a zero divisor: the minimal polynomial of "
-                f"{self.field.generator_name} is reducible"
-            )
         inv = _uni_mul(s, (Fraction(1) / g[0],))
         _, inv = _uni_divmod(inv, modulus)
         vals = list(inv) + [Fraction(0)] * (self.field.degree - len(inv))
@@ -598,12 +595,7 @@ class Polynomial:
             raise ValueError("polynomial exponent must be a non-negative integer")
         if len(self.terms) == 1:
             (exps, coeff), = self.terms.items()
-            power = coeff**n
-            # A zero power needs a nilpotent coefficient, which only a
-            # non-squarefree modulus that bypassed NumberField.make has.
-            if not power:
-                return self._with_terms({})
-            return self._with_terms({tuple(n * e for e in exps): power})
+            return self._with_terms({tuple(n * e for e in exps): coeff**n})
         one = {(0,) * len(self.variables): self.field.one()}
         return self._with_terms(_pow_terms(self.terms, n, one))
 
@@ -756,13 +748,13 @@ class Polynomial:
                         term = _mul_terms(term, pw[e])
                 _add_into(terms, term)
                 continue
-            # _add_into for the one term: a sum that cancels is deleted, and
-            # a coefficient that folded to 0 (zero divisors) is not stored.
+            # _add_into for the one term, whose folded coefficient is nonzero
+            # in a field: a sum that cancels is deleted.
             cur = terms.get(key)
             new = coeff if cur is None else cur + coeff
             if new:
                 terms[key] = new
-            elif cur is not None:
+            else:
                 del terms[key]
         return self._with_terms(terms)
 
@@ -857,12 +849,7 @@ def _mul_terms(f: Terms, g: Terms) -> Terms:
         (shift, c), = g.items()
         if c.is_rational and c.coeffs[0] == 1:
             return {tuple(map(add, e, shift)): a for e, a in f.items()}
-        out = {}
-        for e, a in f.items():
-            prod = a * c
-            if prod:
-                out[tuple(map(add, e, shift))] = prod
-        return out
+        return {tuple(map(add, e, shift)): a * c for e, a in f.items()}
     out = {}
     for e1, c1 in f.items():
         _add_into(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in g.items()})

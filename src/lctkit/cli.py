@@ -3,8 +3,8 @@
 Exit codes: 0 success (including reportable findings such as claim/oracle
 mismatches), 1 bad input (syntax, script misuse, domain preconditions),
 2 resolution stopped by the depth budget (the report is still printed),
-3 internal inconsistency detected by a cross-check (zero divisor in the
-field modulus, destroyed factorization, bookkeeping identity failure),
+3 internal inconsistency detected by a cross-check (division by zero,
+destroyed factorization, bookkeeping identity failure),
 4 unreliable Monte Carlo estimate.
 """
 

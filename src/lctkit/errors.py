@@ -13,8 +13,9 @@ class LctkitError(Exception):
 
 
 class FieldError(LctkitError):
-    """Invalid number-field construction: a modulus that is non-monic, of
-    degree 0, not squarefree, or has a rational root."""
+    """Invalid number-field construction: a modulus that is non-monic, not
+    of degree 1-3 (the degrees where irreducibility is proved), not
+    squarefree, or has a rational root."""
 
 
 class FieldMismatchError(LctkitError):
@@ -26,13 +27,8 @@ class VariableMismatchError(LctkitError):
 
 
 class ZeroDivisorError(LctkitError):
-    """Inversion hit a zero divisor.
-
-    Raised on division by zero, and also when the minimal polynomial of the
-    session field turns out to be reducible: only squarefreeness and rational
-    roots are checked up front, so a modulus such as (t^2+1)(t^2+2) fails
-    here.
-    """
+    """Division by zero. Every accepted modulus is irreducible, so zero is
+    the only element without an inverse."""
 
 
 class ZeroPolynomialError(LctkitError):

@@ -223,9 +223,6 @@ class _ExprParser:
             self.pos += 1
         if negate:
             coeff = -coeff
-        # A zero coefficient needs zero divisors, i.e. a reducible modulus.
-        if coeff is not one and not coeff:
-            return {}
         if product is None:
             return {exps: coeff}
         return _mul_terms(product, {exps: coeff})

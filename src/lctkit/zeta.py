@@ -81,28 +81,6 @@ def _candidates(leaves: list[Chart], factors: dict[str, int]) -> tuple[PoleIndex
     return tuple(sorted(out, key=lambda c: (c.value, c.divisor)))
 
 
-def _multiplicity(leaves: list[Chart], value: Fraction) -> int:
-    best = max(
-        sum(1 for r in leaf.divisors.values() if r.value == value) for leaf in leaves
-    )
-    if best == 0:
-        raise ChartError(f"value {value} is not attained in any leaf chart")
-    return best
-
-
-def divisor_candidates(tree: ResolutionTree) -> tuple[PoleIndex, ...]:
-    """Candidates (h+1)/k from every exceptional divisor in every leaf,
-    deduplicated by the divisor's creating event and replicated by the orbit
-    factor in force where it was created."""
-    return _candidates(*_survey(tree))
-
-
-def multiplicity(tree: ResolutionTree, value: Fraction) -> int:
-    """Largest number of divisors meeting in one leaf chart that all attain
-    the given candidate value."""
-    return _multiplicity(_survey(tree)[0], value)
-
-
 def lambda_uncapped(
     tree: ResolutionTree, newton: Optional[NewtonData] = None
 ) -> PoleReport:
@@ -116,7 +94,10 @@ def lambda_uncapped(
     candidates = _candidates(leaves, factors)
     if candidates:
         lam: Optional[Fraction] = candidates[0].value
-        mult = _multiplicity(leaves, lam)
+        # The most divisors attaining lam that meet in one leaf chart.
+        mult = max(
+            sum(r.value == lam for r in leaf.divisors.values()) for leaf in leaves
+        )
         capped = min(Fraction(1), lam)
     else:
         lam = None

@@ -2,10 +2,18 @@
 
 import contextlib
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 from lctkit import GAUSS, Polynomial
 from lctkit.cli import main
+
+
+def raised_k(chart):
+    """The chart with the k of one divisor record raised by 1."""
+    var = next(iter(chart.divisors))
+    record = replace(chart.divisors[var], k=chart.divisors[var].k + 1)
+    return replace(chart, divisors={**chart.divisors, var: record})
 
 
 def run_cli(argv):

@@ -51,15 +51,6 @@ def test_inverse_round_trip():
     assert (GAUSS.one() / a) * a == GAUSS.one()
 
 
-def test_zero_divisor_detected():
-    # (t^2 + 1)(t^2 + 2) is squarefree with no rational root, so make()
-    # accepts it, yet Q[t]/(t^4 + 3t^2 + 2) has zero divisors.
-    ring = NumberField.make([2, 0, 3, 0, 1], "a")
-    a = ring.generator()
-    with pytest.raises(ZeroDivisorError):
-        (ring.one() + a * a).inverse()
-
-
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisorError):
         GAUSS.zero().inverse()
@@ -86,6 +77,32 @@ def test_make_rejects_bad_minpoly():
 def test_make_rejects_reducible_minpoly(minpoly):
     with pytest.raises(FieldError):
         NumberField.make(minpoly, "a")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: NumberField.make([2, 0, 3, 0, 1], "a"),  # (t^2 + 1)(t^2 + 2)
+        lambda: NumberField.make([1, 0, 0, 0, 1], "a"),  # t^4 + 1, irreducible
+        lambda: NumberField("a", (2, 0, 3, 0)),  # make() is not the only door
+    ],
+    ids=["t^4+3t^2+2", "t^4+1", "direct"],
+)
+def test_degree_four_is_refused(build):
+    # No rational root does not prove a quartic irreducible, so the field
+    # refuses every modulus above degree 3, whichever way it is built.
+    with pytest.raises(FieldError, match="^minimal polynomial must have degree"):
+        build()
+
+
+def test_direct_construction_runs_the_checks():
+    assert NumberField("i", (1, 0)) == GAUSS
+    with pytest.raises(FieldError, match="rational root"):
+        NumberField("a", (-1, 0))
+    with pytest.raises(FieldError, match="squarefree"):
+        NumberField("a", (1, 2))
+    with pytest.raises(FieldError, match="generator name"):
+        NumberField("not a name", (1, 0))
 
 
 def test_make_accepts_irrational_roots():
@@ -131,7 +148,8 @@ def test_rational_root_test_matches_trial_division(tails):
             for j, b in enumerate(factor):
                 out[i + j] += a * b
         poly = out
-    assume(len(poly) > 2)
+    # Degrees 2 and 3 only: make() refuses every modulus above degree 3.
+    assume(2 < len(poly) <= 4)
     try:
         NumberField.make(poly, "a")
     except FieldError as err:
@@ -321,10 +339,6 @@ def test_substitution_identity_and_composition(f):
 
 CUBIC = NumberField.make([-2, 0, 0, 1], "c")  # t^3 - 2
 FIELDS = (GAUSS, EISENSTEIN, CUBIC)
-# (t^2 + 1)(t^2 + 2), which make() accepts: 1 + a^2 and 2 + a^2 are nonzero
-# and their product is 0.
-REDUCIBLE = NumberField.make([2, 0, 3, 0, 1], "a")
-ZERO_DIVISORS = [tuple(map(Fraction, c)) for c in ((1, 0, 1, 0), (2, 0, 1, 0))]
 
 
 def convolve(field, a, b):
@@ -360,10 +374,7 @@ coords = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 @st.composite
 def field_coeffs(draw, field):
-    """Coordinates of a nonzero element; rational or 1 about half the time.
-    Over REDUCIBLE, one of two zero divisors whose product is 0."""
-    if field is REDUCIBLE:
-        return draw(st.sampled_from(ZERO_DIVISORS))
+    """Coordinates of a nonzero element; rational or 1 about half the time."""
     kind = draw(st.sampled_from(["one", "rational", "any", "any"]))
     if kind == "one":
         return (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
@@ -430,25 +441,30 @@ def test_rational_element_product_is_full_convolution(case, r):
         power = convolve(field, power, rational)
 
 
-def test_zero_product_of_one_term_factors_is_dropped():
-    # (1 + a^2)(2 + a^2) = a^4 + 3a^2 + 2 = 0 in Q[t]/(t^4 + 3t^2 + 2), which
-    # make() accepts, so the product of the two nonzero terms is the zero
-    # polynomial and must store no term at all.
-    ring = NumberField.make([2, 0, 3, 0, 1], "a")
-    a = Polynomial.constant(ring, VARS, ring.generator())
-    x, y = (Polynomial.variable(ring, VARS, v) for v in ("x", "y"))
-    left, right = (1 + a * a) * x, (2 + a * a) * y
-    assert len(left.terms) == len(right.terms) == 1
-    product = left * right
-    assert product.terms == {}
-    assert product.is_zero()
-    assert (right * left).terms == {}
-    image = (x * y).substitute({"x": (1 + a * a) * x, "y": (2 + a * a) * y})
-    assert image.terms == {}
-    # Two-term factors take the generic product, where the x*y term is 0.
-    z = Polynomial.variable(ring, VARS, "z")
-    wide = (left + y) * (right + z)
-    assert wide.terms == ((1 + a * a) * x * z + y * right + y * z).terms
+# With t^3 - t - 1, reducing t^3 = t + 1 mixes the coordinates, which the
+# pure cubic t^3 - 2 of FIELDS does not.
+ACCEPTED = FIELDS + (RATIONALS, NumberField.make([-1, -1, 0, 1], "r"))
+
+
+@st.composite
+def nonzero_pair(draw):
+    """An accepted field and two nonzero elements of it, any coordinate of
+    which may be zero."""
+    field = draw(st.sampled_from(ACCEPTED))
+    vector = st.lists(coords, min_size=field.degree, max_size=field.degree)
+    a, b = (draw(vector.filter(any)) for _ in range(2))
+    return field, field.element(a), field.element(b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nonzero_pair())
+def test_accepted_rings_have_no_zero_divisors(case):
+    # Every modulus that make() accepts is irreducible, so the ring is a
+    # field: the kernel stores a product of nonzero terms without a zero test.
+    field, a, b = case
+    assert a * b and b * a
+    assert a * a.inverse() == field.one()
+    assert (a * b) * b.inverse() == a
 
 
 def expand(field, f, images):
@@ -469,12 +485,12 @@ def expand(field, f, images):
 @st.composite
 def substitution_cases(draw):
     """A ring, f and images for at most all but one of VARS. Half the images
-    have one term, with a coefficient that may be 1, rational, non-rational
-    or (over REDUCIBLE) a zero divisor, so a folded coefficient can vanish.
-    Half the time a mapped variable p takes the image of another variable q,
-    or q itself if q is unmapped, and f pairs terms with their negatives
-    under the swap of p and q, so that image terms collide and cancel."""
-    field = draw(st.sampled_from(FIELDS + (REDUCIBLE,)))
+    have one term, with a coefficient that may be 1, rational or
+    non-rational. Half the time a mapped variable p takes the image of
+    another variable q, or q itself if q is unmapped, and f pairs terms with
+    their negatives under the swap of p and q, so that image terms collide
+    and cancel."""
+    field = draw(st.sampled_from(FIELDS))
     f = draw(ring_terms(field, 4, 3))
     indices = st.integers(0, len(VARS) - 1)
     mapped = draw(st.lists(indices, max_size=len(VARS) - 1, unique=True))

@@ -40,6 +40,7 @@ from lctkit.parser import (
     StopDirective,
     SubstDirective,
 )
+from conftest import raised_k
 from test_algebra import as_poly, field_and, field_coeffs, ring_terms
 
 P = parse_poly
@@ -179,13 +180,6 @@ def doubled_coefficient(chart):
     exps, coeff = next(chart.strict.sorted_terms())
     terms = {**chart.strict.terms, exps: coeff * 2}
     return replace(chart, strict=Polynomial(chart.field, chart.variables, terms))
-
-
-def raised_k(chart):
-    """The chart with the k of one divisor record raised by 1."""
-    var = next(iter(chart.divisors))
-    record = replace(chart.divisors[var], k=chart.divisors[var].k + 1)
-    return replace(chart, divisors={**chart.divisors, var: record})
 
 
 @pytest.mark.parametrize("corrupt", [doubled_coefficient, raised_k])

@@ -11,8 +11,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import run_cli
-from lctkit import FieldMismatchError, VariableMismatchError, cli, script_text
+from conftest import raised_k, run_cli
+from lctkit import (
+    FieldMismatchError,
+    VariableMismatchError,
+    blowup,
+    cli,
+    script_text,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -139,15 +145,18 @@ def test_exit_1_rewrite_onto_an_unrecorded_component(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_exit_3_internal_inconsistency(tmp_path):
-    script = tmp_path / "bad.script"
-    # (t^2+1)(t^2+2) passes the modulus checks, and 1 + a^2 is a zero divisor
-    script.write_text("blowup x y z\nchart z\nsubst z := (1+a^2)*z\n")
-    code, _, err = run_cli(
-        ["pole", "x^2+y^2+z^3", "--field", "a:t^4+3*t^2+2", "--script", str(script)]
+def test_exit_3_internal_inconsistency(monkeypatch):
+    # A blow-up child whose k is one too high breaks the per-step identity
+    # f(map) = monomial * strict; the run must stop before any report.
+    child = blowup._child
+    monkeypatch.setattr(
+        blowup, "_child", lambda *args, **kw: raised_k(child(*args, **kw))
     )
+    code, out, err = run_cli(["pole", "x^2+y^2+z^3"])
     assert code == 3
-    assert "zero divisor" in err
+    assert out == ""
+    assert err.startswith("internal inconsistency: total transform identity failed")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -158,6 +167,8 @@ def test_exit_3_internal_inconsistency(tmp_path):
         "t^3-t",
         "t^2-1000000000000000000",  # root 10^9
         "t^3-1000003000003000001",  # (t - 1000001)(t^2 + 1000001*t + 1000001^2)
+        "t^4+3*t^2+2",  # (t^2+1)(t^2+2): no rational root, still reducible
+        "t^4+1",  # irreducible, but degree 4 is beyond what is proved
     ],
 )
 def test_exit_1_reducible_field(minpoly):

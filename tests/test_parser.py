@@ -188,13 +188,6 @@ def test_oversized_integer_literal_has_a_span(prefix, suffix):
     assert info.value.span == SourceSpan(line, column, 5000)
 
 
-def test_zero_divisor_coefficients_cancel():
-    # (1 + a^2)(2 + a^2) = 0 mod (a^2 + 1)(a^2 + 2), which make() accepts.
-    field = NumberField.make((2, 0, 3, 0, 1), "a")
-    assert parse_poly("(1+a^2)*(2+a^2)*x", field).is_zero()
-    assert parse_poly("(1+a^2)*x*(2+a^2)*(x+y)", field).is_zero()
-
-
 def test_deep_nesting_is_a_parse_error():
     depth = 2 * sys.getrecursionlimit()
     with pytest.raises(ParseError) as info:

@@ -14,12 +14,10 @@ from lctkit import (
     ResolutionTree,
     Scripted,
     TreeNode,
-    divisor_candidates,
     generator,
     lambda_newton,
     lambda_uncapped,
     make_root_chart,
-    multiplicity,
     parse_poly,
     resolve,
     scripted_resolution,
@@ -135,8 +133,7 @@ def test_report_matches_separate_walks(family, n, depth):
     leaves = [leaf.chart for leaf in tree.leaves()]
     lam = min(Fraction(c.h + 1, c.k) for c in rep.candidates)
     assert rep.lambda_uncapped == lam
-    assert rep.candidates == divisor_candidates(tree)
-    assert rep.multiplicity == multiplicity(tree, lam) == max(
+    assert rep.multiplicity == max(
         sum(Fraction(r.h + 1, r.k) == lam for r in leaf.divisors.values())
         for leaf in leaves
     )
@@ -145,17 +142,21 @@ def test_report_matches_separate_walks(family, n, depth):
 
 
 def test_multiplicity_requires_attained_value():
+    # In the A5 chain, E@U_z (5/4) meets E@U_z/U_z (7/6) in one chart, but
+    # only the divisor attaining the minimum 7/6 counts, so the multiplicity
+    # is 1, not 2.
     tree = resolve(P("x^2 + y^2 + z^6"), Auto(max_depth=12))
-    assert multiplicity(tree, Fraction(7, 6)) == 1
-    with pytest.raises(ChartError):
-        multiplicity(tree, Fraction(1, 99))
+    assert max(len(leaf.chart.divisors) for leaf in tree.leaves()) == 2
+    rep = lambda_uncapped(tree)
+    assert rep.lambda_uncapped == Fraction(7, 6)
+    assert rep.multiplicity == 1
 
 
 def test_candidates_reject_unexpanded_tree():
     root = make_root_chart(P("x^2 + y^2"))
     tree = ResolutionTree(P("x^2 + y^2"), TreeNode(root, ()))
-    with pytest.raises(ChartError):
-        divisor_candidates(tree)
+    with pytest.raises(ChartError, match="Open leaves"):
+        lambda_uncapped(tree)
 
 
 def test_candidates_reject_divisor_seen_with_two_exponent_pairs():
@@ -169,6 +170,6 @@ def test_candidates_reject_divisor_seen_with_two_exponent_pairs():
         tree.root_polynomial,
         TreeNode(tree.root.chart, (TreeNode(forged, ()), uy, uz)),
     )
-    assert len(divisor_candidates(tree)) == 1
+    assert len(lambda_uncapped(tree).candidates) == 1
     with pytest.raises(InternalInconsistencyError, match="E@root"):
-        divisor_candidates(bad)
+        lambda_uncapped(bad)
