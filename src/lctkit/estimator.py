@@ -1,10 +1,15 @@
 """Monte Carlo cross-check: recover the pole index from how the volume of
 {|f| <= t} scales as t -> 0.
 
-Samples are drawn once per seed (in fixed-size chunks keyed by (seed, chunk
-index), so results are identical however the chunks are scheduled) and
-shared across every threshold level; hit counts are therefore monotone in t
-by construction.
+Samples are drawn once per seed and shared across every threshold level,
+so hit counts are monotone in t by construction. They are drawn in chunks
+of 2^17, each from its own stream keyed by (seed, chunk index): the chunk
+size fixes the draws, and the results are identical however the chunks are
+scheduled. The calling thread draws chunk k + 1 while one helper thread
+evaluates chunk k and bins it against the threshold grid, and the caller
+adds the chunks' per-level sums in chunk order. No per-sample array
+outlives its chunk, so memory is a few chunks' worth whatever the sample
+count.
 
 Each sample carries a likelihood weight w = p/q, where p is the uniform
 density on the box and q the density it was drawn from, and a level's volume
@@ -221,21 +226,23 @@ def _unit_disk(rng: np.random.Generator, out: np.ndarray) -> None:
         filled += len(kept)
 
 
-def _sample_chunk(config: EstimatorConfig, chunk: int, count: int, dims: int):
-    """Uniform samples from the (seed, chunk) stream, one coordinate per row:
-    on the box [-1, 1]^n in real mode, on the unit polydisk in complex mode."""
+def _sample_chunk(config: EstimatorConfig, chunk: int, points: np.ndarray) -> None:
+    """Fill `points`, one coordinate per row, with uniform samples from the
+    (seed, chunk) stream: on the box [-1, 1]^n in real mode (as
+    rng.uniform(-1, 1) draws them), on the unit polydisk in complex mode."""
     rng = np.random.Generator(np.random.Philox(key=[config.seed, chunk]))
     if config.mode == "real":
-        return rng.uniform(-1.0, 1.0, size=(count, dims)).T
-    points = np.empty((dims, count), dtype=np.complex128)
-    for row in points:
-        _unit_disk(rng, row)
-    return points
+        rng.random(out=points.T)
+        points *= 2
+        points -= 1
+    else:
+        for row in points:
+            _unit_disk(rng, row)
 
 
 def _plain_chunk(terms, points: np.ndarray, dtype, values: np.ndarray) -> None:
     """Write |f| at every sample into `values`, from the chunk's power table.
-    The table and sums are freed on return, before the next chunk is drawn."""
+    The table and sums are freed on return."""
     total = np.empty(points.shape[1], dtype=dtype)
     np.abs(_evaluate(terms, _power_table([terms], points), total), out=values)
 
@@ -293,6 +300,8 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
                 w *= np.where((np.conj(b) * w).real < 0, -1.0, 1.0)
                 q = -0.5 * (b + w)
                 v[first:] = np.where(sign > 0, q / a, (c - u) / q)
+            del u, sign
+        del radius, depth, modulus, unit  # free them before |f| and weights
         # f and f' in v by Horner, from the same coefficients.
         if d == 1:
             c, b = coeffs
@@ -317,9 +326,10 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
     weights[first:][~(np.abs(v[first:]) <= 1)] = 0.0
 
 
-def _abs_values(f: Polynomial, config: EstimatorConfig):
-    """|f| at every sample, and the samples' weights (None when every
-    weight is 1)."""
+def _measure(f: Polynomial, config: EstimatorConfig):
+    """The number of coordinates drawn per sample, and measure(points),
+    which returns |f| at a chunk's samples and their weights (None when
+    every weight is 1), written into one pair of buffers that it reuses."""
     terms = _compiled_terms(f)
     n = config.samples_per_level
     direction = None
@@ -340,55 +350,71 @@ def _abs_values(f: Polynomial, config: EstimatorConfig):
         dims = len(used)
         direction = _direction(terms, dims)
         dtype = np.complex128
-    values = np.empty(n, dtype=np.float64)
-    weights = None if direction is None else np.empty(n, dtype=np.float64)
+    values = np.empty(min(n, _CHUNK))
+    weights = None if direction is None else np.empty(len(values))
     chunks = (n + _CHUNK - 1) // _CHUNK
     # The first half of every chunk is uniform, the rest directed.
     plain_share = sum(min(_CHUNK, n - k * _CHUNK) // 2 for k in range(chunks)) / n
-    for chunk in range(chunks):
-        lo = chunk * _CHUNK
-        count = min(_CHUNK, n - lo)
-        points = _sample_chunk(config, chunk, count, dims)
+
+    def measure(points):
+        count = points.shape[1]
         if direction is None:
-            _plain_chunk(terms, points, dtype, values[lo : lo + count])
-        else:
-            _directed_chunk(direction, config, points, count // 2, plain_share,
-                            values[lo : lo + count], weights[lo : lo + count])
-    return values, weights
+            _plain_chunk(terms, points, dtype, values[:count])
+            return values[:count], None
+        _directed_chunk(direction, config, points, count // 2, plain_share,
+                        values[:count], weights[:count])
+        return values[:count], weights[:count]
+
+    return dims, measure
 
 
-def _level_sums(values: np.ndarray, weights: Optional[np.ndarray], grid):
-    """Per level, cumulative over the grid: the hits, and the sums of their
-    weights and of their squared weights (both the hits when weights is
-    None). Binned a chunk at a time, which keeps the temporaries small."""
-    size = len(grid)
-    hits = np.zeros(size, dtype=np.int64)
-    s1 = np.zeros(size)
-    s2 = np.zeros(size)
-    for lo in range(0, len(values), _CHUNK):
-        part = values[lo : lo + _CHUNK]
-        near = part <= grid[-1]
-        below = part[near]
+def _abs_values(f: Polynomial, config: EstimatorConfig):
+    """Per level of t_grid(config), cumulative: the hits, and the sums of
+    their weights and of their squared weights (the hits at unit weights).
+    Chunk k + 1 is drawn here while a helper thread measures and bins chunk
+    k; the chunks' bincounts are added in chunk order."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    dims, measure = _measure(f, config)
+    grid = t_grid(config)
+    n = config.samples_per_level
+    size = min(n, _CHUNK)
+    # The caller fills one point buffer while the helper measures the other.
+    buffers = [np.empty((size, dims)).T if config.mode == "real"
+               else np.empty((dims, size), dtype=np.complex128)
+               for _ in range(2)]
+
+    def binned(points):
+        values, weights = measure(points)
+        near = values <= grid[-1]
+        below = values[near]
         # the first level whose threshold is >= |f|
         level = np.zeros(len(below), dtype=np.intp)
         for t in grid[:-1]:
             level += below > t
-        hits += np.bincount(level, minlength=size)
-        if weights is not None:
-            w = weights[lo : lo + _CHUNK][near]
-            s1 += np.bincount(level, weights=w, minlength=size)
-            s2 += np.bincount(level, weights=w * w, minlength=size)
-    hits = np.cumsum(hits)
-    if weights is None:
-        return hits, hits.astype(np.float64), hits.astype(np.float64)
-    return hits, np.cumsum(s1), np.cumsum(s2)
+        hits = np.bincount(level, minlength=len(grid))
+        if weights is None:
+            return hits, hits, hits
+        w = weights[near]
+        return (hits, np.bincount(level, weights=w, minlength=len(grid)),
+                np.bincount(level, weights=w * w, minlength=len(grid)))
+
+    sums = (0, 0.0, 0.0)  # the weight sums are floats at unit weights too
+    with ThreadPoolExecutor(1) as helper:
+        pending = None
+        for chunk in range((n + _CHUNK - 1) // _CHUNK):
+            points = buffers[chunk % 2][:, : min(_CHUNK, n - chunk * _CHUNK)]
+            _sample_chunk(config, chunk, points)
+            if pending is not None:
+                sums = [a + b for a, b in zip(sums, pending.result())]
+            pending = helper.submit(binned, points)
+        sums = [a + b for a, b in zip(sums, pending.result())]
+    return tuple(np.cumsum(total) for total in sums)
 
 
 def hit_counts(f: Polynomial, config: EstimatorConfig) -> tuple[int, ...]:
     """Hits per threshold level over the shared sample set."""
-    values, _ = _abs_values(f, config)
-    hits, _, _ = _level_sums(values, None, t_grid(config))
-    return tuple(hits.tolist())
+    return tuple(_abs_values(f, config)[0].tolist())
 
 
 def estimate(f: Polynomial, config: EstimatorConfig) -> Estimate:
@@ -406,8 +432,7 @@ def estimate(f: Polynomial, config: EstimatorConfig) -> Estimate:
     if not f.variables_present():
         raise UnitInputError("a nonzero constant has no zero set to estimate")
     grid = t_grid(config)
-    values, weights = _abs_values(f, config)
-    hits, s1, s2 = (a.tolist() for a in _level_sums(values, weights, grid))
+    hits, s1, s2 = (a.tolist() for a in _abs_values(f, config))
     n = config.samples_per_level
     volumes = [s / n for s in s1]
     # s1 * (s1 / s2) rather than s1^2 / s2: exactly the count at unit weights

@@ -129,12 +129,18 @@ def trial_division_root(coeffs):
     )
 
 
+# Every ordered split of degree 2 or 3 into factors of degree 1-3: the
+# factor lists whose product make() can accept.
+SPLITS = ((2,), (1, 1), (3,), (1, 2), (2, 1), (1, 1, 1))
+TAIL_COEFFS = st.fractions(-6, 6, max_denominator=3)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
-    st.lists(
-        st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=3),
-        min_size=1,
-        max_size=3,
+    st.sampled_from(SPLITS).flatmap(
+        lambda split: st.tuples(
+            *(st.lists(TAIL_COEFFS, min_size=d, max_size=d) for d in split)
+        )
     )
 )
 def test_rational_root_test_matches_trial_division(tails):
@@ -148,8 +154,7 @@ def test_rational_root_test_matches_trial_division(tails):
             for j, b in enumerate(factor):
                 out[i + j] += a * b
         poly = out
-    # Degrees 2 and 3 only: make() refuses every modulus above degree 3.
-    assume(2 < len(poly) <= 4)
+    assert 2 < len(poly) <= 4
     try:
         NumberField.make(poly, "a")
     except FieldError as err:

@@ -2,6 +2,9 @@
 
 import math
 import random
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +17,19 @@ from lctkit import (
     Polynomial,
     UnreliableEstimateError,
     estimate,
+    estimator,
     hit_counts,
     parse_poly,
 )
-from lctkit.estimator import _compiled_terms, _evaluate, _power_table, t_grid
+from lctkit.estimator import (
+    _CHUNK,
+    _compiled_terms,
+    _evaluate,
+    _measure,
+    _power_table,
+    _sample_chunk,
+    t_grid,
+)
 
 P = parse_poly
 
@@ -105,6 +117,124 @@ def test_scale_robustness():
         scaled = estimate(P(f"{c}*z^2"), config)
         diff = abs(scaled.lambda_hat - base.lambda_hat)
         assert diff < 2 * max(base.stderr, scaled.stderr)
+
+
+# -- chunk pipeline ------------------------------------------------------------
+
+
+def _level_sums(values, weights, grid):
+    """Serial reference binning of whole arrays. Per level, cumulative over
+    the grid: the hits, and the sums of their weights and of their squared
+    weights (both the hits when weights is None). Binned a chunk at a time,
+    which keeps the temporaries small."""
+    size = len(grid)
+    hits = np.zeros(size, dtype=np.int64)
+    s1 = np.zeros(size)
+    s2 = np.zeros(size)
+    for lo in range(0, len(values), _CHUNK):
+        part = values[lo : lo + _CHUNK]
+        near = part <= grid[-1]
+        below = part[near]
+        # the first level whose threshold is >= |f|
+        level = np.zeros(len(below), dtype=np.intp)
+        for t in grid[:-1]:
+            level += below > t
+        hits += np.bincount(level, minlength=size)
+        if weights is not None:
+            w = weights[lo : lo + _CHUNK][near]
+            s1 += np.bincount(level, weights=w, minlength=size)
+            s2 += np.bincount(level, weights=w * w, minlength=size)
+    hits = np.cumsum(hits)
+    if weights is None:
+        return hits, hits.astype(np.float64), hits.astype(np.float64)
+    return hits, np.cumsum(s1), np.cumsum(s2)
+
+
+def _serial_sums(f, config):
+    """Serial reference for the pipeline: every chunk drawn and measured in
+    turn on this thread into arrays of all the samples, then binned whole."""
+    dims, measure = _measure(f, config)
+    n = config.samples_per_level
+    values, weights, directed = np.empty(n), np.empty(n), False
+    for chunk, lo in enumerate(range(0, n, _CHUNK)):
+        count = min(_CHUNK, n - lo)
+        if config.mode == "real":
+            points = np.empty((count, dims)).T
+        else:
+            points = np.empty((dims, count), dtype=np.complex128)
+        _sample_chunk(config, chunk, points)
+        part, part_weights = measure(points)
+        values[lo : lo + count] = part
+        if part_weights is not None:
+            weights[lo : lo + count] = part_weights
+            directed = True
+    return _level_sums(values, weights if directed else None, t_grid(config))
+
+
+@pytest.mark.parametrize("text, mode", [
+    ("x^2 + y^3", "real"),
+    ("z^3", "complex"),  # no variable of degree 1 or 2: plain draws
+    ("x^2 + y^2 + z^2", "complex"),  # directed draws
+])
+def test_pipeline_matches_the_serial_reference(text, mode, monkeypatch):
+    # 3 full chunks and a partial one, so the last chunk is shorter.
+    config = cfg(mode, samples_per_level=3 * _CHUNK + 12345, seed=13)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        piped = estimate(P(text), config)
+    finally:
+        sys.setswitchinterval(interval)
+    reference = _serial_sums(P(text), config)
+    monkeypatch.setattr(estimator, "_abs_values", lambda f, config: reference)
+    serial = estimate(P(text), config)
+    assert serial.levels_used >= 2
+    assert piped.hit_counts == serial.hit_counts
+    assert piped.volumes == serial.volumes
+    assert piped.effective_hits == serial.effective_hits
+    assert (piped.lambda_hat, piped.stderr) == (serial.lambda_hat, serial.stderr)
+    assert hit_counts(P(text), config) == serial.hit_counts
+
+
+class _Broken(Exception):
+    pass
+
+
+@pytest.mark.parametrize("text, mode", [
+    ("x^2 + y^3", "real"),
+    ("x^2 + y^2 + z^2", "complex"),
+])
+def test_helper_failure_reaches_the_caller(text, mode, monkeypatch):
+    def broken(term_lists, points):
+        raise _Broken("power table")
+
+    monkeypatch.setattr(estimator, "_power_table", broken)
+    before = threading.active_count()
+    with pytest.raises(_Broken):
+        estimate(P(text), cfg(mode, seed=1))
+    # the helper thread has been joined, not left running
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("text, mode, sample_bytes", [
+    ("x^2+y^2+z^2", "complex", 3 * 16 + 8 + 8),  # 3 coordinates, |f|, weight
+    ("x^2+y^3", "real", 2 * 8 + 8),  # 2 coordinates and |f|
+])
+def test_memory_does_not_grow_with_samples(text, mode, sample_bytes):
+    # numpy reports its buffers to tracemalloc. Keeping |f| of every sample,
+    # and its weight when the draws are directed, would add 8-16 B a sample:
+    # 24-48 MB between these budgets.
+    f = P(text)
+    hit_counts(f, EstimatorConfig(mode, samples_per_level=1000))  # warm up
+    peaks = []
+    for n in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            estimate(f, EstimatorConfig(mode, samples_per_level=n, seed=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < _CHUNK * sample_bytes, peaks
 
 
 # -- failure modes ---------------------------------------------------------------
