@@ -28,7 +28,6 @@ from .blowup import (
     blowup_origin,
     make_root_chart,
     resolve,
-    total_transform_identity,
     translate,
     verify_jacobian,
 )
@@ -58,7 +57,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .estimator import Estimate, EstimatorConfig, estimate, hit_counts
-from .newton import NewtonData, lambda_newton, support, w_order, weighted_candidate
+from .newton import NewtonData, lambda_newton, support
 from .parser import (
     DEFAULT_VARIABLES,
     ResolutionScript,
@@ -88,7 +87,6 @@ __all__ = [
     "blowup_origin",
     "make_root_chart",
     "resolve",
-    "total_transform_identity",
     "translate",
     "verify_jacobian",
     "FAMILIES",
@@ -119,8 +117,6 @@ __all__ = [
     "NewtonData",
     "lambda_newton",
     "support",
-    "w_order",
-    "weighted_candidate",
     "DEFAULT_VARIABLES",
     "ResolutionScript",
     "SourceSpan",

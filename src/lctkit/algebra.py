@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -144,12 +144,6 @@ def _integer_root(q: Sequence[int]):
     Cauchy interval then isolates each root to a unit interval, whose right
     end is tested exactly. The cost is polynomial in the bit size of q.
     """
-    if len(q) == 3:
-        # s^2 + b s + c: integer roots iff b^2 - 4c is a perfect square.
-        disc = q[1] ** 2 - 4 * q[0]
-        if disc < 0 or isqrt(disc) ** 2 != disc:
-            return None
-        return (isqrt(disc) - q[1]) // 2
     chain = [tuple(Fraction(c) for c in q)]
     chain.append(_uni_derivative(chain[0]))
     while len(chain[-1]) > 1:

@@ -29,9 +29,13 @@ _step_substitution into the parent's total with Polynomial.substitute,
 which does not use that code. Translations and rewrites build their strict
 transforms with Polynomial.substitute from the same step maps.
 
+The h records have a builder and a checker too. blowup_origin sums the new
+divisor's h from the records through the center, and checks it in every
+child against the chart's run of blow-ups, one integer exponent matrix (see
+Chart); verify_jacobian applies the same rule to every coordinate.
+
 _step_substitution is the one source of step maps: the identity check,
-translate, apply_affine, map_from_root and the Jacobian audit
-(verify_jacobian, which tests call and resolve does not) all read it.
+translate, apply_affine and map_from_root all read it.
 
 One recursive walk, `_expand`, builds every resolution tree. It follows
 the script steps it is given along one path and resolves every other chart
@@ -51,6 +55,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import mul
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -129,12 +134,10 @@ class TranslateStep:
 @dataclass(frozen=True)
 class RewriteStep:
     """Coordinate rewrite: the new coordinate equals `expression` in the old
-    ones. jacobian_unit is d(expression)/d(variable), a unit at the origin.
-    exact_inverse marks the affine case, whose inverse stays polynomial."""
+    ones; exact_inverse marks the affine case, whose inverse is polynomial."""
 
     variable: str
     expression: Polynomial
-    jacobian_unit: Polynomial
     exact_inverse: bool
 
     @property
@@ -166,7 +169,7 @@ def _step_substitution(
     """The coordinate map of one step: each old coordinate it moves, as a
     polynomial in the new ones. None for a triangular rewrite, whose inverse
     is only a power series. This is the only code that gives a step kind's
-    map as polynomials."""
+    map as polynomials; the tests' polynomial Jacobian reference reads it too."""
     if isinstance(step, BlowupStep):
         j = variables.index(step.chart_variable)
         return {
@@ -186,12 +189,20 @@ def _step_substitution(
 
 @dataclass(frozen=True)
 class Chart:
+    """One chart of a resolution. `run` is the exponent matrix A of the
+    origin blow-ups since the root or since the last translation or rewrite,
+    stored by columns: run[j][i] is the exponent of coordinate j in the
+    run-start coordinate i, so x_i = prod_j y_j**run[j][i]. `run_start` holds
+    h + 1 of each coordinate's record where the run starts (1 without one)."""
+
     field: NumberField
     variables: tuple[str, ...]
     steps: tuple[PathStep, ...]
-    divisors: Mapping[str, PoleIndex]
     strict: Polynomial
     status: ChartStatus
+    divisors: Mapping[str, PoleIndex]
+    run: tuple[tuple[int, ...], ...]
+    run_start: tuple[int, ...]
     orbit_factor: int = 1
 
     @cached_property
@@ -270,18 +281,30 @@ def _assert_step_identity(
         )
 
 
-def _child(chart: Chart, step: PathStep, strict: Polynomial, **changes) -> Chart:
-    """The chart one step below `chart`: the step appended to the path, the
-    new strict transform classified and checked free of exceptional content.
-    `changes` overrides the inherited bookkeeping fields."""
-    child = replace(
-        chart,
-        steps=chart.steps + (step,),
-        strict=strict,
-        status=_classify(strict),
-        orbit_factor=1,
-        **changes,
+def _run_h(column: Sequence[int], run_start: Sequence[int]) -> int:
+    """The h of a coordinate whose run column is `column`. The run's chart map
+    x = y**A has Jacobian det(A) * prod_j y_j**(sum_i A_ij - 1), and det A = 1;
+    pulled back through it, the records' prod x_i**h_i at the run start turn
+    the exponent of y_j into (sum_i A_ij (h_i + 1)) - 1."""
+    return sum(map(mul, column, run_start)) - 1
+
+
+def _restart_run(variables: tuple[str, ...], divisors: Mapping) -> tuple:
+    """A new run and its run_start: A = I, and h + 1 read from the records. A
+    translation or rewrite has a unit Jacobian, as has a dropped divisor."""
+    n = len(variables)
+    return (
+        tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
+        tuple(divisors[v].h + 1 if v in divisors else 1 for v in variables),
     )
+
+
+def _child(chart: Chart, step: PathStep, strict: Polynomial, *records) -> Chart:
+    """The chart one step below `chart`, with `records` its divisors, run and
+    run_start: the step appended to the path, the new strict transform
+    classified and checked free of exceptional content."""
+    steps, status = chart.steps + (step,), _classify(strict)
+    child = Chart(chart.field, chart.variables, steps, strict, status, *records)
     _assert_content_free(child)
     return child
 
@@ -294,18 +317,13 @@ def make_root_chart(f: Polynomial) -> Chart:
     if f.is_unit_at_origin():
         raise UnitInputError("resolution requires f(0) = 0")
     content, strict = f.coordinate_content()
-    chart = Chart(
-        field=f.field,
-        variables=f.variables,
-        steps=(),
-        divisors={
-            v: PoleIndex(f"root/{v}", content[v], 0)
-            for v in f.variables
-            if content.get(v, 0) > 0
-        },
-        strict=strict,
-        status=_classify(strict),
-    )
+    divisors = {
+        v: PoleIndex(f"root/{v}", content[v], 0)
+        for v in f.variables
+        if content.get(v, 0) > 0
+    }
+    run = _restart_run(f.variables, divisors)  # root records have h = 0
+    chart = Chart(f.field, f.variables, (), strict, _classify(strict), divisors, *run)
     _assert_content_free(chart)
     # Every later identity check reads this total as its parent side.
     if chart.total != f:
@@ -372,6 +390,10 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
         sum(r.k for r in below) + c,
         sum(r.h for r in below) + (len(center) - 1),
     )
+    # In every chart U_v, v's column of the run becomes the sum of the
+    # center's columns, and the h it gives must be the one built above.
+    column = tuple(map(sum, zip(*[chart.run[k] for k in columns])))
+    h = _run_h(column, chart.run_start)
     children = []
     for v, j in zip(center, columns):
         # The exponent map is injective, so the coefficients carry over.
@@ -382,18 +404,20 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
             }
         )
         step = BlowupStep(center, v, divisor)
-        child = _child(
-            chart, step, strict_child, divisors={**chart.divisors, v: record}
-        )
+        run = chart.run[:j] + (column,) + chart.run[j + 1 :]
+        divisors = {**chart.divisors, v: record}
+        child = _child(chart, step, strict_child, divisors, run, chart.run_start)
         _assert_step_identity(
             chart.total, child, _step_substitution(chart.field, chart.variables, step)
         )
+        # Comparing the whole record also keeps the siblings in agreement.
+        found = child.divisors[v]
+        if found.h != h or found != record:
+            raise InternalInconsistencyError(
+                f"Jacobian check failed at {child.path_text()}: recorded "
+                f"{found}, built {record}, the run matrix gives h = {h}"
+            )
         children.append(child)
-    new = {child.divisors[child.steps[-1].chart_variable] for child in children}
-    if len(new) != 1:
-        raise InternalInconsistencyError(
-            f"sibling charts disagree on the new divisor: {sorted(map(str, new))}"
-        )
     return tuple(children)
 
 
@@ -431,7 +455,8 @@ def translate(chart: Chart, var: str, value) -> Chart:
     divisors = dict(chart.divisors)
     if localized:
         strict_new = substitution[var] ** divisors.pop(var).k * strict_new
-    child = _child(chart, step, strict_new, divisors=divisors)
+    run = _restart_run(chart.variables, divisors)
+    child = _child(chart, step, strict_new, divisors, *run)
     _assert_step_identity(chart.total, child, substitution)
     return child
 
@@ -477,9 +502,9 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
       the strict transform is rewritten by exact decomposition and the chart
       has no map_from_root (the inverse is only a power series).
 
-    Either way k and h are unchanged, the Jacobian factor of the rewrite is
-    a unit recorded on the step, and the monomial factorization is
-    re-checked afterwards (FactorizationDestroyedError on mismatch).
+    Either way k and h are unchanged, the Jacobian d(expression)/d(var) of
+    the rewrite is a unit (c1 != 0), so the chart starts a new run, and the
+    monomial factorization is re-checked (FactorizationDestroyedError).
     """
     if var not in chart.variables:
         raise ChartError(f"unknown variable {var!r}")
@@ -504,8 +529,7 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
                 f"substitution moves the exceptional divisor {{{var} = 0}} "
                 "off the coordinate hyperplane"
             )
-        jacobian_unit = Polynomial.constant(chart.field, chart.variables, c1)
-        step = RewriteStep(var, expression, jacobian_unit, True)
+        step = RewriteStep(var, expression, True)
         strict_new = chart.strict.substitute(
             _step_substitution(chart.field, chart.variables, step)
         )
@@ -516,8 +540,9 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
                 "not affine; it cannot be inverted exactly"
             )
         strict_new = _rewrite_in_new_coordinate(chart.strict, var, expression, c1)
-        step = RewriteStep(var, expression, expression.partial(var), False)
-    child = _child(chart, step, strict_new)
+        step = RewriteStep(var, expression, False)
+    run = _restart_run(chart.variables, chart.divisors)
+    child = _child(chart, step, strict_new, chart.divisors, *run)
     # The defining property of the rewrite, checked exactly either way.
     if strict_new.substitute({var: expression}) != chart.strict:
         raise InternalInconsistencyError(
@@ -527,91 +552,15 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
     return child
 
 
-# ---------------------------------------------------------------------------
-# Jacobian verification.
-
-
-def _poly_determinant(rows: list[list[Polynomial]]) -> Polynomial:
-    """Cofactor expansion along the first row; exact and independent of the
-    additive bookkeeping it is used to audit."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = Polynomial.zero(rows[0][0].field, rows[0][0].variables)
-    for j, entry in enumerate(rows[0]):
-        if entry:
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            term = entry * _poly_determinant(minor)
-            total = total - term if j % 2 else total + term
-    return total
-
-
-def _map_determinant(chart: Chart, images: Mapping[str, Polynomial]) -> Polynomial:
-    """det(d old / d new) of a coordinate map given by the images of the old
-    coordinates it moves; every other coordinate maps to itself."""
-    field, variables = chart.field, chart.variables
-    images = {
-        v: images[v] if v in images else Polynomial.monomial(field, variables, {v: 1})
-        for v in variables
-    }
-    return _poly_determinant(
-        [[images[old].partial(new) for new in variables] for old in variables]
-    )
-
-
-def _is_recorded_jacobian(chart: Chart, det: Polynomial) -> bool:
-    """True iff det is a unit at the origin times prod e**h_e over the
-    chart's divisor records."""
-    if det.is_zero():
-        return False
-    residual = det
-    for e in chart.exceptional:
-        c, residual = residual.monomial_content(e)
-        if c != chart.divisors[e].h:
-            return False
-    return residual.is_unit_at_origin()
-
-
-def _verify_stepwise(chart: Chart) -> bool:
-    """Replay the path with one Jacobian polynomial: at each step pull it
-    back through the step's own map and multiply by that map's determinant.
-    A triangular rewrite has no polynomial inverse; it must carry its own
-    unit Jacobian, the carried polynomial must be a monomial times a unit,
-    and only the monomial goes on (the rewrite maps each coordinate to
-    itself times a unit)."""
-    jacobian = Polynomial.one(chart.field, chart.variables)
-    for step in chart.steps:
-        substitution = _step_substitution(chart.field, chart.variables, step)
-        if substitution is not None:
-            jacobian = jacobian.substitute(substitution) * _map_determinant(
-                chart, substitution
-            )
-            continue
-        unit = step.expression.partial(step.variable)
-        if unit != step.jacobian_unit or not unit.is_unit_at_origin() or not jacobian:
-            return False
-        content, rest = jacobian.coordinate_content()
-        if not rest.is_unit_at_origin():
-            return False
-        jacobian = Polynomial.monomial(chart.field, chart.variables, content)
-    return _is_recorded_jacobian(chart, jacobian)
-
-
-def _verify_composed(chart: Chart) -> bool:
-    """Cofactor-expand the Jacobian matrix of the composed chart map and
-    check it is a unit times the recorded exceptional monomial."""
-    assert chart.map_from_root is not None
-    return _is_recorded_jacobian(chart, _map_determinant(chart, chart.map_from_root))
-
-
 def verify_jacobian(chart: Chart) -> bool:
-    """True iff the Jacobian determinant of the chart map is a unit times
-    the recorded h monomial: checked on the composed map when the polynomial
-    chart map exists, and by the stepwise replay always. Both read only the
-    step maps, never the h rule of blowup_origin. An audit: resolve does not
-    call it."""
-    if chart.map_from_root is not None and not _verify_composed(chart):
-        return False
-    return _verify_stepwise(chart)
+    """True iff every coordinate's recorded h (0 without a record) is the one
+    its column of the run gives: the check blowup_origin makes on each new
+    divisor, applied to every coordinate of the chart."""
+    return all(
+        (chart.divisors[v].h if v in chart.divisors else 0)
+        == _run_h(column, chart.run_start)
+        for v, column in zip(chart.variables, chart.run)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -780,22 +729,3 @@ def resolve(f: Polynomial, strategy: Strategy) -> ResolutionTree:
     else:
         raise ChartError(f"unknown strategy {strategy!r}")
     return ResolutionTree(f, _expand(root, steps, strategy.max_depth))
-
-
-def total_transform_identity(tree: ResolutionTree, chart: Chart) -> bool:
-    """Exact global check f(map) = monomial * strict for charts that kept a
-    polynomial map; tolerates one overall constant factor, which is what a
-    constant-Jacobian rescaling legitimately introduces."""
-    if chart.map_from_root is None:
-        return True
-    lhs = tree.root_polynomial.substitute(chart.map_from_root)
-    rhs = chart.total
-    if lhs == rhs:
-        return True
-    if lhs.is_zero() or rhs.is_zero():
-        return False
-    lead = next(iter(sorted(rhs.terms)))
-    if lead not in lhs.terms:
-        return False
-    ratio = lhs.terms[lead] / rhs.terms[lead]
-    return lhs == rhs * ratio

@@ -19,17 +19,13 @@ from .algebra import GAUSS, NumberField
 from .blowup import Auto, Scripted, resolve
 from .catalogue import FAMILIES, verify, verify_all
 from .errors import (
-    ChartError,
     FactorizationDestroyedError,
     FieldError,
-    FieldMismatchError,
     InternalInconsistencyError,
+    LctkitError,
     ParseError,
-    UnitInputError,
     UnreliableEstimateError,
-    VariableMismatchError,
     ZeroDivisorError,
-    ZeroPolynomialError,
 )
 from .estimator import EstimatorConfig, estimate
 from .newton import lambda_newton
@@ -337,16 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (
-        ChartError,
-        UnitInputError,
-        ZeroPolynomialError,
-        FieldError,
-        FieldMismatchError,
-        VariableMismatchError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (LctkitError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

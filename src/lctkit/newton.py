@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .algebra import Polynomial, Rational, _fraction
+from .algebra import Polynomial
 from .errors import (
     InternalInconsistencyError,
     UnitInputError,
@@ -114,30 +114,6 @@ def support(f: Polynomial) -> tuple[tuple[int, ...], ...]:
     if f.is_zero():
         raise ZeroPolynomialError("support of the zero polynomial")
     return f.support()
-
-
-def w_order(f: Polynomial, weights: Sequence[Rational]) -> Fraction:
-    """N(w) = min over the support of w . a, for nonnegative rational w."""
-    pts = support(f)
-    w = [_fraction(c) for c in weights]
-    if len(w) != len(f.variables):
-        raise ValueError(f"expected {len(f.variables)} weights, got {len(w)}")
-    if any(c < 0 for c in w):
-        raise ValueError("weights must be non-negative")
-    if all(c == 0 for c in w):
-        raise ValueError("weights must not all be zero")
-    return min(sum(c * e for c, e in zip(w, a)) for a in pts)
-
-
-def weighted_candidate(f: Polynomial, weights: Sequence[Rational]) -> Fraction:
-    """The pole candidate (sum of w) / N(w) of the weight-w divisor."""
-    w = [_fraction(c) for c in weights]
-    if any(c <= 0 for c in w):
-        raise ValueError("weights must be strictly positive")
-    n = w_order(f, w)
-    if n == 0:
-        raise UnitInputError("N(w) = 0: the polynomial is a unit in this filtration")
-    return sum(w) / n
 
 
 def _dot(w: Sequence[int], a: Sequence[int]) -> int:

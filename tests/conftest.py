@@ -16,6 +16,14 @@ def raised_k(chart):
     return replace(chart, divisors={**chart.divisors, var: record})
 
 
+def raised_h(chart):
+    """The chart with the h of its new divisor's record raised by 1: the
+    record of the variable whose chart the last blow-up opened."""
+    var = chart.steps[-1].chart_variable
+    record = replace(chart.divisors[var], h=chart.divisors[var].h + 1)
+    return replace(chart, divisors={**chart.divisors, var: record})
+
+
 def run_cli(argv):
     """Run the CLI in-process and capture (exit_code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

@@ -27,12 +27,10 @@ from lctkit import (
     parse_script,
     resolve,
     scripted_resolution,
-    total_transform_identity,
     translate,
-    verify_jacobian,
 )
 import lctkit.blowup as blowup_module
-from lctkit.blowup import _classify, _verify_stepwise
+from lctkit.blowup import _classify
 from lctkit.parser import (
     BlowupDirective,
     ResolutionScript,
@@ -40,7 +38,12 @@ from lctkit.parser import (
     StopDirective,
     SubstDirective,
 )
-from conftest import raised_k
+from conftest import raised_h, raised_k
+from jacobian_reference import (
+    _verify_stepwise,
+    jacobian_verdicts,
+    total_transform_identity,
+)
 from test_algebra import as_poly, field_and, field_coeffs, ring_terms
 
 P = parse_poly
@@ -141,7 +144,7 @@ def test_chain_exponents_double_depth():
         assert chart.divisors["z"].k == 2 * k
         assert chart.divisors["z"].h == 2 * k
         assert chart.strict == P(f"x^2 + y^2 + z^{21 - 2 * k}")
-        assert verify_jacobian(chart)
+        assert jacobian_verdicts(chart) == (True, True)
     assert chart.status is ChartStatus.SMOOTH_STRICT
 
 
@@ -155,12 +158,12 @@ def test_jacobian_audit_rejects_a_tampered_h_on_a_chain():
     chart = make_root_chart(P("x^2 + y^2 + z^21"))
     for _ in range(3):
         chart = z_chart(chart)
-    assert verify_jacobian(chart) and _verify_stepwise(chart)
+    assert jacobian_verdicts(chart) == (True, True) and _verify_stepwise(chart)
     for h in (5, 7):
         tampered = with_h(chart, "z", h)
         # the replay alone catches it, not only the composed determinant
         assert not _verify_stepwise(tampered)
-        assert not verify_jacobian(tampered)
+        assert jacobian_verdicts(tampered) == (False, False)
 
 
 def test_jacobian_audit_rejects_a_tampered_h_after_a_triangular_rewrite():
@@ -170,9 +173,25 @@ def test_jacobian_audit_rejects_a_tampered_h_after_a_triangular_rewrite():
     # no polynomial chart map: only the stepwise replay runs
     assert fixed.map_from_root is None
     assert fixed.divisors["y"].h == 2
-    assert verify_jacobian(fixed)
+    assert jacobian_verdicts(fixed) == (True, True)
     for h in (1, 3):
-        assert not verify_jacobian(with_h(fixed, "y", h))
+        assert jacobian_verdicts(with_h(fixed, "y", h)) == (False, False)
+
+
+def test_resolve_catches_a_raised_h_on_a_deep_chart(monkeypatch):
+    # No total transform sees h: the run-matrix check in blowup_origin is
+    # what stands behind every recorded h, deep in the tree as at its top.
+    child = blowup_module._child
+
+    def deep_raised(*args, **kw):
+        made = child(*args, **kw)
+        return raised_h(made) if made.depth >= 3 else made
+
+    monkeypatch.setattr(blowup_module, "_child", deep_raised)
+    with pytest.raises(
+        InternalInconsistencyError, match=r"^Jacobian check failed at U_z/U_z/U_x:"
+    ):
+        resolve(P("x^2 + y^2 + z^7"), Auto(max_depth=10))
 
 
 def doubled_coefficient(chart):
@@ -305,7 +324,7 @@ def test_two_variable_center():
     assert uy.strict == P("x^2 + y")
     assert ux.divisors == {"x": PoleIndex("E@root", k=2, h=1)}
     assert uy.divisors == {"y": PoleIndex("E@root", k=2, h=1)}
-    assert verify_jacobian(ux) and verify_jacobian(uy)
+    assert jacobian_verdicts(ux) == jacobian_verdicts(uy) == (True, True)
 
 
 def test_center_validation():
@@ -340,7 +359,7 @@ def test_linear_substitution_keeps_exact_inverse():
     assert moved.strict == P("x^2 + (y - 2*x)^2 + z^3")
     assert moved.strict.substitute({"y": P("y + 2*x")}) == root.strict
     assert moved.map_from_root == {"x": P("x"), "y": P("y - 2*x"), "z": P("z")}
-    assert verify_jacobian(moved)
+    assert jacobian_verdicts(moved) == (True, True)
     assert moved.steps[-1].exact_inverse
 
 
@@ -357,7 +376,7 @@ def test_triangular_substitution_straightens_d5():
     # polynomial chart map; the stepwise Jacobian replay still runs
     assert uy.map_from_root is not None
     assert fixed.map_from_root is None
-    assert verify_jacobian(fixed)
+    assert jacobian_verdicts(fixed) == (True, True)
 
 
 def test_chart_map_is_composed_from_the_path():
@@ -378,7 +397,7 @@ def test_chart_map_is_composed_from_the_path():
     }
     assert chart.strict == P("1/4*(x - 3*y)^2 + (y + 1)^2 + z^2")
     assert total_transform_identity(tree, chart)
-    assert verify_jacobian(chart)
+    assert jacobian_verdicts(chart) == (True, True)
 
 
 def test_substitution_must_stay_polynomial():
@@ -402,7 +421,7 @@ def test_exceptional_shift_rejected():
     with pytest.raises(ChartError):
         apply_affine(chart, "z", P("z + 1"))
     moved = apply_affine(chart, "x", P("x + z"))
-    assert verify_jacobian(moved)
+    assert jacobian_verdicts(moved) == (True, True)
 
 
 # -- translations ---------------------------------------------------------------
@@ -413,7 +432,7 @@ def test_translate_plain_variable():
     moved = translate(root, "z", 1)
     assert moved.strict == P("x^2 + y^2 + (z + 1)^3")
     assert not moved.steps[-1].localized
-    assert verify_jacobian(moved)
+    assert jacobian_verdicts(moved) == (True, True)
 
 
 def test_translate_exceptional_localizes():
@@ -424,7 +443,7 @@ def test_translate_exceptional_localizes():
     assert "z" not in moved.divisors
     assert moved.exceptional == ()
     assert moved.strict == P("(z + 1)^2 * (x^2 + y^2 + z + 1)")
-    assert verify_jacobian(moved)
+    assert jacobian_verdicts(moved) == (True, True)
 
 
 def test_translate_exceptional_by_zero_rejected():
@@ -441,7 +460,7 @@ def test_auto_terminates_and_logs():
     assert not tree.has_depth_limit()
     statuses = {node.chart.status for node in tree.nodes() if node.is_leaf}
     assert statuses <= {ChartStatus.UNIT_STRICT, ChartStatus.SMOOTH_STRICT}
-    assert all(verify_jacobian(node.chart) for node in tree.nodes())
+    assert all(jacobian_verdicts(node.chart) == (True, True) for node in tree.nodes())
     assert all(total_transform_identity(tree, node.chart) for node in tree.nodes())
 
 
@@ -465,7 +484,7 @@ def test_scripted_follows_script_then_auto():
     tree = resolve(P("x^2 + y^2 + z^9"), Scripted(script, max_depth=10))
     # the script stops after one chart; the driver finishes the rest
     assert not tree.has_depth_limit()
-    assert all(verify_jacobian(node.chart) for node in tree.nodes())
+    assert all(jacobian_verdicts(node.chart) == (True, True) for node in tree.nodes())
 
 
 def test_scripted_stop_leaves_depth_limit():
@@ -483,7 +502,7 @@ def test_scripted_orbit_and_translate_shape():
     # translated chart is appended after the origin charts of the same parent
     assert parent.children[-1] is moved
     assert len(parent.children) == 4
-    assert all(verify_jacobian(node.chart) for node in tree.nodes())
+    assert all(jacobian_verdicts(node.chart) == (True, True) for node in tree.nodes())
     assert all(total_transform_identity(tree, node.chart) for node in tree.nodes())
 
 
@@ -523,6 +542,33 @@ def test_script_steps_past_stop_are_refused():
 # -- full-tree invariants ----------------------------------------------------------
 
 
+def assert_jacobian_checks_agree(chart):
+    """The run-matrix check and the polynomial reference both accept the
+    chart, and both reject it once any one record's h is one off."""
+    assert jacobian_verdicts(chart) == (True, True)
+    for var, record in chart.divisors.items():
+        for h in (record.h - 1, record.h + 1):
+            assert jacobian_verdicts(with_h(chart, var, h)) == (False, False)
+
+
+@st.composite
+def resolvable_gauss_polys(draw):
+    """gauss_polys, most of the time plus a pure power of every variable:
+    that leaves no coordinate content, so Auto blows the root chart up."""
+    f = draw(gauss_polys())
+    if draw(st.integers(0, 3)) < 3:
+        for v in f.variables:
+            f = f + Polynomial.monomial(GAUSS, f.variables, {v: draw(st.integers(2, 5))})
+    return f
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(resolvable_gauss_polys(), st.integers(1, 4))
+def test_jacobian_checks_agree_on_auto_trees(f, depth):
+    for node in resolve(f, Auto(max_depth=depth)).nodes():
+        assert_jacobian_checks_agree(node.chart)
+
+
 @pytest.mark.parametrize(
     "family,n",
     [("A", 5), ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("E6", None), ("E7", None), ("E8", None)],
@@ -530,7 +576,7 @@ def test_script_steps_past_stop_are_refused():
 def test_catalogue_trees_verify(family, n):
     tree = resolve(generator(family, n), Scripted(scripted_resolution(family, n), max_depth=12))
     for node in tree.nodes():
-        assert verify_jacobian(node.chart)
+        assert_jacobian_checks_agree(node.chart)
         assert total_transform_identity(tree, node.chart)
     # sibling charts of one blow-up agree on the new divisor's exponents
     for node in tree.nodes():

@@ -11,9 +11,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import raised_k, run_cli
+from conftest import raised_h, raised_k, run_cli
 from lctkit import (
     FieldMismatchError,
+    LctkitError,
     VariableMismatchError,
     blowup,
     cli,
@@ -159,6 +160,21 @@ def test_exit_3_internal_inconsistency(monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_exit_3_raised_h(monkeypatch):
+    # A blow-up child whose new h is one too high leaves every total
+    # transform intact, and its candidate (h + 1)/k would be too high; the
+    # run-matrix check must stop the run before any report.
+    child = blowup._child
+    monkeypatch.setattr(
+        blowup, "_child", lambda *args, **kw: raised_h(child(*args, **kw))
+    )
+    code, out, err = run_cli(["pole", "x^2+y^2+z^3"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal inconsistency: Jacobian check failed at U_x:")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "minpoly",
     [
@@ -197,7 +213,15 @@ def test_irreducible_fields_still_accepted(field):
     assert "certified: yes" in out
 
 
-@pytest.mark.parametrize("error", [VariableMismatchError, FieldMismatchError])
+class UnlistedError(LctkitError):
+    """A package error that no except clause of the CLI names."""
+
+
+# Every package error maps to exit 1 unless it is a parse or internal error,
+# so an error class added later cannot escape as a traceback.
+@pytest.mark.parametrize(
+    "error", [VariableMismatchError, FieldMismatchError, UnlistedError]
+)
 def test_exit_1_mismatch_errors(monkeypatch, error):
     def mismatched(args):
         raise error("operands come from different rings")

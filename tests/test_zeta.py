@@ -173,3 +173,24 @@ def test_candidates_reject_divisor_seen_with_two_exponent_pairs():
     assert len(lambda_uncapped(tree).candidates) == 1
     with pytest.raises(InternalInconsistencyError, match="E@root"):
         lambda_uncapped(bad)
+
+
+# Known false certificates: the certificate looks only at chart origins, so
+# these are certified at a wrong value. Each test asserts what a sound
+# certificate must give; the marker goes once none is certified wrong.
+@pytest.mark.xfail(strict=True, reason="certified wrong: 3/2 for a double plane")
+def test_double_plane_is_not_certified_wrong():
+    rep = report_for("(x+y+z)^2", depth=5)
+    assert not rep.certified or rep.lambda_uncapped == Fraction(1, 2)
+
+
+@pytest.mark.xfail(strict=True, reason="certified wrong: 3/2 for a disguised A2")
+def test_disguised_a2_is_not_certified_wrong():
+    rep = report_for("x^2+(y-z)^2+z^3", depth=5)
+    assert not rep.certified or rep.lambda_uncapped == Fraction(4, 3)
+
+
+@pytest.mark.xfail(strict=True, reason="certified wrong: 3/4 for a double conic")
+def test_double_conic_is_not_certified_wrong():
+    rep = report_for("(x^2+y^2+z^2)^2", depth=5)
+    assert not rep.certified or rep.lambda_uncapped == Fraction(1, 2)
