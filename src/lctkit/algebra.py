@@ -29,8 +29,15 @@ the mapped variable adds e * a to the exponents it keeps and multiplies its
 coefficient by c^e (skipped for c = 1), and with no other image the result
 term goes straight into the output dict. Only images with several terms,
 such as translations, go through `_mul_terms`, in the same loop; the powers
-a wide image needs are built in ascending order, each as the next lower one
-times the image to the power of the gap, not each from scratch. A one-term
+a wide image needs are built in ascending order, each as the largest lower
+one times the image to the power of the gap, not each from scratch.
+`substitute` first compiles its mapping (`_Substitution`): the checks, and
+the split of each image into a shift and coefficient or a wide image. A map
+compiled for the polynomial's own field object and variables is folded as
+it is, so a caller that applies one map to several polynomials, such as a
+blow-up's step map, checks and splits it once. The compiled map memoizes
+the powers of its wide images; that memo only ever gains entries, each a
+value. There is one fold. A one-term
 Polynomial to the n-th power multiplies its exponents by n and takes one
 coefficient power. FieldElement * and ** with a rational operand (every
 coordinate above degree 0 is zero) scale the coordinates by one Fraction, or
@@ -39,11 +46,12 @@ take one Fraction power, instead of convolving and reducing mod the modulus.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from operator import add, mul
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     FieldError,
@@ -546,12 +554,7 @@ class Polynomial:
     # -- ring structure ------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:
-        if self.field is not other.field and self.field != other.field:
-            raise FieldMismatchError("polynomials over different fields")
-        if self.variables != other.variables:
-            raise VariableMismatchError(
-                f"variable tuples differ: {self.variables} vs {other.variables}"
-            )
+        _check_ring(self.field, self.variables, other)
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -698,34 +701,30 @@ class Polynomial:
     def substitute(self, assignments: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Simultaneously replace variables by polynomials from the same ring.
 
-        Variables absent from the mapping map to themselves.
+        Variables absent from the mapping map to themselves. A map compiled
+        for this ring (its field object and variable tuple) is folded as it
+        is; any other mapping is compiled first, with the checks.
         """
-        unknown = set(assignments) - set(self.variables)
-        if unknown:
-            raise VariableMismatchError(f"unknown variables {sorted(unknown)}")
-        # A one-term image c * x^a is kept as the nonzero entries of a and
-        # c, or None for c = 1; an image with several terms as itself.
-        monomials: list[tuple[int, list, Optional[FieldElement]]] = []
-        wide: list[tuple[int, Polynomial]] = []
-        keep = [True] * len(self.variables)
-        for i, name in enumerate(self.variables):
-            img = assignments.get(name)
-            if img is None:
-                continue
-            self._check_ring(img)
-            keep[i] = False
-            if len(img.terms) == 1:
-                (a, c), = img.terms.items()
-                shift = [(k, n) for k, n in enumerate(a) if n]
-                monomials.append((i, shift, None if c == self.field.one() else c))
-            else:
-                wide.append((i, img))
-        powers = [(i, self._powers(img, i)) for i, img in wide]
+        sub = assignments
+        if not (
+            sub.__class__ is _Substitution
+            and sub.field is self.field
+            and sub.variables == self.variables
+        ):
+            sub = _Substitution(self.field, self.variables, assignments)
+        powers = []
+        for i, img, memo in sub._wide:
+            needed = {exps[i] for exps in self.terms}
+            needed.discard(0)
+            if not needed <= memo.keys():
+                sub._powers(img, memo, needed)
+            powers.append((i, memo))
+        keep, monomials = sub._keep, sub._monomials
         terms: Terms = {}
         for exps, coeff in self.terms.items():
             # Unmapped variables keep their exponents; each one-term image
             # adds e * a to them and multiplies the coefficient by c^e.
-            out = [e if k else 0 for e, k in zip(exps, keep)]
+            out = list(map(mul, exps, keep))
             for i, shift, c in monomials:
                 e = exps[i]
                 if e:
@@ -745,24 +744,15 @@ class Polynomial:
             # _add_into for the one term, whose folded coefficient is nonzero
             # in a field: a sum that cancels is deleted.
             cur = terms.get(key)
-            new = coeff if cur is None else cur + coeff
+            if cur is None:
+                terms[key] = coeff
+                continue
+            new = cur + coeff
             if new:
                 terms[key] = new
             else:
                 del terms[key]
         return self._with_terms(terms)
-
-    def _powers(self, img: "Polynomial", i: int) -> dict[int, Terms]:
-        """img**e for every positive exponent e of variable i in this
-        polynomial, each built from the next lower one by img**(gap)."""
-        one = {(0,) * len(self.variables): self.field.one()}
-        powers: dict[int, Terms] = {}
-        last = 0
-        for e in sorted({exps[i] for exps in self.terms} - {0}):
-            gap = img.terms if e - last == 1 else _pow_terms(img.terms, e - last, one)
-            powers[e] = _mul_terms(powers[last], gap) if last else gap
-            last = e
-        return powers
 
     def monomial_content(self, name: str) -> tuple[int, "Polynomial"]:
         """Split off the largest power of one variable: f = name**k * g with
@@ -817,6 +807,76 @@ _set_field = Polynomial.field.__set__
 _set_variables = Polynomial.variables.__set__
 _set_terms = Polynomial.terms.__set__
 _set_hash = Polynomial._hash.__set__
+
+
+def _check_ring(field: NumberField, variables: tuple[str, ...], other: Polynomial) -> None:
+    if field is not other.field and field != other.field:
+        raise FieldMismatchError("polynomials over different fields")
+    if variables != other.variables:
+        raise VariableMismatchError(
+            f"variable tuples differ: {variables} vs {other.variables}"
+        )
+
+
+class _Substitution(Mapping):
+    """A substitution compiled for one ring, the field object and variable
+    tuple it was checked against, and read as the mapping of its images.
+
+    Compiling runs the checks (unknown variables, each image's ring) and
+    splits each image: a one-term image c * x^a into the nonzero entries of
+    a and c (None for c = 1), an image with several terms into itself and a
+    memo of its powers, which only ever gains entries. `keep` is 1 for an
+    unmapped variable, 0 for a mapped one. Polynomial.substitute folds it.
+    """
+
+    __slots__ = ("field", "variables", "_images", "_keep", "_monomials", "_wide")
+
+    def __init__(
+        self,
+        field: NumberField,
+        variables: tuple[str, ...],
+        assignments: Mapping[str, Polynomial],
+    ):
+        unknown = set(assignments) - set(variables)
+        if unknown:
+            raise VariableMismatchError(f"unknown variables {sorted(unknown)}")
+        images: dict[str, Polynomial] = {}
+        monomials: list[tuple[int, list, Optional[FieldElement]]] = []
+        wide: list[tuple[int, Polynomial, dict[int, Terms]]] = []
+        keep = [1] * len(variables)
+        for i, name in enumerate(variables):
+            img = assignments.get(name)
+            if img is None:
+                continue
+            _check_ring(field, variables, img)
+            images[name] = img
+            keep[i] = 0
+            if len(img.terms) == 1:
+                (a, c), = img.terms.items()
+                shift = [(k, n) for k, n in enumerate(a) if n]
+                monomials.append((i, shift, None if c == field.one() else c))
+            else:
+                wide.append((i, img, {}))
+        self.field, self.variables, self._images = field, variables, images
+        self._keep, self._monomials, self._wide = tuple(keep), monomials, wide
+
+    def __getitem__(self, name: str) -> Polynomial:
+        return self._images[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._images)
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def _powers(self, img: Polynomial, memo: dict[int, Terms], needed: set) -> None:
+        """Add img**e to the memo for each needed e it lacks, in ascending
+        order, each built from the largest power below it by img**(gap)."""
+        one = {(0,) * len(self.variables): self.field.one()}
+        for e in sorted(needed - memo.keys()):
+            last = max((k for k in memo if k < e), default=0)
+            gap = img.terms if e - last == 1 else _pow_terms(img.terms, e - last, one)
+            memo[e] = _mul_terms(memo[last], gap) if last else gap
 
 
 def _add_into(out: Terms, terms: Terms) -> None:

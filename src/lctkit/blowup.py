@@ -6,18 +6,22 @@ divisor: `divisors[v]` is the PoleIndex (id, k, h) of {v = 0}, where the id
 names the blow-up (or root hyperplane) that created the divisor, k is the
 order of the total transform and h the order of the Jacobian determinant
 along it. The variables with a record are the chart's `exceptional` ones.
-A chart carries its total transform `total` = strict * (prod e**k_e),
-built once with `*`. The root chart's total must equal f, and the
-defining identity
+A chart derives its total transform `total` = strict * (prod e**k_e)
+once, on first use, by shifting the strict transform's exponents by the k
+vector. The root chart's total must equal f (and the product by `*`), and
+the defining identity
 
     (parent total)(step map) = child total
 
 is asserted exactly across every blow-up and translation, so the chain of
 checks is anchored at f. The rewrite of apply_affine is checked to
-reproduce the strict transform. A chart stores only its path (`steps`);
-map_from_root is derived from it on demand, by composing the step maps of
-_step_substitution, and is None once a triangular (power-series) rewrite is
-on the path.
+reproduce the strict transform. A translation or a rewrite has a unit
+Jacobian, so its child must keep every record of its parent, but for a
+localized divisor that leaves; both check that. A chart stores only its
+path (`steps`); map_from_root is derived from it on demand: on a path of
+origin blow-ups only it is x = y**run, otherwise the step maps of
+_step_substitution composed, and it is None once a triangular
+(power-series) rewrite is on the path.
 
 Two independent codes pull a strict transform back through an origin
 blow-up. blowup_origin builds each child's strict transform directly as an
@@ -35,7 +39,12 @@ child against the chart's run of blow-ups, one integer exponent matrix (see
 Chart); verify_jacobian applies the same rule to every coordinate.
 
 _step_substitution is the one source of step maps: the identity check,
-translate, apply_affine and map_from_root all read it.
+translate, apply_affine and map_from_root all read it. Each map comes
+compiled for the chart's ring (algebra._Substitution), so substitute folds
+it without checking or splitting the images again; an origin blow-up's map
+is compiled once per field object, variables, center and chart variable,
+in a bounded cache. A translation's strict transform and its identity check
+fold one compiled map, which builds each power of the wide image once.
 
 One recursive walk, `_expand`, builds every resolution tree. It follows
 the script steps it is given along one path and resolves every other chart
@@ -55,11 +64,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from functools import cached_property
-from operator import mul
+from operator import add, mul
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .algebra import FieldElement, NumberField, Polynomial
+from .algebra import FieldElement, NumberField, Polynomial, _Substitution
 from .errors import (
     ChartError,
     FactorizationDestroyedError,
@@ -163,28 +172,46 @@ def _unit_monomial(
     return Polynomial._trusted(field, variables, {tuple(exps): field.one()})
 
 
+# Compiled origin blow-up maps, keyed by (id(field), variables, center,
+# chart variable). Each entry holds its field, so the id cannot be reused
+# while the entry lives; the maps are never changed (their images are all
+# one-term, so no power memo grows), and the cache is cleared when full.
+_STEP_MAPS: dict[tuple, _Substitution] = {}
+
+
 def _step_substitution(
     field: NumberField, variables: tuple[str, ...], step: PathStep
-) -> Optional[dict[str, Polynomial]]:
-    """The coordinate map of one step: each old coordinate it moves, as a
-    polynomial in the new ones. None for a triangular rewrite, whose inverse
-    is only a power series. This is the only code that gives a step kind's
-    map as polynomials; the tests' polynomial Jacobian reference reads it too."""
+) -> Optional[_Substitution]:
+    """The coordinate map of one step, compiled for the chart's ring: each
+    old coordinate it moves, as a polynomial in the new ones. None for a
+    triangular rewrite, whose inverse is only a power series. This is the
+    only code that gives a step kind's map as polynomials; the tests'
+    polynomial Jacobian reference reads it too. An origin blow-up's map is
+    compiled once per ring and geometry."""
     if isinstance(step, BlowupStep):
-        j = variables.index(step.chart_variable)
-        return {
-            w: _unit_monomial(field, variables, (k, j))
-            for w, k in zip(step.center, _columns(variables, step.center))
-            if k != j
-        }
+        key = (id(field), variables, step.center, step.chart_variable)
+        compiled = _STEP_MAPS.get(key)
+        if compiled is None:
+            j = variables.index(step.chart_variable)
+            images = {
+                w: _unit_monomial(field, variables, (k, j))
+                for w, k in zip(step.center, _columns(variables, step.center))
+                if k != j
+            }
+            if len(_STEP_MAPS) >= 64:
+                _STEP_MAPS.clear()
+            compiled = _STEP_MAPS[key] = _Substitution(field, variables, images)
+        return compiled
     moved = _unit_monomial(field, variables, (variables.index(step.variable),))
     if isinstance(step, TranslateStep):
-        return {step.variable: moved + step.value}
-    if not step.exact_inverse:
+        images = {step.variable: moved + step.value}
+    elif not step.exact_inverse:
         return None
-    offset = step.expression.coefficient_of(step.variable, 0)
-    c1 = step.expression.coefficient_of(step.variable, 1).constant_term
-    return {step.variable: (moved - offset) / c1}
+    else:
+        offset = step.expression.coefficient_of(step.variable, 0)
+        c1 = step.expression.coefficient_of(step.variable, 1).constant_term
+        images = {step.variable: (moved - offset) / c1}
+    return _Substitution(field, variables, images)
 
 
 @dataclass(frozen=True)
@@ -207,12 +234,16 @@ class Chart:
 
     @cached_property
     def total(self) -> Polynomial:
-        """The total transform strict * (prod e**k_e), built once per chart:
-        the right-hand side of the identity check that made this chart, and
-        the parent side of the checks of its children."""
-        divisors, field, variables = self.divisors, self.field, self.variables
-        exps = tuple(divisors[v].k if v in divisors else 0 for v in variables)
-        return self.strict * Polynomial._trusted(field, variables, {exps: field.one()})
+        """The total transform strict * (prod e**k_e): the strict transform's
+        exponents shifted by the k vector, derived once per chart from its
+        own strict and records. It is the right-hand side of the identity
+        check that made this chart, and the parent side of its children's."""
+        divisors = self.divisors
+        shift = tuple([divisors[v].k if v in divisors else 0 for v in self.variables])
+        # A shift is injective on the terms, so the coefficients carry over.
+        return self.strict._with_terms(
+            {tuple(map(add, e, shift)): c for e, c in self.strict.terms.items()}
+        )
 
     @property
     def exceptional(self) -> tuple[str, ...]:
@@ -231,9 +262,18 @@ class Chart:
 
     @cached_property
     def map_from_root(self) -> Optional[Mapping[str, Polynomial]]:
-        """The root coordinates as polynomials in this chart's, composed from
-        the path; None when a triangular rewrite makes the inverse a power
-        series only."""
+        """The root coordinates as polynomials in this chart's; None when a
+        triangular rewrite makes the inverse a power series only. On a path
+        of origin blow-ups only, the run is the whole path, so the map is
+        x_i = prod_j y_j**run[j][i]; any other path composes the step maps."""
+        if all(isinstance(s, BlowupStep) for s in self.steps):
+            one = self.field.one()
+            return {
+                x: Polynomial._trusted(
+                    self.field, self.variables, {tuple(col[i] for col in self.run): one}
+                )
+                for i, x in enumerate(self.variables)
+            }
         images = {
             v: Polynomial.variable(self.field, self.variables, v)
             for v in self.variables
@@ -260,9 +300,17 @@ def _classify(strict: Polynomial) -> ChartStatus:
     return ChartStatus.OPEN
 
 
+def _lowest_exponents(poly: Polynomial) -> list[int]:
+    """Each variable's order in poly, from one scan of its terms; empty for
+    the zero polynomial."""
+    return list(map(min, zip(*poly.terms)))
+
+
 def _assert_content_free(chart: Chart) -> None:
-    for e in chart.exceptional:
-        if chart.strict.is_zero() or chart.strict.order_in(e) != 0:
+    # The zero polynomial has content in every variable.
+    lows = _lowest_exponents(chart.strict) or [1] * len(chart.variables)
+    for e, low in zip(chart.variables, lows):
+        if low and e in chart.divisors:
             raise FactorizationDestroyedError(
                 f"strict transform has content in exceptional variable {e!r} "
                 f"at {chart.path_text()}"
@@ -278,6 +326,18 @@ def _assert_step_identity(
     if parent_total.substitute(substitution) != child.total:
         raise InternalInconsistencyError(
             f"total transform identity failed at {child.path_text()}"
+        )
+
+
+def _assert_records_kept(chart: Chart, child: Chart, dropped: Optional[str]) -> None:
+    """A translation or a rewrite has a unit Jacobian, so the child keeps
+    every record of the parent unchanged; only a localized divisor (the
+    record of `dropped`) leaves."""
+    kept = {v: r for v, r in chart.divisors.items() if v != dropped}
+    if child.divisors != kept:
+        raise InternalInconsistencyError(
+            f"divisor records changed across a coordinate change at "
+            f"{child.path_text()}: recorded {dict(child.divisors)}, kept {kept}"
         )
 
 
@@ -325,8 +385,11 @@ def make_root_chart(f: Polynomial) -> Chart:
     run = _restart_run(f.variables, divisors)  # root records have h = 0
     chart = Chart(f.field, f.variables, (), strict, _classify(strict), divisors, *run)
     _assert_content_free(chart)
-    # Every later identity check reads this total as its parent side.
-    if chart.total != f:
+    # Every later identity check reads this total as its parent side. The
+    # ring product also checks the content split against f, and so the
+    # exponent shift that builds every chart's total against `*`.
+    monomial = Polynomial.monomial(f.field, f.variables, content)
+    if chart.total != f or strict * monomial != f:
         raise InternalInconsistencyError(
             "the root chart's total transform differs from f"
         )
@@ -348,7 +411,8 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
             f"blow-up of a chart with status {chart.status.value} at "
             f"{chart.path_text()}"
         )
-    content = [v for v in chart.variables if chart.strict.order_in(v)]
+    lows = _lowest_exponents(chart.strict)
+    content = [v for v, low in zip(chart.variables, lows) if low]
     if content:
         raise ChartError(
             f"blow-up at {chart.path_text()} passes through the component "
@@ -445,19 +509,24 @@ def translate(chart: Chart, var: str, value) -> Chart:
         )
     step = TranslateStep(var, value, localized)
     substitution = _step_substitution(chart.field, chart.variables, step)
-    strict_new = chart.strict.substitute(substitution)
+    divisors = dict(chart.divisors)
+    strict = chart.strict
+    if localized:
+        # The pullback of var**k is a unit at the new origin, so it joins
+        # the strict transform; the lowest power of var stays the same.
+        k = divisors.pop(var).k
+        strict = strict * Polynomial.monomial(chart.field, chart.variables, {var: k})
+    strict_new = strict.substitute(substitution)
     if strict_new.order_in(var):
         raise ChartError(
             f"translation of {var!r} puts the origin on the component "
             f"{{{var} = 0}} of the strict transform, whose divisor and h the "
             "chart does not record"
         )
-    divisors = dict(chart.divisors)
-    if localized:
-        strict_new = substitution[var] ** divisors.pop(var).k * strict_new
     run = _restart_run(chart.variables, divisors)
     child = _child(chart, step, strict_new, divisors, *run)
     _assert_step_identity(chart.total, child, substitution)
+    _assert_records_kept(chart, child, var if localized else None)
     return child
 
 
@@ -549,6 +618,7 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
             f"coordinate rewrite of {var!r} failed to reproduce the strict "
             "transform"
         )
+    _assert_records_kept(chart, child, None)
     return child
 
 

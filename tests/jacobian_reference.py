@@ -5,13 +5,30 @@ and lctkit.verify_jacobian applies that rule to every coordinate. This module
 checks the same records the long way, with polynomials only: it composes the
 step maps of _step_substitution, cofactor-expands the Jacobian matrix, and
 factors the recorded monomial out of the determinant. It also holds the
-global identity f(chart map) = total transform.
+global identity f(chart map) = total transform, and the chart map composed
+from the path, the reference for Chart.map_from_root, which reads the run
+matrix on a path of blow-ups only.
 """
 
-from typing import Mapping
+from typing import Mapping, Optional
 
 from lctkit import Polynomial, verify_jacobian
 from lctkit.blowup import Chart, ResolutionTree, _step_substitution
+
+
+def composed_map_from_root(chart: Chart) -> Optional[dict[str, Polynomial]]:
+    """The root coordinates as polynomials in the chart's, composed from the
+    step maps of the path; None once a triangular rewrite is on it."""
+    images = {
+        v: Polynomial.variable(chart.field, chart.variables, v)
+        for v in chart.variables
+    }
+    for step in chart.steps:
+        substitution = _step_substitution(chart.field, chart.variables, step)
+        if substitution is None:
+            return None
+        images = {x: p.substitute(substitution) for x, p in images.items()}
+    return images
 
 
 def _poly_determinant(rows: list[list[Polynomial]]) -> Polynomial:
@@ -79,11 +96,10 @@ def _verify_stepwise(chart: Chart) -> bool:
     return _is_recorded_jacobian(chart, jacobian)
 
 
-def _verify_composed(chart: Chart) -> bool:
+def _verify_composed(chart: Chart, images: Mapping[str, Polynomial]) -> bool:
     """Cofactor-expand the Jacobian matrix of the composed chart map and
     check it is a unit times the recorded exceptional monomial."""
-    assert chart.map_from_root is not None
-    return _is_recorded_jacobian(chart, _map_determinant(chart, chart.map_from_root))
+    return _is_recorded_jacobian(chart, _map_determinant(chart, images))
 
 
 def reference_jacobian(chart: Chart) -> bool:
@@ -91,7 +107,8 @@ def reference_jacobian(chart: Chart) -> bool:
     the recorded h monomial: checked on the composed map when the polynomial
     chart map exists, and by the stepwise replay always. Both read only the
     step maps, never the h rule of blowup_origin or the chart's run matrix."""
-    if chart.map_from_root is not None and not _verify_composed(chart):
+    images = composed_map_from_root(chart)
+    if images is not None and not _verify_composed(chart, images):
         return False
     return _verify_stepwise(chart)
 
@@ -105,9 +122,10 @@ def total_transform_identity(tree: ResolutionTree, chart: Chart) -> bool:
     """Exact global check f(map) = monomial * strict for charts that kept a
     polynomial map; tolerates one overall constant factor, which is what a
     constant-Jacobian rescaling legitimately introduces."""
-    if chart.map_from_root is None:
+    images = composed_map_from_root(chart)
+    if images is None:
         return True
-    lhs = tree.root_polynomial.substitute(chart.map_from_root)
+    lhs = tree.root_polynomial.substitute(images)
     rhs = chart.total
     if lhs == rhs:
         return True

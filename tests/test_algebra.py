@@ -21,6 +21,7 @@ from lctkit import (
     lambda_newton,
     parse_poly,
 )
+from lctkit.algebra import _Substitution
 
 VARS = ("x", "y", "z")
 
@@ -517,11 +518,51 @@ def substitution_cases(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(substitution_cases())
-def test_substitute_matches_expansion(case):
+@given(substitution_cases(), st.data())
+def test_substitute_matches_expansion(case, data):
+    # One compiled map serves several polynomials of its ring, f again last,
+    # so a wide image's memoized powers are both built and reused.
     field, f, images = case
     mapping = {VARS[i]: as_poly(field, image) for i, image in images.items()}
     assert plain(as_poly(field, f).substitute(mapping)) == expand(field, f, images)
+    compiled = _Substitution(field, VARS, mapping)
+    assert dict(compiled) == mapping
+    others = data.draw(st.lists(ring_terms(field, 4, 3), min_size=1, max_size=3))
+    for g in others + [f]:
+        got = as_poly(field, g).substitute(compiled)
+        assert got == as_poly(field, g).substitute(mapping)
+        assert plain(got) == expand(field, g, images)
+
+
+def raised(call):
+    """The (type, message) of the error a call raises."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_compiled_map_of_another_ring_gets_the_full_checks():
+    # A compiled map is folded as it is only on its own field object and
+    # variable tuple; any other ring raises exactly what a plain dict does.
+    mapping = {"x": parse_poly("x*z"), "y": parse_poly("y + i*z")}
+    compiled = _Substitution(GAUSS, VARS, mapping)
+    for field, variables, text in [
+        (EISENSTEIN, VARS, "x^2 + y*z"),
+        (RATIONALS, VARS, "x*y + z"),
+        (GAUSS, ("u", "v", "w"), "u^2 + v"),
+        (GAUSS, ("x", "y"), "x^2 + y^3"),
+        (GAUSS, ("x", "y", "z", "w"), "x*w + y^2"),
+    ]:
+        f = parse_poly(text, field, variables)
+        error = raised(lambda: f.substitute(compiled))
+        assert error == raised(lambda: f.substitute(dict(mapping)))
+        assert error[0] in (FieldMismatchError, VariableMismatchError)
+    # An equal field that is another object takes the checked path and agrees.
+    twin = NumberField.make((1, 0, 1), "i")
+    assert twin == GAUSS and twin is not GAUSS
+    f = parse_poly("x^2*y + i*y^3 + z", twin, VARS)
+    expected = f.substitute({v: Polynomial(twin, VARS, p.terms) for v, p in mapping.items()})
+    assert f.substitute(compiled) == expected
 
 
 def power_expansion(f, name, image):

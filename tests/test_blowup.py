@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lctkit import (
+    EISENSTEIN,
     GAUSS,
     Auto,
     ChartError,
@@ -30,7 +31,14 @@ from lctkit import (
     translate,
 )
 import lctkit.blowup as blowup_module
-from lctkit.blowup import _classify
+from lctkit.algebra import _Substitution
+from lctkit.blowup import (
+    BlowupStep,
+    RewriteStep,
+    TranslateStep,
+    _classify,
+    _step_substitution,
+)
 from lctkit.parser import (
     BlowupDirective,
     ResolutionScript,
@@ -41,6 +49,7 @@ from lctkit.parser import (
 from conftest import raised_h, raised_k
 from jacobian_reference import (
     _verify_stepwise,
+    composed_map_from_root,
     jacobian_verdicts,
     total_transform_identity,
 )
@@ -446,6 +455,33 @@ def test_translate_exceptional_localizes():
     assert jacobian_verdicts(moved) == (True, True)
 
 
+@pytest.mark.parametrize(
+    "var,image,needed,strict",
+    [
+        ("x", "x + 1", {2}, "(x + 1)^2 + y^2 + z^3"),
+        ("z", "z + 1", {2, 5}, "x^2*(z + 1)^2 + y^2*(z + 1)^2 + (z + 1)^5"),
+    ],
+    ids=["plain", "localized"],
+)
+def test_translate_builds_the_powers_of_its_image_once(monkeypatch, var, image, needed, strict):
+    # The strict transform and the identity check's left side fold one
+    # compiled map. A localized divisor's monomial joins the strict
+    # transform before the fold, so the total needs no other power.
+    chart = z_chart(make_root_chart(P("x^2 + y^2 + z^5")))
+    calls = []
+    powers = _Substitution._powers
+
+    def counted(self, *args):
+        calls.append(args[2])
+        return powers(self, *args)
+
+    monkeypatch.setattr(_Substitution, "_powers", counted)
+    moved = translate(chart, var, 1)
+    assert calls == [needed]
+    assert moved.strict == P(strict)
+    assert moved.total == chart.total.substitute({var: P(image)})
+
+
 def test_translate_exceptional_by_zero_rejected():
     chart = z_chart(make_root_chart(P("x^2 + y^2 + z^3")))
     with pytest.raises(ChartError):
@@ -588,3 +624,97 @@ def test_catalogue_trees_verify(family, n):
             v = chart.steps[-1].chart_variable
             record = chart.divisors[v]
             assert born.setdefault(record.divisor, record) == record
+
+
+def kept_record_raised(kind):
+    """A _child that raises the h of one record kept across a step of the
+    given kind, and builds every other child unchanged."""
+    child = blowup_module._child
+
+    def corrupted(chart, step, *args):
+        made = child(chart, step, *args)
+        if isinstance(step, kind) and made.divisors:
+            var = next(iter(made.divisors))
+            return with_h(made, var, made.divisors[var].h + 1)
+        return made
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "kind,script,path",
+    [
+        (TranslateStep, "blowup x y z\nchart z\ntranslate x := x + 1", "U_z/T_x"),
+        (RewriteStep, "blowup x y z\nchart z\nsubst x := x + y", "U_z/S_x"),
+    ],
+    ids=["translate", "rewrite"],
+)
+def test_records_kept_across_a_coordinate_change_are_checked(monkeypatch, kind, script, path):
+    # A translation or a rewrite has a unit Jacobian: the child keeps every
+    # record of its parent, which resolve checks even when no later blow-up
+    # goes through the corrupted coordinate.
+    f, steps = P("x^2 + y^2 + z^3"), Scripted(parse_script(script))
+    assert resolve(f, steps)
+    monkeypatch.setattr(blowup_module, "_child", kept_record_raised(kind))
+    with pytest.raises(InternalInconsistencyError, match=f"at {path}: recorded"):
+        resolve(f, steps)
+
+
+def assert_map_from_root_is_composed(tree):
+    for node in tree.nodes():
+        assert node.chart.map_from_root == composed_map_from_root(node.chart)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(resolvable_gauss_polys(), st.integers(1, 4))
+def test_map_from_root_matches_the_composed_path_on_auto_trees(f, depth):
+    # On a path of blow-ups only, map_from_root reads the run matrix.
+    assert_map_from_root_is_composed(resolve(f, Auto(max_depth=depth)))
+
+
+def test_map_from_root_matches_the_composed_path_on_catalogue_trees():
+    members = [("A", n) for n in range(1, 21)] + [("D", n) for n in range(4, 13)]
+    for family, n in members + [("E6", None), ("E7", None), ("E8", None)]:
+        script = Scripted(scripted_resolution(family, n), max_depth=12)
+        assert_map_from_root_is_composed(resolve(generator(family, n), script))
+
+
+def tree_shape(tree):
+    """Everything each chart of a tree carries, as plain comparable data."""
+    return [
+        (c.path, c.strict, dict(c.divisors), c.status, c.run, c.run_start, c.total)
+        for c in (node.chart for node in tree.nodes())
+    ]
+
+
+@pytest.mark.parametrize("field", [GAUSS, EISENSTEIN], ids=["gauss", "eisenstein"])
+@pytest.mark.parametrize("names", ["x,y,z", "u,v,w"])
+def test_cached_step_maps_match_a_cold_cache(field, names):
+    # The step-map cache is keyed by field object, variables and geometry: a
+    # warm cache filled by the other rings gives the trees of a cold one.
+    variables = tuple(names.split(","))
+    text = "{0}^2 + {1}^3 + {2}^5 + {0}*{1}*{2}".format(*variables)
+    for other_field in (GAUSS, EISENSTEIN):
+        for other in (("x", "y", "z"), ("u", "v", "w")):
+            g = parse_poly("{0}^2 + {1}^2 + {2}^4".format(*other), other_field, other)
+            resolve(g, Auto(max_depth=4))
+    f = parse_poly(text, field, variables)
+    warm = tree_shape(resolve(f, Auto(max_depth=5)))
+    blowup_module._STEP_MAPS.clear()
+    assert tree_shape(resolve(f, Auto(max_depth=5))) == warm
+    for key, compiled in blowup_module._STEP_MAPS.items():
+        assert key[:2] == (id(compiled.field), compiled.variables)
+
+
+def test_step_map_cache_is_bounded():
+    variables = ("a", "b", "c", "d", "e", "f")
+    for size in range(2, len(variables) + 1):
+        for center in combinations(variables, size):
+            for v in center:
+                step = BlowupStep(center, v, "E")
+                compiled = _step_substitution(GAUSS, variables, step)
+                assert len(blowup_module._STEP_MAPS) <= 64
+                assert compiled.field is GAUSS and compiled.variables == variables
+                assert set(compiled) == set(center) - {v}
+                for w in compiled:
+                    assert compiled[w] == Polynomial.monomial(GAUSS, variables, {w: 1, v: 1})

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -172,6 +173,32 @@ def test_exit_3_raised_h(monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal inconsistency: Jacobian check failed at U_x:")
+    assert err.count("\n") == 1
+
+
+def test_exit_3_raised_h_kept_across_a_translation(monkeypatch, tmp_path):
+    # A record that a translation child keeps must equal its parent's; a
+    # raised h there stops the run, though no later blow-up goes through it.
+    child = blowup._child
+
+    def corrupted(chart, step, *args):
+        made = child(chart, step, *args)
+        if isinstance(step, blowup.TranslateStep):
+            record = made.divisors["z"]
+            divisors = {"z": replace(record, h=record.h + 1)}
+            return replace(made, divisors=divisors)
+        return made
+
+    monkeypatch.setattr(blowup, "_child", corrupted)
+    script = tmp_path / "t.script"
+    script.write_text("blowup x y z\nchart z\ntranslate x := x + 1\n")
+    code, out, err = run_cli(["pole", "x^2+y^2+z^3", "--script", str(script)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(
+        "internal inconsistency: divisor records changed across a coordinate "
+        "change at U_z/T_x: "
+    )
     assert err.count("\n") == 1
 
 
