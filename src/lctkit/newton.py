@@ -4,16 +4,17 @@ independent of any blow-up.
 For f vanishing at the origin, t0 is the parameter where the diagonal
 (t, ..., t) first meets the polyhedron conv(support + positive orthant);
 the reported value is 1/t0. One exact simplex solves the min-max program
-and returns its primal convex weights lam and its dual weights w. It is
-fraction-free: an integer tableau over one common denominator, pivoted by
-exact division and Bland's rule, so Fractions are built only from the
-optimum. The value is accepted only if lam and w prove each other by LP
-duality, decided on integer numerators: lam is feasible at t0, w >= 0 sums
-to 1, and min_i w . a_i = t0. Facet normals, whose null spaces use the same
-integer pivot, are enumerated only when they are displayed, and there the
-largest N/sum(w) over the facets must equal the certified t0. The value is
-what the polyhedron alone determines; for degenerate boundaries it is only
-a candidate, and no nondegeneracy check is attempted.
+from a closed-form start tableau and returns its primal convex weights lam
+and its dual weights w. It is fraction-free: an integer tableau over one
+common denominator, pivoted by exact division and Bland's rule. The value
+is accepted only if lam and w prove each other by LP duality, decided on
+their integer numerators: lam is feasible at t0, w >= 0 sums to 1, and
+min_i w . a_i = t0. Fractions are built only for t0 and 1/t0. Facet
+normals, whose null spaces use the same integer pivot, are enumerated only
+when they are displayed, and there the largest N/sum(w) over the facets
+must equal the certified t0. The value is what the polyhedron alone
+determines; for degenerate boundaries it is only a candidate, and no
+nondegeneracy check is attempted.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .algebra import Polynomial
@@ -164,36 +165,38 @@ def _facet_normals(pts: list[tuple[int, ...]], d: int):
 
 def _t0_primal(pts: list[tuple[int, ...]], d: int):
     """min t such that (t, ..., t) dominates a convex combination of support
-    points, by an exact simplex; returns (t, lam, w) as Fractions.
+    points, by an exact simplex; returns (t, lam, w, den), integer numerators
+    over one denominator den >= 1.
 
     The program is min t subject to sum_i lam_i a_i + s = t * 1,
     sum_i lam_i = 1 and lam, s, t >= 0. Columns are ordered lam, s, t, and
     Bland's rule (lowest entering index, ties in the ratio test to the
     lowest basic index) keeps degenerate supports from cycling. The start
-    basis is closed-form: lam = 1 at the point whose largest coordinate M is
-    smallest, t = M, and slacks M - a_c on every other row. At the optimum
-    the reduced cost of slack c is -y_c for the dual y of B^T y = c_B, so
-    w = -y is read off the objective row. The tableau is integer over one
-    common denominator (see _pivot), so the ratio test cross-multiplies and
-    Fractions are built only from the optimal tableau.
+    basis is closed-form: lam = 1 at the point s whose largest coordinate
+    M = a_s[top] is smallest, t = M, and slacks M - a_sc on every other row;
+    its tableau is written down directly with den = 1. At the optimum the
+    reduced cost of slack c is -y_c for the dual y of B^T y = c_B, so w = -y
+    is read off the objective row. Pivots divide exactly (see _pivot).
     """
     n = len(pts)
     t_col = n + d
-    # Rows 0..d-1: sum_i lam_i a_ic + s_c - t = 0; row d: sum_i lam_i = 1;
-    # last row: the objective t, kept reduced against the basis.
+    a_s = min(pts, key=max)
+    m = max(a_s)
+    start, top = pts.index(a_s), a_s.index(m)
+    gap = [m - a[top] for a in pts]  # M - T_i
+    # Rows 0..d-1: row top holds t, row c the slack of coordinate c; row d:
+    # sum_i lam_i = 1; last row: the objective t, reduced against the basis.
     rows = [
-        [a[c] for a in pts] + [int(k == c) for k in range(d)] + [-1, 0]
+        [a[c] - a_s[c] + g for a, g in zip(pts, gap)]
+        + [int(k == c) - int(k == top) for k in range(d)]
+        + [0, m - a_s[c]]
         for c in range(d)
     ]
+    rows[top] = gap + [-int(k == top) for k in range(d)] + [1, m]
     rows.append([1] * n + [0] * (d + 1) + [1])
-    rows.append([0] * (n + d) + [1, 0])
-    basis = [n + c for c in range(d)] + [None]
+    rows.append([-g for g in gap] + [int(k == top) for k in range(d)] + [0, -m])
+    basis = [t_col if c == top else n + c for c in range(d)] + [start]
     den = 1
-    start = min(range(n), key=lambda i: max(pts[i]))
-    top = max(range(d), key=lambda c: pts[start][c])
-    for r, j in ((d, start), (top, t_col)):
-        den = _pivot(rows, r, j, den)
-        basis[r] = j
     while True:
         objective = rows[-1]
         entering = next((j for j in range(t_col + 1) if objective[j] < 0), None)
@@ -212,46 +215,42 @@ def _t0_primal(pts: list[tuple[int, ...]], d: int):
                 leaving = r
         den = _pivot(rows, leaving, entering, den)
         basis[leaving] = entering
-    values = [0] * (t_col + 1)
-    for r, j in enumerate(basis):
-        values[j] = rows[r][-1]
-    return (
-        Fraction(values[t_col], den),
-        [Fraction(v, den) for v in values[:n]],
-        [Fraction(v, den) for v in objective[n:t_col]],
-    )
+    values = dict(zip(basis, (row[-1] for row in rows)))
+    return values[t_col], [values.get(i, 0) for i in range(n)], objective[n:t_col], den
 
 
-def _numerators(values) -> tuple[list[int], int]:
-    """Integer numerators of rationals over the lcm of their denominators."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _check_certificate(pts, t: int, lam: list[int], w: list[int], den: int) -> None:
+    """Prove t0 = t / den = min t by LP duality, trusting nothing from the
+    solver; lam and w are numerators over the same den >= 1 as t.
 
-
-def _check_certificate(pts, t: Fraction, lam, w) -> None:
-    """Prove t = min t by LP duality, trusting nothing from the solver.
-
-    If lam is a feasible convex combination with every coordinate <= t, and
-    w >= 0 with sum w = 1 has w . a_i >= t for every support point, then
-    any feasible (lam', t') has t' >= w . (sum lam'_i a_i) >= t. Each
-    condition is decided on integer numerators over a common denominator.
+    If lam is a feasible convex combination with every coordinate <= t0, and
+    w >= 0 with sum w = 1 has w . a_i >= t0 for every support point, then
+    any feasible (lam', t') has t' >= w . (sum lam'_i a_i) >= t0.
     """
-    lam_num, lam_den = _numerators(lam)
-    if any(c < 0 for c in lam_num) or sum(lam_num) != lam_den:
+    if den < 1:
+        raise InternalInconsistencyError(f"common denominator {den} is not positive")
+
+    def over(values):
+        return [Fraction(v, den) for v in values]
+
+    if any(c < 0 for c in lam) or sum(lam) != den:
         raise InternalInconsistencyError(
-            f"primal weights {lam} are not a convex combination"
+            f"primal weights {over(lam)} are not a convex combination"
         )
-    point = [sum(c * a[k] for c, a in zip(lam_num, pts)) for k in range(len(w))]
-    if any(coord * t.denominator > t.numerator * lam_den for coord in point):
-        point = [Fraction(coord, lam_den) for coord in point]
-        raise InternalInconsistencyError(f"primal point {point} exceeds t0 = {t}")
-    w_num, w_den = _numerators(w)
-    if any(c < 0 for c in w_num) or sum(w_num) != w_den:
-        raise InternalInconsistencyError(f"dual weights {w} are not dual-feasible")
-    bound = min(_dot(w_num, a) for a in pts)
-    if bound * t.denominator != t.numerator * w_den:
+    point = [sum(c * a[k] for c, a in zip(lam, pts)) for k in range(len(w))]
+    if any(coord > t for coord in point):
         raise InternalInconsistencyError(
-            f"duality gap: primal t0 = {t}, dual bound {Fraction(bound, w_den)}"
+            f"primal point {over(point)} exceeds t0 = {Fraction(t, den)}"
+        )
+    if any(c < 0 for c in w) or sum(w) != den:
+        raise InternalInconsistencyError(
+            f"dual weights {over(w)} are not dual-feasible"
+        )
+    bound = min(_dot(w, a) for a in pts)
+    if bound != t:
+        raise InternalInconsistencyError(
+            f"duality gap: primal t0 = {Fraction(t, den)}, "
+            f"dual bound {Fraction(bound, den)}"
         )
 
 
@@ -261,6 +260,6 @@ def lambda_newton(f: Polynomial) -> NewtonData:
     d = len(f.variables)
     if (0,) * d in f.terms:
         raise UnitInputError("the polynomial does not vanish at the origin")
-    t0, lam, w = _t0_primal(pts, d)
-    _check_certificate(pts, t0, lam, w)
-    return NewtonData(support=tuple(pts), t0=t0, lambda_np=Fraction(1) / t0)
+    t, lam, w, den = _t0_primal(pts, d)
+    _check_certificate(pts, t, lam, w, den)
+    return NewtonData(tuple(pts), Fraction(t, den), Fraction(den, t))

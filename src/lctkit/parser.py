@@ -15,9 +15,9 @@ field generator; anything else is an error with a source span.
 One regular expression splits a text into tokens; a token's line and column
 are worked out from its offset only when an error reports them. The parser
 builds term dicts (exponent tuple -> nonzero coefficient, as in algebra.py)
-and makes one Polynomial at the end. In a product, every one-term factor
-folds into one exponent vector and one coefficient, and only factors with
-several terms are multiplied as term dicts.
+and makes one Polynomial at the end. A term folds its variables into one
+exponent list and its literals into one rational scale, made a field
+element once; only factors with several terms are multiplied as term dicts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from operator import add
 from typing import Optional, Sequence, Union
 
 from .algebra import (
@@ -110,8 +109,7 @@ class _Tokens:
 
 
 class _Session:
-    """The ring of one parse, with the term dict of each variable. Those
-    dicts are shared, never changed."""
+    """The ring of one parse, with the position of each variable."""
 
     def __init__(self, field: NumberField, variables: Sequence[str]):
         variables = tuple(variables)
@@ -128,12 +126,9 @@ class _Session:
             )
         self.field = field
         self.variables = variables
-        self.one = one = field.one()
-        self.origin = origin = (0,) * len(variables)
-        self.names = {
-            v: {origin[:k] + (1,) + origin[k + 1 :]: one}
-            for k, v in enumerate(variables)
-        }
+        self.one = field.one()
+        self.origin = (0,) * len(variables)
+        self.index = {v: k for k, v in enumerate(variables)}
 
 
 _SESSIONS: dict[tuple[int, tuple[str, ...]], _Session] = {}
@@ -187,72 +182,78 @@ class _ExprParser:
             _add_into(out, self.parse_term(op == "-"))
 
     def parse_term(self, negate: bool) -> Terms:
-        """The product of one term's factors, negated if asked. One-term
-        factors fold into `exps` and `coeff`; the others (several terms, or
-        none) are multiplied into `product`."""
+        """The product of one term's factors, negated if asked. Variables add
+        to `exps`, literals multiply the rational `scale`, other one-term
+        factors fold into `exps` and `coeff`, the rest into `product`."""
         tokens, session = self.tokens, self.session
-        one = session.one
-        exps, coeff, product = session.origin, one, None
+        index, one = session.index, session.one
+        exps, scale, coeff, product = [0] * len(session.origin), 1, one, None
         while True:
             while tokens[self.pos] == "-":
                 negate = not negate
                 self.pos += 1
-            factor = self.parse_atom()
-            n = 1
-            if tokens[self.pos] == "^":
+            k = index.get(tokens[self.pos])
+            if k is not None:
                 self.pos += 1
-                if not tokens[self.pos][:1].isdecimal():
-                    raise self.error("exponent must be a non-negative integer literal")
-                n = self.source.integer(self.pos)
-                self.pos += 1
-                if len(factor) != 1:
-                    factor, n = _pow_terms(factor, n, {session.origin: one}), 1
-            if len(factor) == 1:
-                (e, c), = factor.items()
-                if n != 1:
-                    e = [n * k for k in e]
-                    if c is not one:
-                        c = c**n
-                exps = tuple(map(add, exps, e))
-                if c is not one:
-                    coeff = c if coeff is one else coeff * c
+                exps[k] += self.exponent() if tokens[self.pos] == "^" else 1
+            elif tokens[self.pos][:1].isdecimal():
+                scale *= self.literal()
             else:
-                product = factor if product is None else _mul_terms(product, factor)
+                factor = self.parse_atom()
+                if tokens[self.pos] == "^":
+                    factor = _pow_terms(factor, self.exponent(), {session.origin: one})
+                if len(factor) == 1:
+                    (e, c), = factor.items()
+                    exps = [a + b for a, b in zip(exps, e)]
+                    coeff = c if coeff is one else coeff * c
+                else:
+                    product = factor if product is None else _mul_terms(product, factor)
             if tokens[self.pos] != "*":
                 break
             self.pos += 1
-        if negate:
-            coeff = -coeff
-        if product is None:
-            return {exps: coeff}
-        return _mul_terms(product, {exps: coeff})
+        if not scale:
+            return {}
+        if scale != 1 or negate:
+            c = session.field.rational(-scale if negate else scale)
+            coeff = c if coeff is one else coeff * c
+        term = {tuple(exps): coeff}
+        return term if product is None else _mul_terms(product, term)
+
+    def exponent(self) -> int:
+        """The INT after the '^' at the current token."""
+        self.pos += 1
+        if not self.tokens[self.pos][:1].isdecimal():
+            raise self.error("exponent must be a non-negative integer literal")
+        self.pos += 1
+        return self.source.integer(self.pos - 1)
+
+    def literal(self) -> Union[int, Fraction]:
+        """An INT ['/' INT] literal with its '^' INT power, if any: an int, or
+        a Fraction with '/'."""
+        tokens, value = self.tokens, self.source.integer(self.pos)
+        self.pos += 1
+        if tokens[self.pos] == "/":
+            self.pos += 1
+            if not tokens[self.pos][:1].isdecimal():
+                raise self.error("expected an integer denominator")
+            den = self.source.integer(self.pos)
+            if den == 0:
+                raise self.error("zero denominator")
+            self.pos += 1
+            value = Fraction(value, den)
+        return value ** self.exponent() if tokens[self.pos] == "^" else value
 
     def parse_atom(self) -> Terms:
-        """An atom's term dict; a variable's is shared and must not be changed."""
+        """The term dict of a parenthesised expr or of the field generator."""
         tokens, session = self.tokens, self.session
         tok = tokens[self.pos]
         self.pos += 1
-        atom = session.names.get(tok)
-        if atom is not None:
-            return atom
         if tok == "(":
             inner = self.parse_expr()
             if tokens[self.pos] != ")":
                 raise self.error("expected ')'")
             self.pos += 1
             return inner
-        if tok[:1].isdecimal():
-            value = Fraction(self.source.integer(self.pos - 1))
-            if tokens[self.pos] == "/":
-                self.pos += 1
-                if not tokens[self.pos][:1].isdecimal():
-                    raise self.error("expected an integer denominator")
-                den = self.source.integer(self.pos)
-                if den == 0:
-                    raise self.error("zero denominator")
-                self.pos += 1
-                value /= den
-            return {session.origin: session.field.rational(value)} if value else {}
         if tok == session.field.generator_name:
             gen = session.field.generator()
             return {session.origin: gen} if gen else {}

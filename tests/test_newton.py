@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,25 +252,39 @@ def reference_supports():
         yield random_support(rng, d, n, max_exp)
 
 
+SOLVE = newton._t0_primal
+
+
+def as_fractions(t, lam, w, den):
+    """The solver's numerators over den as the Fractions they stand for."""
+    return (
+        Fraction(t, den),
+        [Fraction(v, den) for v in lam],
+        [Fraction(v, den) for v in w],
+    )
+
+
 def test_integer_simplex_matches_fraction_reference():
     checked = 0
     for points in reference_supports():
         d = len(points[0])
-        t, lam, w = SOLVE(points, d)
-        assert (t, lam, w) == fraction_t0_primal(points, d)
-        assert all(type(v) is Fraction for v in [t, *lam, *w])
+        t, lam, w, den = SOLVE(points, d)
+        assert all(type(v) is int for v in [t, *lam, *w, den])
+        assert den >= 1
+        assert as_fractions(t, lam, w, den) == fraction_t0_primal(points, d)
         checked += 1
     assert checked >= 500
 
 
-SOLVE = newton._t0_primal
-SOLVE = newton._t0_primal
-
-
 def _tampered(change):
+    """The solver with `change` applied to its Fraction values, the forged
+    values put back on one common denominator."""
+
     def solve(pts, d):
-        t, lam, w = SOLVE(pts, d)
-        return change(t, list(lam), list(w))
+        t, lam, w = as_fractions(*SOLVE(pts, d))
+        t, lam, w = change(t, list(lam), list(w))
+        den = lcm(*(v.denominator for v in [t, *lam, *w]))
+        return int(t * den), [int(v * den) for v in lam], [int(v * den) for v in w], den
 
     return solve
 
@@ -295,6 +310,22 @@ def _tampered(change):
 def test_tampered_certificate_is_rejected(monkeypatch, change):
     monkeypatch.setattr(newton, "_t0_primal", _tampered(change))
     with pytest.raises(InternalInconsistencyError):
+        lambda_newton(parse_poly("x^2 + y^3 + z^5"))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # every value over 0: no denominator at all
+        lambda t, lam, w, den: (t, lam, w, 0),
+        # every numerator and den negated: the same rationals, den < 1
+        lambda t, lam, w, den: (-t, [-c for c in lam], [-c for c in w], -den),
+    ],
+    ids=["den-zero", "den-negated"],
+)
+def test_forged_denominator_is_rejected(monkeypatch, change):
+    monkeypatch.setattr(newton, "_t0_primal", lambda pts, d: change(*SOLVE(pts, d)))
+    with pytest.raises(InternalInconsistencyError, match="denominator"):
         lambda_newton(parse_poly("x^2 + y^3 + z^5"))
 
 

@@ -144,6 +144,9 @@ def test_generator_names_read_back(name, accepted):
         ("x^-2", 1, 3),
         ("", 1, 1),
         ("x**2", 1, 3),
+        ("x^y", 1, 3),
+        ("2/0", 1, 3),
+        ("2/x", 1, 3),
     ],
 )
 def test_error_spans(text, line, column):
@@ -161,6 +164,36 @@ def test_division_only_inside_rational_literals():
         parse_poly("x/y")
     with pytest.raises(ParseError):
         parse_poly("1/0")
+
+
+_X, _Y = (Polynomial.variable(GAUSS, DEFAULT_VARIABLES, v) for v in "xy")
+_I = Polynomial.constant(GAUSS, DEFAULT_VARIABLES, GAUSS.generator())
+
+
+def _q(*value):
+    return Polynomial.constant(GAUSS, DEFAULT_VARIABLES, Fraction(*value))
+
+
+# A term folds its variables into one exponent list and its literals into one
+# rational scale; each entry is the same product built by the ring operators.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("0*x", lambda: _q(0) * _X),
+        ("x*0", lambda: _X * _q(0)),
+        ("0^0*x", lambda: _q(0) ** 0 * _X),
+        ("2/4^2*x", lambda: _q(2, 4) ** 2 * _X),
+        ("-2^2*x", lambda: -(_q(2) ** 2) * _X),
+        ("x^0*y", lambda: _X**0 * _Y),
+        ("3*x*2*y*x", lambda: _q(3) * _X * _q(2) * _Y * _X),
+        ("i*2*x*i", lambda: _I * _q(2) * _X * _I),
+        ("1/2*x - 1/2*x", lambda: _q(1, 2) * _X - _q(1, 2) * _X),
+    ],
+)
+def test_term_fold_edge_cases(text, expected):
+    f = parse_poly(text)
+    assert f == expected()
+    assert all(f.terms.values())
 
 
 def test_non_decimal_digits_are_unexpected_characters():
