@@ -9,6 +9,12 @@ root either. Every ring is therefore a field, where a product of nonzero
 elements is nonzero. FieldElement and Polynomial are immutable values; every
 operation returns a new object and nothing here mutates shared state.
 
+A FieldElement is integer numerators of its power-basis coordinates over
+one positive denominator, in lowest terms, so values compare and hash as
+tuples. With both denominators 1, +, - and * use Python ints only; a
+general product folds by the modulus tail, kept as integers over one
+denominator, and one gcd reduces it. `coeffs` (Fractions) is derived.
+
 Each ring result is built once. The public `Polynomial(...)` constructor
 guards outside input: it checks every exponent vector and coerces every
 coefficient into the field. A ring operation (+, -, *, **, partial,
@@ -40,8 +46,9 @@ the powers of its wide images; that memo only ever gains entries, each a
 value. There is one fold. A one-term
 Polynomial to the n-th power multiplies its exponents by n and takes one
 coefficient power. FieldElement * and ** with a rational operand (every
-coordinate above degree 0 is zero) scale the coordinates by one Fraction, or
-take one Fraction power, instead of convolving and reducing mod the modulus.
+coordinate above degree 0 is zero) scale the numerators by one integer
+ratio, or take one power of numerators and denominator, instead of
+convolving and reducing mod the modulus.
 """
 
 from __future__ import annotations
@@ -49,8 +56,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, mul
+from itertools import compress
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -65,11 +73,10 @@ Rational = Union[Fraction, int]
 Terms = dict[tuple[int, ...], "FieldElement"]
 
 
-def _fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _parts(value: Rational) -> tuple[int, int]:
+    """The numerator and denominator of an int or a Fraction, unbuilt."""
+    if isinstance(value, (int, Fraction)):
+        return int(value.numerator), value.denominator
     raise TypeError(f"expected an integer or Fraction, got {value!r}")
 
 
@@ -208,14 +215,15 @@ class NumberField:
 
     minpoly_tail holds the coefficients of t^0 .. t^(m-1); the leading 1 is
     implicit. Every instance, however built, passes the modulus checks of
-    __post_init__.
+    __post_init__, which also keeps the tail as integers over one
+    denominator (`_tail`) for the element product.
     """
 
     generator_name: str
     minpoly_tail: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        tail = tuple(_fraction(c) for c in self.minpoly_tail)
+        tail = tuple(Fraction(*_parts(c)) for c in self.minpoly_tail)
         object.__setattr__(self, "minpoly_tail", tail)
         if not 1 <= len(tail) <= 3:
             raise FieldError(
@@ -232,15 +240,18 @@ class NumberField:
             raise FieldError(
                 f"minimal polynomial has the rational root {root}, so it is reducible"
             )
-        zeros = (Fraction(0),) * (self.degree - 1)
-        object.__setattr__(self, "_zero", _element(self, (Fraction(0),) + zeros))
-        object.__setattr__(self, "_one", _element(self, (Fraction(1),) + zeros))
+        den = lcm(*(c.denominator for c in tail))
+        zeros = (0,) * (self.degree - 1)
+        object.__setattr__(self, "_tail", (tuple(int(c * den) for c in tail), den))
+        object.__setattr__(self, "_zeros", zeros)
+        object.__setattr__(self, "_zero", _element(self, (0,) + zeros, 1))
+        object.__setattr__(self, "_one", _element(self, (1,) + zeros, 1))
 
     @staticmethod
     def make(minpoly: Sequence[Rational], generator_name: str = "i") -> "NumberField":
         """Build a field from the full coefficient list, low degree first, e.g.
         (1, 0, 1) for t^2 + 1. The list must describe a monic polynomial."""
-        coeffs = [_fraction(c) for c in minpoly]
+        coeffs = [Fraction(*_parts(c)) for c in minpoly]
         if not coeffs or coeffs[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
         return NumberField(generator_name, tuple(coeffs[:-1]))
@@ -250,16 +261,20 @@ class NumberField:
         return len(self.minpoly_tail)
 
     def element(self, coeffs: Sequence[Rational]) -> "FieldElement":
-        vals = [_fraction(c) for c in coeffs]
-        if len(vals) > self.degree:
+        parts = [_parts(c) for c in coeffs]
+        if len(parts) > self.degree:
             raise FieldError(
                 f"coefficient vector longer than field degree {self.degree}"
             )
-        vals += [Fraction(0)] * (self.degree - len(vals))
-        return _element(self, tuple(vals))
+        # Over the lcm of the denominators, the numerators have no common
+        # factor with it: each prime power of it divides one denominator.
+        den = lcm(*(d for _, d in parts))
+        num = tuple(n * (den // d) for n, d in parts)
+        return _element(self, num + (0,) * (self.degree - len(num)), den)
 
     def rational(self, value: Rational) -> "FieldElement":
-        return _element(self, (_fraction(value),) + self._zero.coeffs[1:])
+        n, d = (value, 1) if value.__class__ is int else _parts(value)
+        return _element(self, (n,) + self._zeros, d)
 
     def zero(self) -> "FieldElement":
         return self._zero
@@ -284,81 +299,98 @@ class NumberField:
         return self.rational(value)
 
 
-@dataclass(frozen=True, slots=True)
 class FieldElement:
-    """An element of a NumberField, stored as coordinates in the power basis."""
+    """An element of a NumberField, immutable: its power-basis coordinates
+    are num[k] / den, with den > 0 and gcd(den, *num) == 1 (zero is 0/1), so
+    equal elements have equal num and den. NumberField builds them."""
 
-    field: NumberField
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("field", "num", "den")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions, low degree first."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not FieldElement:
             return NotImplemented
-        return (
+        return self.num == other.num and self.den == other.den and (
             self.field is other.field or self.field == other.field
-        ) and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise FieldError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
-    def _coerce(self, other) -> "FieldElement":
-        return self.field.coerce(other)
+    def _combine(self, other: "FieldElement", op) -> "FieldElement":
+        """self + other or self - other, for op add or sub."""
+        d, e = self.den, other.den
+        if d == e:
+            return _reduced(self.field, tuple(map(op, self.num, other.num)), d)
+        num = tuple(op(a * e, b * d) for a, b in zip(self.num, other.num))
+        return _reduced(self.field, num, d * e)
 
     def __add__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        return _element(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self._combine(self.field.coerce(other), add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return _element(self.field, tuple(-a for a in self.coeffs))
+        return _element(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other) -> "FieldElement":
-        return self + (-self._coerce(other))
+        return self._combine(self.field.coerce(other), sub)
 
     def __rsub__(self, other) -> "FieldElement":
-        return self._coerce(other) - self
+        return self.field.coerce(other)._combine(self, sub)
 
     def __mul__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other.is_rational:
-            return self._scale(other.coeffs[0])
-        if self.is_rational:
-            return other._scale(self.coeffs[0])
-        m = self.field.degree
-        prod = [Fraction(0)] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] += a * b
-        tail = self.field.minpoly_tail
-        # Fold t^k for k >= m down using t^m = -tail.
+        other = self.field.coerce(other)
+        a, b = self.num, other.num
+        if not any(b[1:]):
+            return self._scale(b[0], other.den)
+        if not any(a[1:]):
+            return other._scale(a[0], self.den)
+        m = len(a)
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        # Fold t^k for k >= m down using t^m = -tail / tden, first scaling
+        # every coordinate and the denominator by tden when it is not 1.
+        tail, tden = self.field._tail
+        den = self.den * other.den
         for k in range(len(prod) - 1, m - 1, -1):
             c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = Fraction(0)
-            for j, tc in enumerate(tail):
-                prod[k - m + j] -= c * tc
-        return _element(self.field, tuple(prod[:m]))
+            if c:
+                if tden != 1:
+                    prod = [p * tden for p in prod]
+                    den *= tden
+                for j, tc in enumerate(tail):
+                    prod[k - m + j] -= c * tc
+        return _reduced(self.field, tuple(prod[:m]), den)
 
-    def _scale(self, r: Rational) -> "FieldElement":
-        return _element(self.field, tuple(c * r if c else c for c in self.coeffs))
+    def _scale(self, n: int, d: int = 1) -> "FieldElement":
+        """self * (n / d), for d > 0."""
+        return _reduced(self.field, tuple(c * n for c in self.num), self.den * d)
 
     __rmul__ = __mul__
 
@@ -369,21 +401,21 @@ class FieldElement:
         # The modulus is irreducible, so the gcd is a nonzero constant.
         g, s, _ = _uni_ext_gcd(_uni_trim(self.coeffs), modulus)
         inv = _uni_mul(s, (Fraction(1) / g[0],))
-        _, inv = _uni_divmod(inv, modulus)
-        vals = list(inv) + [Fraction(0)] * (self.field.degree - len(inv))
-        return _element(self.field, tuple(vals))
+        return self.field.element(_uni_divmod(inv, modulus)[1])
 
     def __truediv__(self, other) -> "FieldElement":
-        return self * self._coerce(other).inverse()
+        return self * self.field.coerce(other).inverse()
 
     def __rtruediv__(self, other) -> "FieldElement":
-        return self._coerce(other) * self.inverse()
+        return self.field.coerce(other) * self.inverse()
 
     def __pow__(self, n: int) -> "FieldElement":
         if not isinstance(n, int) or n < 0:
             raise ValueError("field exponent must be a non-negative integer")
         if self.is_rational:
-            return _element(self.field, (self.coeffs[0] ** n,) + self.coeffs[1:])
+            # Powers of coprime integers stay coprime.
+            num = (self.num[0] ** n,) + self.num[1:]
+            return _element(self.field, num, self.den**n)
         out = self.field.one()
         base = self
         while n:
@@ -402,16 +434,26 @@ class FieldElement:
 
 _new = object.__new__
 _set_element_field = FieldElement.field.__set__
-_set_element_coeffs = FieldElement.coeffs.__set__
+_set_element_num = FieldElement.num.__set__
+_set_element_den = FieldElement.den.__set__
 
 
-def _element(field: NumberField, coeffs: tuple[Fraction, ...]) -> FieldElement:
-    """FieldElement(field, coeffs) without the dataclass __init__, which sets
-    each frozen slot through object.__setattr__."""
+def _element(field: NumberField, num: tuple[int, ...], den: int) -> FieldElement:
+    """The element num / den, given in lowest terms with den > 0."""
     el = _new(FieldElement)
     _set_element_field(el, field)
-    _set_element_coeffs(el, coeffs)
+    _set_element_num(el, num)
+    _set_element_den(el, den)
     return el
+
+
+def _reduced(field: NumberField, num: tuple[int, ...], den: int) -> FieldElement:
+    """The element num / den for any den > 0, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple(c // g for c in num), den // g
+    return _element(field, num, den)
 
 
 def format_element(el: FieldElement) -> str:
@@ -639,12 +681,7 @@ class Polynomial:
             yield exps, self.terms[exps]
 
     def variables_present(self) -> tuple[str, ...]:
-        present = [False] * len(self.variables)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    present[i] = True
-        return tuple(v for v, p in zip(self.variables, present) if p)
+        return tuple(compress(self.variables, map(any, zip(*self.terms))))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -901,7 +938,7 @@ def _mul_terms(f: Terms, g: Terms) -> Terms:
         f, g = g, f
     if len(g) == 1:
         (shift, c), = g.items()
-        if c.is_rational and c.coeffs[0] == 1:
+        if c.den == 1 and c.num[0] == 1 and c.is_rational:
             return {tuple(map(add, e, shift)): a for e, a in f.items()}
         return {tuple(map(add, e, shift)): a * c for e, a in f.items()}
     out = {}

@@ -6,32 +6,33 @@ divisor: `divisors[v]` is the PoleIndex (id, k, h) of {v = 0}, where the id
 names the blow-up (or root hyperplane) that created the divisor, k is the
 order of the total transform and h the order of the Jacobian determinant
 along it. The variables with a record are the chart's `exceptional` ones.
-A chart derives its total transform `total` = strict * (prod e**k_e)
-once, on first use, by shifting the strict transform's exponents by the k
-vector. The root chart's total must equal f (and the product by `*`), and
-the defining identity
+The total transform `total` = strict * (prod e**k_e) is the strict
+transform's exponents shifted by the k vector. The root chart's total must
+equal f (and the product by `*`), and the defining identity
 
     (parent total)(step map) = child total
 
 is asserted exactly across every blow-up and translation, so the chain of
-checks is anchored at f. The rewrite of apply_affine is checked to
-reproduce the strict transform. A translation or a rewrite has a unit
-Jacobian, so its child must keep every record of its parent, but for a
-localized divisor that leaves; both check that. A chart stores only its
-path (`steps`); map_from_root is derived from it on demand: on a path of
-origin blow-ups only it is x = y**run, otherwise the step maps of
-_step_substitution composed, and it is None once a triangular
-(power-series) rewrite is on the path.
+checks is anchored at f; the checked left side becomes the child's total.
+The rewrite of apply_affine is checked to reproduce the strict transform.
+A translation or a rewrite has a unit Jacobian, so its child must keep
+every record of its parent, but for a localized divisor that leaves; both
+check that. A chart stores only its path (`steps`); map_from_root is
+derived from it on demand: on a path of origin blow-ups only it is
+x = y**run, otherwise the step maps of _step_substitution composed, and it
+is None once a triangular (power-series) rewrite is on the path.
 
 Two independent codes pull a strict transform back through an origin
 blow-up. blowup_origin builds each child's strict transform directly as an
 integer exponent map: in chart U_v, v's exponent becomes the order of the
 term along the center, and the chart's order c of the strict transform is
 divided out, all in one pass over the parent's terms with the coefficients
-reused. The identity check instead substitutes the step map of
-_step_substitution into the parent's total with Polynomial.substitute,
-which does not use that code. Translations and rewrites build their strict
-transforms with Polynomial.substitute from the same step maps.
+reused, and `_child` writes each child's fields (its depth among them)
+straight into the instance dict. The identity check instead substitutes
+the step map of _step_substitution into the parent's total with
+Polynomial.substitute, which does not use that code. Translations and
+rewrites build their strict transforms with Polynomial.substitute from the
+same step maps.
 
 The h records have a builder and a checker too. blowup_origin sums the new
 divisor's h from the records through the center, and checks it in every
@@ -63,8 +64,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import cached_property
-from operator import add, mul
+from functools import cache, cached_property
+from operator import add, itemgetter, mul
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -155,6 +156,7 @@ class RewriteStep:
 
 
 PathStep = Union[BlowupStep, TranslateStep, RewriteStep]
+_new = object.__new__
 
 
 def _columns(variables: tuple[str, ...], names: Sequence[str]) -> tuple[int, ...]:
@@ -231,15 +233,20 @@ class Chart:
     run: tuple[tuple[int, ...], ...]
     run_start: tuple[int, ...]
     orbit_factor: int = 1
+    depth: int = 0  # the number of origin blow-ups on the path
+
+    @property
+    def k_shift(self) -> tuple[int, ...]:
+        """Each coordinate's k (0 without a record)."""
+        divisors = self.divisors
+        return tuple([divisors[v].k if v in divisors else 0 for v in self.variables])
 
     @cached_property
     def total(self) -> Polynomial:
         """The total transform strict * (prod e**k_e): the strict transform's
-        exponents shifted by the k vector, derived once per chart from its
-        own strict and records. It is the right-hand side of the identity
-        check that made this chart, and the parent side of its children's."""
-        divisors = self.divisors
-        shift = tuple([divisors[v].k if v in divisors else 0 for v in self.variables])
+        exponents shifted by the k vector, unless the identity check that
+        made the chart stored it. The parent side of its children's checks."""
+        shift = self.k_shift
         # A shift is injective on the terms, so the coefficients carry over.
         return self.strict._with_terms(
             {tuple(map(add, e, shift)): c for e, c in self.strict.terms.items()}
@@ -248,10 +255,6 @@ class Chart:
     @property
     def exceptional(self) -> tuple[str, ...]:
         return tuple(v for v in self.variables if v in self.divisors)
-
-    @property
-    def depth(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, BlowupStep))
 
     @property
     def path(self) -> tuple[str, ...]:
@@ -286,27 +289,37 @@ class Chart:
         return images
 
 
-def _classify(strict: Polynomial) -> ChartStatus:
-    # SmoothStrict accepts any nonzero gradient at the origin, including one
-    # pointing along an exceptional divisor. That is a deliberately weak
-    # termination certificate (the strict transform may still be tangent to
-    # the divisor), which is why smooth leaves leave the result uncertified.
-    if strict.is_unit_at_origin():
-        return ChartStatus.UNIT_STRICT
-    # The constant term of df/dv is the coefficient of the monomial v.
-    n = len(strict.variables)
-    if any((0,) * i + (1,) + (0,) * (n - 1 - i) in strict.terms for i in range(n)):
-        return ChartStatus.SMOOTH_STRICT
-    return ChartStatus.OPEN
-
-
 def _lowest_exponents(poly: Polynomial) -> list[int]:
     """Each variable's order in poly, from one scan of its terms; empty for
     the zero polynomial."""
     return list(map(min, zip(*poly.terms)))
 
 
-def _assert_content_free(chart: Chart) -> None:
+@cache
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n unit exponent vectors in n variables: the identity matrix."""
+    return tuple(tuple(int(i == k) for i in range(n)) for k in range(n))
+
+
+def _classify(strict: Polynomial) -> ChartStatus:
+    """UnitStrict for a nonzero constant term, SmoothStrict for a nonzero
+    gradient at the origin (df/dv there is the coefficient of v), else Open.
+    SmoothStrict accepts any nonzero gradient at the origin, including one
+    pointing along an exceptional divisor. That is a deliberately weak
+    termination certificate (the strict transform may still be tangent to
+    the divisor), which is why smooth leaves leave the result uncertified.
+    """
+    n = len(strict.variables)
+    if (0,) * n in strict.terms:
+        return ChartStatus.UNIT_STRICT
+    if not strict.terms.keys().isdisjoint(_identity(n)):
+        return ChartStatus.SMOOTH_STRICT
+    return ChartStatus.OPEN
+
+
+def _scan(chart: Chart) -> ChartStatus:
+    """The chart's status, after one scan of the strict transform's exponent
+    vectors checks it free of content in every exceptional variable."""
     # The zero polynomial has content in every variable.
     lows = _lowest_exponents(chart.strict) or [1] * len(chart.variables)
     for e, low in zip(chart.variables, lows):
@@ -315,18 +328,26 @@ def _assert_content_free(chart: Chart) -> None:
                 f"strict transform has content in exceptional variable {e!r} "
                 f"at {chart.path_text()}"
             )
+    return _classify(chart.strict)
 
 
 def _assert_step_identity(
     parent_total: Polynomial, child: Chart, substitution: Mapping[str, Polynomial]
 ) -> None:
     """The parent's total transform must pull back exactly across one step
-    to the child's total. The left side goes through Polynomial.substitute,
-    not through the exponent map that built an origin blow-up's child."""
-    if parent_total.substitute(substitution) != child.total:
+    to the child's strict transform shifted by its k vector, and then is the
+    child's total. The left side goes through Polynomial.substitute, not
+    through the exponent map that built an origin blow-up's child."""
+    pulled = parent_total.substitute(substitution)
+    strict, shift = child.strict.terms, child.k_shift
+    get = pulled.terms.get
+    if len(pulled.terms) != len(strict) or [
+        get(tuple(map(add, e, shift))) for e in strict
+    ] != list(strict.values()):
         raise InternalInconsistencyError(
             f"total transform identity failed at {child.path_text()}"
         )
+    vars(child)["total"] = pulled
 
 
 def _assert_records_kept(chart: Chart, child: Chart, dropped: Optional[str]) -> None:
@@ -352,20 +373,22 @@ def _run_h(column: Sequence[int], run_start: Sequence[int]) -> int:
 def _restart_run(variables: tuple[str, ...], divisors: Mapping) -> tuple:
     """A new run and its run_start: A = I, and h + 1 read from the records. A
     translation or rewrite has a unit Jacobian, as has a dropped divisor."""
-    n = len(variables)
-    return (
-        tuple(tuple(int(i == j) for i in range(n)) for j in range(n)),
-        tuple(divisors[v].h + 1 if v in divisors else 1 for v in variables),
-    )
+    run_start = tuple(divisors[v].h + 1 if v in divisors else 1 for v in variables)
+    return _identity(len(variables)), run_start
 
 
 def _child(chart: Chart, step: PathStep, strict: Polynomial, *records) -> Chart:
     """The chart one step below `chart`, with `records` its divisors, run and
     run_start: the step appended to the path, the new strict transform
-    classified and checked free of exceptional content."""
-    steps, status = chart.steps + (step,), _classify(strict)
-    child = Chart(chart.field, chart.variables, steps, strict, status, *records)
-    _assert_content_free(child)
+    classified and checked free of exceptional content. The fields go
+    straight into the instance dict, not through the frozen __setattr__."""
+    (divisors, run, run_start), child = records, _new(Chart)
+    vars(child).update(
+        field=chart.field, variables=chart.variables, steps=chart.steps + (step,),
+        strict=strict, divisors=divisors, run=run, run_start=run_start,
+        orbit_factor=1, depth=chart.depth + (step.__class__ is BlowupStep),
+    )
+    vars(child)["status"] = _scan(child)
     return child
 
 
@@ -383,8 +406,8 @@ def make_root_chart(f: Polynomial) -> Chart:
         if content.get(v, 0) > 0
     }
     run = _restart_run(f.variables, divisors)  # root records have h = 0
-    chart = Chart(f.field, f.variables, (), strict, _classify(strict), divisors, *run)
-    _assert_content_free(chart)
+    chart = Chart(f.field, f.variables, (), strict, ChartStatus.OPEN, divisors, *run)
+    vars(chart)["status"] = _scan(chart)  # in place of the Open above
     # Every later identity check reads this total as its parent side. The
     # ring product also checks the content split against f, and so the
     # exponent shift that builds every chart's total against `*`.
@@ -432,7 +455,7 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     # In every chart U_v, v's exponent in a term becomes the term's order
     # along the center, and v**c divides out, c the least such order.
     terms = chart.strict.terms.items()
-    orders = [sum([exps[k] for k in columns]) for exps, _ in terms]
+    orders = list(map(sum, map(itemgetter(*columns), chart.strict.terms)))
     c = min(orders)
     if c < 1:
         # A term of order 0 along the center does not vanish on it: the
@@ -458,7 +481,7 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     # center's columns, and the h it gives must be the one built above.
     column = tuple(map(sum, zip(*[chart.run[k] for k in columns])))
     h = _run_h(column, chart.run_start)
-    children = []
+    total, children = chart.total, []
     for v, j in zip(center, columns):
         # The exponent map is injective, so the coefficients carry over.
         strict_child = chart.strict._with_terms(
@@ -472,7 +495,7 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
         divisors = {**chart.divisors, v: record}
         child = _child(chart, step, strict_child, divisors, run, chart.run_start)
         _assert_step_identity(
-            chart.total, child, _step_substitution(chart.field, chart.variables, step)
+            total, child, _step_substitution(chart.field, chart.variables, step)
         )
         # Comparing the whole record also keeps the siblings in agreement.
         found = child.divisors[v]

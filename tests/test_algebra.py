@@ -1,7 +1,7 @@
 """Exact arithmetic over small number fields and sparse polynomial rings."""
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -344,7 +344,10 @@ def test_substitution_identity_and_composition(f):
 # never calls FieldElement or Polynomial arithmetic, so it shares no fast path.
 
 CUBIC = NumberField.make([-2, 0, 0, 1], "c")  # t^3 - 2
-FIELDS = (GAUSS, EISENSTEIN, CUBIC)
+# t^2 + 1/3: the modulus tail is not integral, so the element product folds
+# over the tail's denominator.
+THIRD = NumberField.make([Fraction(1, 3), 0, 1], "s")
+FIELDS = (GAUSS, EISENSTEIN, CUBIC, THIRD)
 
 
 def convolve(field, a, b):
@@ -471,6 +474,111 @@ def test_accepted_rings_have_no_zero_divisors(case):
     assert a * b and b * a
     assert a * a.inverse() == field.one()
     assert (a * b) * b.inverse() == a
+
+
+# -- the field kernel against Fraction tuples ----------------------------------
+#
+# A FieldElement computes on integer numerators over one denominator. The
+# reference is coordinate-wise Fraction arithmetic and `convolve`.
+
+
+def assert_canonical(x):
+    """Integer numerators over a positive denominator, in lowest terms."""
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@st.composite
+def coordinate_pair(draw):
+    """A field of FIELDS and two coordinate tuples, either of which may be
+    zero, rational or anything else."""
+    field = draw(st.sampled_from(FIELDS))
+    vector = st.one_of(
+        st.lists(coords, min_size=field.degree, max_size=field.degree).map(tuple),
+        field_coeffs(field),
+    )
+    return field, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coordinate_pair(), st.integers(0, 5))
+def test_field_kernel_matches_fraction_tuples(case, n):
+    field, u, v = case
+    a, b = field.element(u), field.element(v)
+    results = [a + b, a - b, a * b, a**n]
+    assert results[0].coeffs == tuple(x + y for x, y in zip(u, v))
+    assert results[1].coeffs == tuple(x - y for x, y in zip(u, v))
+    assert results[2].coeffs == convolve(field, u, v)
+    power = field.one().coeffs
+    for _ in range(n):
+        power = convolve(field, power, u)
+    assert results[3].coeffs == power
+    if any(v):
+        inverse, quotient = b.inverse(), a / b
+        assert convolve(field, v, inverse.coeffs) == field.one().coeffs
+        assert convolve(field, quotient.coeffs, v) == tuple(u)
+        results += [inverse, quotient]
+    for x in results:
+        assert_canonical(x)
+
+
+@pytest.mark.parametrize("field", FIELDS + (RATIONALS,), ids=lambda f: f.generator_name)
+def test_one_value_has_one_form(field):
+    # Equal values have equal numerators and denominator, so they compare
+    # and hash equal however they were built.
+    pad = [0] * (field.degree - 1)
+    ways = {
+        "half": [
+            field.element([Fraction(2, 4)]),
+            field.rational(Fraction(1, 2)),
+            field.rational(1) / 2,
+            field.one() - field.element([Fraction(3, 6)] + pad),
+            field.rational(Fraction(3, 2)) * field.rational(Fraction(1, 3)),
+        ],
+        "zero": [
+            field.zero(),
+            field.element([Fraction(0, 5)]),
+            field.rational(Fraction(1, 3)) - field.rational(Fraction(2, 6)),
+            field.generator() - field.generator(),
+        ],
+        "generator": [
+            field.generator(),
+            field.generator() * 2 / 2,
+            field.generator() * field.rational(Fraction(3, 7)) / Fraction(3, 7),
+        ],
+    }
+    for values in ways.values():
+        for x in values:
+            assert_canonical(x)
+            assert x == values[0] and hash(x) == hash(values[0])
+            assert (x.num, x.den) == (values[0].num, values[0].den)
+    assert ways["half"][0].den == 2 and ways["zero"][0].den == 1
+
+
+def count_fractions(monkeypatch):
+    """A list that gains one entry per Fraction constructed from here on."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_integer_coefficients_build_no_fraction(monkeypatch):
+    made = count_fractions(monkeypatch)
+    text = "2*x^2 - 3*y^3*z + (x - y + z)^2 + i*z^5 - 7*x*y*z^2 + 5"
+    f = parse_poly(text)
+    assert GAUSS.rational(3) == GAUSS.element([3, 0])
+    assert made == []
+    # The counter sees the Fraction of a rational literal.
+    assert parse_poly("1/2*x") * 2 == parse_poly("x")
+    assert made
+    monkeypatch.undo()
+    assert str(f) == str(parse_poly(text))
 
 
 def expand(field, f, images):

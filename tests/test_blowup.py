@@ -229,6 +229,50 @@ def test_step_identity_catches_a_corrupted_child(monkeypatch, step, corrupt):
         step(chart)
 
 
+def made_by_a_checked_step(tree):
+    """The path of every chart a blow-up or a translation made."""
+    kinds = (BlowupStep, TranslateStep)
+    return [
+        node.chart.path
+        for node in tree.nodes()
+        if node.chart.steps and isinstance(node.chart.steps[-1], kinds)
+    ]
+
+
+@pytest.mark.parametrize(
+    "f, strategy",
+    [
+        (P("x^2 + y^3 + z^5"), Auto(max_depth=5)),
+        (generator("D", 4), Scripted(scripted_resolution("D", 4), max_depth=12)),
+        (generator("D", 6), Scripted(scripted_resolution("D", 6), max_depth=12)),
+    ],
+    ids=["E8-auto", "D4-scripted", "D6-scripted"],
+)
+def test_step_identity_runs_once_per_child(monkeypatch, f, strategy):
+    # The pulled-back total becomes the child's total only through the
+    # check, which every blow-up and translation child passes exactly once.
+    checked = []
+    check = blowup_module._assert_step_identity
+
+    def counted(parent_total, child, substitution):
+        checked.append(child.path)
+        return check(parent_total, child, substitution)
+
+    monkeypatch.setattr(blowup_module, "_assert_step_identity", counted)
+    tree = resolve(f, strategy)
+    made = made_by_a_checked_step(tree)
+    assert sorted(checked) == sorted(made)
+    if isinstance(strategy, Auto):
+        assert len(made) == sum(1 for node in tree.nodes()) - 1 > 10
+    else:
+        assert any(path[-1].startswith("T_") for path in made)
+    for chart in (node.chart for node in tree.nodes()):
+        exponents = {v: r.k for v, r in chart.divisors.items()}
+        monomial = Polynomial.monomial(f.field, f.variables, exponents)
+        assert chart.total == chart.strict * monomial
+        assert chart.depth == sum(isinstance(s, BlowupStep) for s in chart.steps)
+
+
 def test_root_chart_total_is_anchored_at_f(monkeypatch):
     # Every identity check reads the root's total as the start of its chain,
     # so a wrong content split must fail at the root itself.

@@ -323,6 +323,23 @@ def test_json_matches_golden(argv, golden):
 
 
 @pytest.mark.parametrize(
+    "command, golden",
+    [
+        ("pole", "pole_eisenstein_fractional.json"),
+        ("resolve", "resolve_eisenstein_fractional.json"),
+    ],
+)
+def test_fractional_and_non_rational_coefficients_match_golden(command, golden):
+    # Pins the printing of coefficients with a denominator and of
+    # coefficients outside Q, through blow-ups over Q(j).
+    poly = "1/2*x^2 + (j+1/3)*y^3 - 2/3*j*z^5"
+    argv = [command, poly, "--field", "j:t^2+t+1", "--max-depth", "3", "--json"]
+    code, out, _ = run_cli(argv)
+    assert code == 2
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
     "n, poly, golden",
     [
         (4, "x^2 + y^2*z + z^3", "resolve_d4_scripted.json"),
