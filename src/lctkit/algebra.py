@@ -458,23 +458,27 @@ def _reduced(field: NumberField, num: tuple[int, ...], den: int) -> FieldElement
 
 def format_element(el: FieldElement) -> str:
     """Render an element as '3', '-1 - i', '1/2 + 3*i^2', etc."""
-    name = el.field.generator_name
+    name, den = el.field.generator_name, el.den
     parts: list[str] = []
-    for k, c in enumerate(el.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            base = str(abs(c))
-        else:
-            gen = name if k == 1 else f"{name}^{k}"
-            base = gen if abs(c) == 1 else f"{abs(c)}*{gen}"
-        if not parts:
-            parts.append(base if c > 0 else f"-{base}")
-        else:
-            parts.append(f"+ {base}" if c > 0 else f"- {base}")
-    if not parts:
+    for k, n in enumerate(el.num):
+        if n:
+            # |n| / den in lowest terms, as str(Fraction) prints it.
+            g = gcd(n, den)
+            mag = str(abs(n) // g) if den == g else f"{abs(n) // g}/{den // g}"
+            if k:
+                gen = name if k == 1 else f"{name}^{k}"
+                mag = gen if mag == "1" else f"{mag}*{gen}"
+            parts.append(f"{'-' if n < 0 else '+'} {mag}")
+    return _signed_join(parts)
+
+
+def _signed_join(parts: list[str]) -> str:
+    """The terms '+ body' or '- body' as one sum, the first as 'body' or
+    '-body'; no terms is '0'. format_poly shares it."""
+    text = " ".join(parts)
+    if not text:
         return "0"
-    return " ".join(parts)
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
 # Fields used throughout the tests and as CLI defaults.

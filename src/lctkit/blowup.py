@@ -260,8 +260,12 @@ class Chart:
     def path(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.steps)
 
-    def path_text(self) -> str:
+    @cached_property
+    def _path_text(self) -> str:  # `_child` sets it from the parent's
         return "/".join(self.path) or "root"
+
+    def path_text(self) -> str:
+        return self._path_text
 
     @cached_property
     def map_from_root(self) -> Optional[Mapping[str, Polynomial]]:
@@ -381,12 +385,14 @@ def _child(chart: Chart, step: PathStep, strict: Polynomial, *records) -> Chart:
     """The chart one step below `chart`, with `records` its divisors, run and
     run_start: the step appended to the path, the new strict transform
     classified and checked free of exceptional content. The fields go
-    straight into the instance dict, not through the frozen __setattr__."""
-    (divisors, run, run_start), child = records, _new(Chart)
+    straight into the instance dict, not through the frozen __setattr__, and
+    so does the path text, the parent's with the step's label added."""
+    (divisors, run, run_start), child, label = records, _new(Chart), step.label
     vars(child).update(
         field=chart.field, variables=chart.variables, steps=chart.steps + (step,),
         strict=strict, divisors=divisors, run=run, run_start=run_start,
         orbit_factor=1, depth=chart.depth + (step.__class__ is BlowupStep),
+        _path_text=f"{chart.path_text()}/{label}" if chart.steps else label,
     )
     vars(child)["status"] = _scan(child)
     return child
@@ -711,9 +717,14 @@ class ResolutionTree:
         return (node for node in self.nodes() if node.is_leaf)
 
     def has_depth_limit(self) -> bool:
-        return any(
-            leaf.chart.status is ChartStatus.DEPTH_LIMIT for leaf in self.leaves()
-        )
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(node.children)
+            elif node.chart.status is ChartStatus.DEPTH_LIMIT:
+                return True
+        return False
 
 
 def _auto_center(chart: Chart) -> Optional[tuple[str, ...]]:

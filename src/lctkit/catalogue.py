@@ -43,21 +43,21 @@ def _check_family(family: str, n: Optional[int]) -> None:
 def generator(
     family: str, n: Optional[int] = None, field: NumberField = GAUSS
 ) -> Polynomial:
-    """The defining polynomial of the family member, in variables x, y, z."""
+    """The defining polynomial of the family member, in variables x, y, z:
+    one term dict of x^2 and two more monomials, all with coefficient 1."""
     _check_family(family, n)
-    variables = DEFAULT_VARIABLES
-    x = Polynomial.variable(field, variables, "x")
-    y = Polynomial.variable(field, variables, "y")
-    z = Polynomial.variable(field, variables, "z")
     if family == "A":
-        return x**2 + y**2 + z ** (n + 1)
-    if family == "D":
-        return x**2 + y**2 * z + z ** (n - 1)
-    if family == "E6":
-        return x**2 + y**3 + z**4
-    if family == "E7":
-        return x**2 + y**3 + y * z**3
-    return x**2 + y**3 + z**5
+        rest = ((0, 2, 0), (0, 0, n + 1))  # y^2 + z^(n+1)
+    elif family == "D":
+        rest = ((0, 2, 1), (0, 0, n - 1))  # y^2*z + z^(n-1)
+    elif family == "E6":
+        rest = ((0, 3, 0), (0, 0, 4))  # y^3 + z^4
+    elif family == "E7":
+        rest = ((0, 3, 0), (0, 1, 3))  # y^3 + y*z^3
+    else:
+        rest = ((0, 3, 0), (0, 0, 5))  # y^3 + z^5
+    terms = dict.fromkeys(((2, 0, 0),) + rest, field.one())
+    return Polynomial._trusted(field, DEFAULT_VARIABLES, terms)
 
 
 def paper_claim(family: str, n: Optional[int] = None) -> tuple[Fraction, ...]:

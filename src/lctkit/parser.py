@@ -18,6 +18,10 @@ builds term dicts (exponent tuple -> nonzero coefficient, as in algebra.py)
 and makes one Polynomial at the end. A term folds its variables into one
 exponent list and its literals into one rational scale, made a field
 element once; only factors with several terms are multiplied as term dicts.
+
+A script line ends at '\n', '\r\n' or '\r', as universal newlines read a
+file; '\f', '\v', U+2028 and the other breaks of str.splitlines are
+whitespace in it, so its line numbers count what parse_poly's spans do.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .algebra import (
     _add_into,
     _mul_terms,
     _pow_terms,
+    _signed_join,
     format_element,
     reads_as_name,
 )
@@ -49,6 +54,8 @@ DEFAULT_VARIABLES = ("x", "y", "z")
 # plus '_', so a word is a NAME exactly when it starts with a letter or '_'.
 _TOKEN = re.compile(r"\s*(\d+|\w+|:=|\S)")
 _OPERATORS = frozenset(("+", "-", "*", "/", "^", "(", ")", ":="))
+# A script line ends where universal newlines end one, as open() reads it.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 
 
 @dataclass(frozen=True)
@@ -281,9 +288,7 @@ def parse_poly(
 def format_poly(poly: Polynomial) -> str:
     """Canonical textual form: terms in ascending total degree, ties broken
     by reverse-lexicographic exponent order; parse_poly round-trips it."""
-    if poly.is_zero():
-        return "0"
-    rendered: list[tuple[str, str]] = []  # (sign, body) with sign '+' or '-'
+    parts: list[str] = []
     for exps, coeff in poly.sorted_terms():
         mono = "*".join(
             name if e == 1 else f"{name}^{e}"
@@ -291,27 +296,16 @@ def format_poly(poly: Polynomial) -> str:
             if e > 0
         )
         if coeff.is_rational:
-            q = coeff.as_fraction()
-            sign = "-" if q < 0 else "+"
-            mag = abs(q)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
+            # num[0] / den is in lowest terms, den > 0, and never zero.
+            n, den = coeff.num[0], coeff.den
+            mag = str(abs(n)) if den == 1 else f"{abs(n)}/{den}"
+            body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+            parts.append(f"{'-' if n < 0 else '+'} {body}")
         else:
             # Non-rational coefficients keep their own signs inside parens.
-            sign = "+"
             body = f"({format_element(coeff)})"
-            if mono:
-                body = f"{body}*{mono}"
-        rendered.append((sign, body))
-    first_sign, first_body = rendered[0]
-    parts = [first_body if first_sign == "+" else f"-{first_body}"]
-    for sign, body in rendered[1:]:
-        parts.append(f"{sign} {body}")
-    return " ".join(parts)
+            parts.append(f"+ {body}*{mono}" if mono else f"+ {body}")
+    return _signed_join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -395,19 +389,23 @@ def parse_script(
 
     One directive per line: `blowup x y z` (a `chart z` line after it names
     the chart to follow), `subst z := z + y*z^4`, `translate z := z - 1`,
-    `orbit 2`, `stop`. Blank lines and text after '#' are ignored.
+    `orbit 2`, `stop`. Blank lines and text after '#' are ignored; a line
+    ends at '\n', '\r\n' or '\r' only.
     """
     session = _session(field, variables)
     steps: list[ScriptStep] = []
     stopped = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        head = line.lstrip()
+        if not head:
             continue
         source = _Tokens(line, line_no)
-        # tokens[0] is the command and tokens[-1] the EOF token ''.
+        # tokens[0] is the command, after the line's leading whitespace, and
+        # tokens[-1] the EOF token ''.
         tokens, span = source.tokens, source.span
-        command, head_span = tokens[0], span(0)
+        command = tokens[0]
+        head_span = SourceSpan(line_no, len(line) - len(head) + 1, len(command))
         if not _is_name(command):
             raise ScriptError(f"expected a script command", head_span)
         if stopped:
@@ -441,7 +439,7 @@ def parse_script(
                 raise ScriptError(
                     f"chart variable {var!r} not in the blowup center", span(1)
                 )
-            steps[-1] = replace(blowup, chart=var)
+            steps[-1] = BlowupDirective(blowup.center, blowup.span, var)
             continue
 
         if command in ("subst", "translate"):

@@ -9,12 +9,17 @@ several points with identical local analysis, and the divisors born below
 them are replicated accordingly under suffixed ids. lambda_uncapped reads
 the candidates, their multiplicity and the certificate off one walk of the
 tree.
+
+The candidates sort by the integer key ((h + 1) * (L // k), id), L the lcm
+of their k, as their values (h + 1)/k do. A report builds one Fraction, the
+minimum p/q; a record attains it when (h + 1) * q == k * p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .blowup import (
@@ -27,6 +32,9 @@ from .blowup import (
 )
 from .errors import ChartError, InternalInconsistencyError
 from .newton import NewtonData
+
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ def _candidates(leaves: list[Chart], factors: dict[str, int]) -> tuple[PoleIndex
     for leaf in leaves:
         for record in leaf.divisors.values():
             prior = seen.setdefault(record.divisor, record)
-            if prior != record:
+            if prior is not record and prior != record:
                 raise InternalInconsistencyError(
                     f"divisor {record.divisor} has (k, h) = "
                     f"{(record.k, record.h)} in one chart and "
@@ -78,7 +86,8 @@ def _candidates(leaves: list[Chart], factors: dict[str, int]) -> tuple[PoleIndex
         out.append(record)
         for copy in range(2, factors.get(divisor, 1) + 1):
             out.append(PoleIndex(f"{divisor}~{copy}", record.k, record.h))
-    return tuple(sorted(out, key=lambda c: (c.value, c.divisor)))
+    scale = lcm(*(c.k for c in out))
+    return tuple(sorted(out, key=lambda c: ((c.h + 1) * (scale // c.k), c.divisor)))
 
 
 def lambda_uncapped(
@@ -94,15 +103,17 @@ def lambda_uncapped(
     candidates = _candidates(leaves, factors)
     if candidates:
         lam: Optional[Fraction] = candidates[0].value
+        p, q = lam.numerator, lam.denominator
         # The most divisors attaining lam that meet in one leaf chart.
         mult = max(
-            sum(r.value == lam for r in leaf.divisors.values()) for leaf in leaves
+            sum((r.h + 1) * q == r.k * p for r in leaf.divisors.values())
+            for leaf in leaves
         )
-        capped = min(Fraction(1), lam)
+        capped = lam if p < q else _ONE
     else:
         lam = None
         mult = 1
-        capped = Fraction(1)
+        capped = _ONE
     certified = all(leaf.status is ChartStatus.UNIT_STRICT for leaf in leaves)
     newton_value = newton.lambda_np if newton is not None else None
     newton_agrees = None if newton is None else (lam == newton_value)

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import parse_corpus
@@ -33,7 +33,7 @@ from lctkit.parser import (
     SubstDirective,
     TranslateDirective,
 )
-from test_algebra import polys
+from test_algebra import FIELDS, THIRD, VARS, as_poly, coords, polys
 
 
 def test_default_variables():
@@ -372,6 +372,98 @@ def test_round_trip_property(f):
     assert parse_poly(format_poly(f)) == f
 
 
+# The Fraction-based formatters that printed every coefficient until the
+# printers read FieldElement.num and .den directly, kept verbatim as the
+# reference for them.
+
+
+def _format_element_by_fractions(el):
+    """Render an element as '3', '-1 - i', '1/2 + 3*i^2', etc."""
+    name = el.field.generator_name
+    parts: list[str] = []
+    for k, c in enumerate(el.coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            base = str(abs(c))
+        else:
+            gen = name if k == 1 else f"{name}^{k}"
+            base = gen if abs(c) == 1 else f"{abs(c)}*{gen}"
+        if not parts:
+            parts.append(base if c > 0 else f"-{base}")
+        else:
+            parts.append(f"+ {base}" if c > 0 else f"- {base}")
+    if not parts:
+        return "0"
+    return " ".join(parts)
+
+
+def _format_poly_by_fractions(poly):
+    """Canonical textual form: terms in ascending total degree, ties broken
+    by reverse-lexicographic exponent order; parse_poly round-trips it."""
+    if poly.is_zero():
+        return "0"
+    rendered: list[tuple[str, str]] = []  # (sign, body) with sign '+' or '-'
+    for exps, coeff in poly.sorted_terms():
+        mono = "*".join(
+            name if e == 1 else f"{name}^{e}"
+            for name, e in zip(poly.variables, exps)
+            if e > 0
+        )
+        if coeff.is_rational:
+            q = coeff.as_fraction()
+            sign = "-" if q < 0 else "+"
+            mag = abs(q)
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+        else:
+            # Non-rational coefficients keep their own signs inside parens.
+            sign = "+"
+            body = f"({_format_element_by_fractions(coeff)})"
+            if mono:
+                body = f"{body}*{mono}"
+        rendered.append((sign, body))
+    first_sign, first_body = rendered[0]
+    parts = [first_body if first_sign == "+" else f"-{first_body}"]
+    for sign, body in rendered[1:]:
+        parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+@st.composite
+def printed_polys(draw):
+    """A polynomial over one of FIELDS (THIRD's modulus has a denominator)
+    with up to four terms, the constant term among the exponents and zero
+    terms allowed. A coefficient is 1, -1, a rational or any element:
+    coordinates over denominators up to 4, negative ones and zero heads."""
+    field = draw(st.sampled_from(FIELDS))
+    zeros = (Fraction(0),) * (field.degree - 1)
+    coeff = st.one_of(
+        st.sampled_from([1, -1]).map(lambda u: (Fraction(u),) + zeros),
+        coords.filter(bool).map(lambda q: (q,) + zeros),
+        st.lists(coords, min_size=field.degree, max_size=field.degree).filter(any),
+    )
+    exps = st.tuples(*[st.integers(0, 3)] * len(VARS))
+    keys = draw(st.lists(exps, max_size=4, unique=True))
+    return as_poly(field, {e: tuple(draw(coeff)) for e in keys})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(printed_polys())
+@example(as_poly(THIRD, {}))
+@example(as_poly(THIRD, {(0, 0, 0): (Fraction(1, 2), Fraction(-1, 4)), (1, 0, 0): (-1, 0)}))
+def test_printers_match_the_fraction_reference(f):
+    text = format_poly(f)
+    assert text == _format_poly_by_fractions(f)
+    for coeff in f.terms.values():
+        assert str(coeff) == _format_element_by_fractions(coeff)
+    assert parse_poly(text, f.field, f.variables) == f
+
+
 # -- resolution scripts ------------------------------------------------------
 
 
@@ -442,6 +534,49 @@ def test_script_spans_use_line_numbers():
 def test_empty_polynomial_rejected_in_scripts():
     with pytest.raises(ParseError):
         parse_script("subst z :=")
+
+
+def test_script_corpus_matches_the_reference_parser():
+    # Every bundled script and its seeded edits: the steps with their spans,
+    # or the error, exactly as the reference script parser gave them.
+    texts = parse_corpus.script_inputs()
+    assert len(texts) == len(parse_corpus.scripts()) * 41
+    entries = [parse_corpus.record_script(text) for text in texts]
+    assert parse_corpus.render(entries) == parse_corpus.SCRIPT_PATH.read_text()
+
+
+@pytest.mark.parametrize("space", ["\f", "\v", "\u2028", "\x1c", "\x85"])
+def test_script_line_breaks_other_than_newlines_are_whitespace(space):
+    # str.splitlines breaks at these; a script line does not.
+    script = parse_script(f"blowup x y z{space}\n{space}chart z\norbit{space}2")
+    blow, orbit = script.steps
+    assert blow.chart == "z" and orbit.count == 2
+    assert blow.span == SourceSpan(1, 1, 6)
+    assert orbit.span == SourceSpan(3, 1, 5)
+    with pytest.raises(ScriptError) as info:
+        parse_script(f"blowup x y z{space}\nchart q")
+    assert info.value.span == SourceSpan(2, 7, 1)
+    with pytest.raises(ParseError) as info:
+        parse_script(f"{space}subst z := z +{space}(")
+    assert info.value.span == SourceSpan(1, 18, 1)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_script_lines_end_at_universal_newlines(newline):
+    script = parse_script(newline.join(["# head", "blowup x y z", "  chart y", ""]))
+    (blow,) = script.steps
+    assert blow.span == SourceSpan(2, 1, 6) and blow.chart == "y"
+    with pytest.raises(ScriptError) as info:
+        parse_script(newline.join(["blowup x y z", "", "chart q"]))
+    assert info.value.span == SourceSpan(3, 7, 1)
+
+
+def test_cli_script_line_numbers_ignore_form_feeds(tmp_path):
+    script = tmp_path / "ff.txt"
+    script.write_text("blowup x y z\f\nchart q\n", encoding="utf-8")
+    code, out, err = run_cli(["pole", "x^2+y^2+z^2", "--script", str(script)])
+    assert code == 1 and not out
+    assert err == "error at line 2 col 7: chart variable 'q' not in the blowup center\n"
 
 
 def test_script_orbit_count_errors_have_spans():

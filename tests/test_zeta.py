@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lctkit import (
     Auto,
@@ -22,6 +24,7 @@ from lctkit import (
     resolve,
     scripted_resolution,
 )
+from lctkit.zeta import _candidates, _survey
 
 P = parse_poly
 
@@ -173,6 +176,129 @@ def test_candidates_reject_divisor_seen_with_two_exponent_pairs():
     assert len(lambda_uncapped(tree).candidates) == 1
     with pytest.raises(InternalInconsistencyError, match="E@root"):
         lambda_uncapped(bad)
+
+
+# -- the integer order against a Fraction reference -------------------------
+
+# x^2 + y^2 + z^2 after one blow-up: a root over three UnitStrict leaves
+# U_x, U_y, U_z, each a BlowupStep child that sees the divisor E@root.
+_ONE_BLOWUP = resolve(P("x^2 + y^2 + z^2"), Auto(max_depth=1))
+_IDS = ("E@root", "E@U_x", "E@U_z/U_y", "root/x", "root/y")
+# (k, h) pairs with equal values for different k: 1/2, 1 and 3/2 thrice each.
+_PAIRS = ((2, 0), (4, 1), (6, 2), (1, 0), (2, 1), (3, 2), (2, 2), (4, 5), (6, 8), (3, 1))
+
+
+def _fraction_reference(leaves, factors):
+    """The candidates as (id, k, h) sorted by (Fraction value, id), the
+    minimum and the multiplicity, all by Fraction comparisons."""
+    seen = {}
+    for leaf in leaves:
+        for r in leaf.divisors.values():
+            seen.setdefault(r.divisor, r)
+    rows = []
+    for divisor, r in seen.items():
+        for copy in range(1, factors.get(divisor, 1) + 1):
+            name = divisor if copy == 1 else f"{divisor}~{copy}"
+            rows.append((Fraction(r.h + 1, r.k), name, r.k, r.h))
+    rows.sort()
+    if not rows:
+        return [], None, 1
+    lam = rows[0][0]
+    mult = max(
+        sum(Fraction(r.h + 1, r.k) == lam for r in leaf.divisors.values())
+        for leaf in leaves
+    )
+    return [row[1:] for row in rows], lam, mult
+
+
+def _forged_tree(orbit, records, sightings):
+    """_ONE_BLOWUP with the root's orbit factor `orbit` (so E@root is
+    copied) and leaf j carrying records[id] on the variables of
+    sightings[j], a dict variable -> id."""
+    root = _ONE_BLOWUP.root
+    leaves = tuple(
+        TreeNode(
+            replace(
+                node.chart,
+                divisors={v: records[d] for v, d in seen.items()},
+                status=ChartStatus.UNIT_STRICT,
+            ),
+            (),
+        )
+        for node, seen in zip(root.children, sightings)
+    )
+    return ResolutionTree(
+        _ONE_BLOWUP.root_polynomial,
+        TreeNode(replace(root.chart, orbit_factor=orbit), leaves),
+    )
+
+
+@st.composite
+def _forged_cases(draw):
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=5, unique=True))
+    records = {d: PoleIndex(d, *draw(st.sampled_from(_PAIRS))) for d in ids}
+    sightings = [
+        dict(zip("xyz", draw(st.lists(st.sampled_from(ids), max_size=3, unique=True))))
+        for _ in range(3)
+    ]
+    return draw(st.sampled_from([1, 2, 3])), records, sightings
+
+
+_EQUAL_VALUES = (
+    3,
+    {
+        "E@root": PoleIndex("E@root", 2, 0),
+        "E@U_x": PoleIndex("E@U_x", 4, 1),
+        "root/x": PoleIndex("root/x", 6, 2),
+        "root/y": PoleIndex("root/y", 3, 2),
+    },
+    [{"x": "root/x", "y": "E@U_x"}, {"x": "E@root", "z": "root/y"}, {"y": "root/x"}],
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_forged_cases())
+@example(_EQUAL_VALUES)
+def test_integer_order_matches_the_fraction_reference(case):
+    tree = _forged_tree(*case)
+    leaves, factors = _survey(tree)
+    assert factors == {"E@root": case[0]}
+    order, lam, mult = _fraction_reference(leaves, factors)
+    candidates = _candidates(leaves, factors)
+    assert [(c.divisor, c.k, c.h) for c in candidates] == order
+    rep = lambda_uncapped(tree)
+    assert rep.candidates == candidates
+    assert rep.lambda_uncapped == lam
+    assert rep.multiplicity == mult
+    assert rep.lambda_capped == (1 if lam is None else min(Fraction(1), lam))
+
+
+def test_equal_values_sort_by_id_and_orbit_copies_follow():
+    rep = lambda_uncapped(_forged_tree(*_EQUAL_VALUES))
+    # 1/2 as k = 2, 4 and 6 (and the E@root copies), ties broken by id.
+    assert [c.divisor for c in rep.candidates] == [
+        "E@U_x", "E@root", "E@root~2", "E@root~3", "root/x", "root/y"
+    ]
+    assert rep.lambda_uncapped == Fraction(1, 2)
+    # U_x meets root/x and E@U_x, both 1/2.
+    assert rep.multiplicity == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^2 + y^2 + z^2", "x^2 + y^3 + z^5", "x^2 + y^2*z^2", "x^2*y^2", "x*y + z^3"],
+)
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_depth_flag_matches_the_leaves(text, depth):
+    # x^2 + y^2*z^2 doubles its tree per level; at depth 0 every Open root
+    # is itself the one DepthLimit leaf.
+    tree = resolve(P(text), Auto(max_depth=depth))
+    expected = any(
+        leaf.chart.status is ChartStatus.DEPTH_LIMIT for leaf in tree.leaves()
+    )
+    assert tree.has_depth_limit() == expected
+    if depth == 0 and tree.root.chart.status is ChartStatus.DEPTH_LIMIT:
+        assert not tree.root.children and expected
 
 
 # Known false certificates: the certificate looks only at chart origins, so
