@@ -26,8 +26,12 @@ is zero. A product of stored coefficients is then nonzero, so only sums can
 cancel, and is_zero() stays exact.
 
 One term-dict product, `_mul_terms`, serves `*` and `**`, and one term-dict
-power, `_pow_terms`, serves `**` and the parser. A one-term factor, such as
-a divisor monomial, shifts the other factor's exponents and scales its
+power, `_pow_terms`, serves `**` and the parser. When every coefficient is
+rational with den 1, both multiply and sum plain int numerators and build
+one FieldElement per result term, in lowest terms since its den is 1; a sum
+that cancels is deleted where it happens, so the terms keep the order of
+the element-by-element product. A one-term rational factor, such as a
+divisor monomial, shifts the other factor's exponents and scales its
 coefficients in O(terms); a coefficient of 1 skips the scaling. A blow-up
 chart map sends each variable to a monomial, so `substitute` folds each
 one-term image c * x^a into an integer exponent map: a term's exponent e of
@@ -390,7 +394,7 @@ class FieldElement:
 
     def _scale(self, n: int, d: int = 1) -> "FieldElement":
         """self * (n / d), for d > 0."""
-        return _reduced(self.field, tuple(c * n for c in self.num), self.den * d)
+        return _reduced(self.field, tuple([c * n for c in self.num]), self.den * d)
 
     __rmul__ = __mul__
 
@@ -485,12 +489,6 @@ def _signed_join(parts: list[str]) -> str:
 GAUSS = NumberField.make((1, 0, 1), "i")
 EISENSTEIN = NumberField.make((1, 1, 1), "j")
 RATIONALS = NumberField.make((0, 1), "q")
-
-
-def term_sort_key(exponents: tuple[int, ...]):
-    """Canonical term order: ascending total degree, then reverse
-    lexicographic on the exponent vector, so x^2 sorts before y^2."""
-    return (sum(exponents), tuple(-e for e in exponents))
 
 
 class Polynomial:
@@ -646,7 +644,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (
-            self.field == other.field
+            (self.field is other.field or self.field == other.field)
             and self.variables == other.variables
             and self.terms == other.terms
         )
@@ -678,7 +676,9 @@ class Polynomial:
         return bool(self.constant_term)
 
     def support(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.terms.keys(), key=term_sort_key))
+        """The exponent vectors in canonical term order: ascending total
+        degree, ties in descending lexicographic order (x^2 before y^2)."""
+        return tuple(sorted(sorted(self.terms, reverse=True), key=sum))
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         for exps in self.support():
@@ -811,14 +811,18 @@ class Polynomial:
         return k, self._with_terms(terms)
 
     def coordinate_content(self) -> tuple[dict[str, int], "Polynomial"]:
-        """Extract the full monomial factor: f = (prod v**k_v) * g."""
-        exponents: dict[str, int] = {}
-        g = self
-        for name in self.variables:
-            k, g = g.monomial_content(name)
-            if k:
-                exponents[name] = k
-        return exponents, g
+        """Extract the full monomial factor: f = (prod v**k_v) * g, with each
+        k_v read from one scan of the exponent vectors."""
+        if not self.terms:
+            raise ZeroPolynomialError("content of the zero polynomial")
+        lows = _lowest_exponents(self)
+        exponents = {v: k for v, k in zip(self.variables, lows) if k}
+        if not exponents:
+            return exponents, self
+        # Lowering every exponent vector by one vector is injective.
+        return exponents, self._with_terms(
+            {tuple(map(sub, e, lows)): c for e, c in self.terms.items()}
+        )
 
     def evaluate(self, values: Sequence) -> FieldElement:
         if len(values) != len(self.variables):
@@ -848,6 +852,12 @@ _set_field = Polynomial.field.__set__
 _set_variables = Polynomial.variables.__set__
 _set_terms = Polynomial.terms.__set__
 _set_hash = Polynomial._hash.__set__
+
+
+def _lowest_exponents(poly: Polynomial) -> list[int]:
+    """Each variable's order in poly, from one scan of its terms; empty for
+    the zero polynomial."""
+    return list(map(min, zip(*poly.terms)))
 
 
 def _check_ring(field: NumberField, variables: tuple[str, ...], other: Polynomial) -> None:
@@ -933,18 +943,24 @@ def _add_into(out: Terms, terms: Terms) -> None:
 
 
 def _mul_terms(f: Terms, g: Terms) -> Terms:
-    """The product of two term dicts of one ring, with no zero coefficient.
-
-    A one-term factor c * x^shift shifts the other factor's exponents and
-    scales its coefficients, in O(terms); c = 1 skips the scaling.
-    """
+    """The product of two term dicts of one ring, with no zero coefficient:
+    a shift for a one-term rational factor (scaling unless it is 1), else
+    the integer kernel when it applies, else element by element."""
     if len(f) == 1:
         f, g = g, f
     if len(g) == 1:
         (shift, c), = g.items()
-        if c.den == 1 and c.num[0] == 1 and c.is_rational:
-            return {tuple(map(add, e, shift)): a for e, a in f.items()}
-        return {tuple(map(add, e, shift)): a * c for e, a in f.items()}
+        if c.is_rational:
+            n, d = c.num[0], c.den
+            if n != d:
+                return {tuple(map(add, e, shift)): a._scale(n, d) for e, a in f.items()}
+            if any(shift):
+                return {tuple(map(add, e, shift)): a for e, a in f.items()}
+            return dict(f)
+    fi = _integral(f) if f and g else None
+    gi = None if fi is None else _integral(g)
+    if gi is not None:
+        return _from_integral(next(iter(f.values())).field, _int_product(fi, gi))
     out = {}
     for e1, c1 in f.items():
         _add_into(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in g.items()})
@@ -952,14 +968,46 @@ def _mul_terms(f: Terms, g: Terms) -> Terms:
 
 
 def _pow_terms(f: Terms, n: int, one: Terms) -> Terms:
-    """The n-th power (n >= 0) of a term dict by binary powering with
-    `_mul_terms`. `one` is a fresh unit term dict of the ring, returned as
-    is for n = 0."""
-    out, base = one, f
+    """The n-th power (n >= 0) of a term dict by binary powering, on the
+    integer kernel when it applies. `one` is a fresh unit term dict of the
+    ring, returned as is for n = 0."""
+    fi = _integral(f) if f and n else None
+    product, out, base = (_mul_terms, one, f) if fi is None else (_int_product, None, fi)
     while n:
         if n & 1:
-            out = _mul_terms(out, base)
+            out = base if out is None else product(out, base)
         n >>= 1
         if n:
-            base = _mul_terms(base, base)
+            base = product(base, base)
+    return out if fi is None else _from_integral(next(iter(f.values())).field, out)
+
+
+def _integral(terms: Terms) -> Optional[dict]:
+    """The int numerators of a nonempty term dict whose coefficients are all
+    rational with den 1, else None."""
+    nums = [c.num for c in terms.values() if c.den == 1]
+    if len(nums) != len(terms):
+        return None
+    head, *rest = zip(*nums)
+    return None if any(map(any, rest)) else dict(zip(terms, head))
+
+
+def _int_product(f: dict, g: dict) -> dict:
+    """The product of two int numerator dicts, a cancelled sum deleted."""
+    out: dict = {}
+    get = out.get
+    for e1, a in f.items():
+        for e2, b in g.items():
+            e = tuple(map(add, e1, e2))
+            s = get(e, 0) + a * b
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out
+
+
+def _from_integral(field: NumberField, nums: dict) -> Terms:
+    """The term dict of int numerators, one FieldElement per term."""
+    zeros = field._zeros
+    return {e: _element(field, (n,) + zeros, 1) for e, n in nums.items()}

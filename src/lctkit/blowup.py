@@ -69,7 +69,7 @@ from operator import add, itemgetter, mul
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .algebra import FieldElement, NumberField, Polynomial, _Substitution
+from .algebra import FieldElement, NumberField, Polynomial, _Substitution, _lowest_exponents
 from .errors import (
     ChartError,
     FactorizationDestroyedError,
@@ -247,6 +247,8 @@ class Chart:
         exponents shifted by the k vector, unless the identity check that
         made the chart stored it. The parent side of its children's checks."""
         shift = self.k_shift
+        if not any(shift):
+            return self.strict
         # A shift is injective on the terms, so the coefficients carry over.
         return self.strict._with_terms(
             {tuple(map(add, e, shift)): c for e, c in self.strict.terms.items()}
@@ -291,12 +293,6 @@ class Chart:
                 return None
             images = {x: p.substitute(substitution) for x, p in images.items()}
         return images
-
-
-def _lowest_exponents(poly: Polynomial) -> list[int]:
-    """Each variable's order in poly, from one scan of its terms; empty for
-    the zero polynomial."""
-    return list(map(min, zip(*poly.terms)))
 
 
 @cache
@@ -384,18 +380,24 @@ def _restart_run(variables: tuple[str, ...], divisors: Mapping) -> tuple:
 def _child(chart: Chart, step: PathStep, strict: Polynomial, *records) -> Chart:
     """The chart one step below `chart`, with `records` its divisors, run and
     run_start: the step appended to the path, the new strict transform
-    classified and checked free of exceptional content. The fields go
-    straight into the instance dict, not through the frozen __setattr__, and
-    so does the path text, the parent's with the step's label added."""
-    (divisors, run, run_start), child, label = records, _new(Chart), step.label
-    vars(child).update(
+    classified and checked free of exceptional content, and the path text
+    the parent's with the step's label added."""
+    (divisors, run, run_start), label = records, step.label
+    return _chart(
         field=chart.field, variables=chart.variables, steps=chart.steps + (step,),
         strict=strict, divisors=divisors, run=run, run_start=run_start,
         orbit_factor=1, depth=chart.depth + (step.__class__ is BlowupStep),
         _path_text=f"{chart.path_text()}/{label}" if chart.steps else label,
     )
-    vars(child)["status"] = _scan(child)
-    return child
+
+
+def _chart(**fields) -> Chart:
+    """A chart with the given fields, written straight into the instance
+    dict, not through the frozen __setattr__; its status comes from _scan."""
+    chart = _new(Chart)
+    vars(chart).update(fields)
+    vars(chart)["status"] = _scan(chart)
+    return chart
 
 
 def make_root_chart(f: Polynomial) -> Chart:
@@ -406,18 +408,22 @@ def make_root_chart(f: Polynomial) -> Chart:
     if f.is_unit_at_origin():
         raise UnitInputError("resolution requires f(0) = 0")
     content, strict = f.coordinate_content()
+    variables = f.variables
     divisors = {
         v: PoleIndex(f"root/{v}", content[v], 0)
-        for v in f.variables
+        for v in variables
         if content.get(v, 0) > 0
     }
-    run = _restart_run(f.variables, divisors)  # root records have h = 0
-    chart = Chart(f.field, f.variables, (), strict, ChartStatus.OPEN, divisors, *run)
-    vars(chart)["status"] = _scan(chart)  # in place of the Open above
+    run, run_start = _restart_run(variables, divisors)  # root records have h = 0
+    chart = _chart(
+        field=f.field, variables=variables, steps=(), strict=strict,
+        divisors=divisors, run=run, run_start=run_start, orbit_factor=1, depth=0,
+    )
     # Every later identity check reads this total as its parent side. The
     # ring product also checks the content split against f, and so the
     # exponent shift that builds every chart's total against `*`.
-    monomial = Polynomial.monomial(f.field, f.variables, content)
+    exps = tuple([content.get(v, 0) for v in variables])
+    monomial = Polynomial._trusted(f.field, variables, {exps: f.field.one()})
     if chart.total != f or strict * monomial != f:
         raise InternalInconsistencyError(
             "the root chart's total transform differs from f"

@@ -6,10 +6,13 @@ For f vanishing at the origin, t0 is the parameter where the diagonal
 the reported value is 1/t0. One exact simplex solves the min-max program
 from a closed-form start tableau and returns its primal convex weights lam
 and its dual weights w. It is fraction-free: an integer tableau over one
-common denominator, pivoted by exact division and Bland's rule. The value
-is accepted only if lam and w prove each other by LP duality, decided on
-their integer numerators: lam is feasible at t0, w >= 0 sums to 1, and
-min_i w . a_i = t0. Fractions are built only for t0 and 1/t0. Facet
+common denominator, pivoted by exact division and Bland's rule; the start
+tableau, the entering and leaving choices and the readout of the basis are
+plain integer loops. The value is accepted only if lam and w prove each
+other by LP duality, decided on their integer numerators over the whole
+support: lam is feasible at t0, w >= 0 sums to 1, and min_i w . a_i = t0.
+That certificate is the same whatever path the simplex took. Fractions
+are built only for t0 and 1/t0. Facet
 normals, whose null spaces use the same integer pivot, are enumerated only
 when they are displayed, and there the largest N/sum(w) over the facets
 must equal the certified t0. The value is what the polyhedron alone
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from operator import mul
 
 from .algebra import Polynomial
 from .errors import (
@@ -117,10 +120,6 @@ def support(f: Polynomial) -> tuple[tuple[int, ...], ...]:
     return f.support()
 
 
-def _dot(w: Sequence[int], a: Sequence[int]) -> int:
-    return sum(c * e for c, e in zip(w, a))
-
-
 def _unit_rows(d: int, coords) -> list[list[int]]:
     return [[int(c == zc) for c in range(d)] for zc in coords]
 
@@ -148,12 +147,12 @@ def _facet_normals(pts: list[tuple[int, ...]], d: int):
                     w = [-c for c in w]
                 if any(c < 0 for c in w):
                     continue
-                n_val = _dot(w, base)
-                if any(_dot(w, a) < n_val for a in pts):
+                n_val = sum(map(mul, w, base))
+                if any(sum(map(mul, w, a)) < n_val for a in pts):
                     continue
                 # Keep genuine facets only: the touching face must have
                 # affine dimension d-1, a null space of dimension 1.
-                touching = [a for a in pts if _dot(w, a) == n_val]
+                touching = [a for a in pts if sum(map(mul, w, a)) == n_val]
                 span_rows = [
                     [a[c] - touching[0][c] for c in range(d)] for a in touching[1:]
                 ]
@@ -186,37 +185,47 @@ def _t0_primal(pts: list[tuple[int, ...]], d: int):
     gap = [m - a[top] for a in pts]  # M - T_i
     # Rows 0..d-1: row top holds t, row c the slack of coordinate c; row d:
     # sum_i lam_i = 1; last row: the objective t, reduced against the basis.
-    rows = [
-        [a[c] - a_s[c] + g for a, g in zip(pts, gap)]
-        + [int(k == c) - int(k == top) for k in range(d)]
-        + [0, m - a_s[c]]
-        for c in range(d)
-    ]
-    rows[top] = gap + [-int(k == top) for k in range(d)] + [1, m]
+    rows = []
+    for c, column in enumerate(zip(*pts)):
+        if c == top:
+            row = gap + [0] * (d + 2)
+            row[t_col], row[-1] = 1, m
+        else:
+            q = a_s[c]
+            row = [e - q + g for e, g in zip(column, gap)] + [0] * (d + 2)
+            row[n + c], row[-1] = 1, m - q
+        row[n + top] -= 1
+        rows.append(row)
     rows.append([1] * n + [0] * (d + 1) + [1])
-    rows.append([-g for g in gap] + [int(k == top) for k in range(d)] + [0, -m])
+    objective = [-g for g in gap] + [0] * (d + 2)
+    objective[n + top], objective[-1] = 1, -m
+    rows.append(objective)
     basis = [t_col if c == top else n + c for c in range(d)] + [start]
     den = 1
     while True:
-        objective = rows[-1]
-        entering = next((j for j in range(t_col + 1) if objective[j] < 0), None)
-        if entering is None:
+        for entering in range(t_col + 1):
+            if objective[entering] < 0:
+                break
+        else:
             break
         # t >= 0 bounds the objective, so some row always limits the step;
-        # rhs_r / a_r < rhs_l / a_l is compared as rhs_r * a_l < rhs_l * a_r
-        leaving = None
+        # rhs_r / a_r < rhs / a is compared as rhs_r * a < rhs * a_r, and a
+        # tie goes to the lower basic index.
+        leaving, rhs, a = -1, 0, 1
         for r in range(d + 1):
-            a = rows[r][entering]
-            if a > 0 and (
-                leaving is None
-                or (rows[r][-1] * rows[leaving][entering], basis[r])
-                < (rows[leaving][-1] * a, basis[leaving])
+            row = rows[r]
+            a_r = row[entering]
+            if a_r > 0 and (
+                leaving < 0 or (row[-1] * a, basis[r]) < (rhs * a_r, basis[leaving])
             ):
-                leaving = r
+                leaving, rhs, a = r, row[-1], a_r
         den = _pivot(rows, leaving, entering, den)
         basis[leaving] = entering
-    values = dict(zip(basis, (row[-1] for row in rows)))
-    return values[t_col], [values.get(i, 0) for i in range(n)], objective[n:t_col], den
+        objective = rows[-1]
+    values = [0] * (t_col + 1)  # the basic variables' values, 0 elsewhere
+    for b, row in zip(basis, rows):
+        values[b] = row[-1]
+    return values[t_col], values[:n], objective[n:t_col], den
 
 
 def _check_certificate(pts, t: int, lam: list[int], w: list[int], den: int) -> None:
@@ -233,20 +242,20 @@ def _check_certificate(pts, t: int, lam: list[int], w: list[int], den: int) -> N
     def over(values):
         return [Fraction(v, den) for v in values]
 
-    if any(c < 0 for c in lam) or sum(lam) != den:
+    if min(lam) < 0 or sum(lam) != den:
         raise InternalInconsistencyError(
             f"primal weights {over(lam)} are not a convex combination"
         )
-    point = [sum(c * a[k] for c, a in zip(lam, pts)) for k in range(len(w))]
-    if any(coord > t for coord in point):
+    point = [sum(map(mul, lam, column)) for column in zip(*pts)]
+    if max(point) > t:
         raise InternalInconsistencyError(
             f"primal point {over(point)} exceeds t0 = {Fraction(t, den)}"
         )
-    if any(c < 0 for c in w) or sum(w) != den:
+    if min(w) < 0 or sum(w) != den:
         raise InternalInconsistencyError(
             f"dual weights {over(w)} are not dual-feasible"
         )
-    bound = min(_dot(w, a) for a in pts)
+    bound = min([sum(map(mul, w, a)) for a in pts])
     if bound != t:
         raise InternalInconsistencyError(
             f"duality gap: primal t0 = {Fraction(t, den)}, "

@@ -54,6 +54,9 @@ DEFAULT_VARIABLES = ("x", "y", "z")
 # plus '_', so a word is a NAME exactly when it starts with a letter or '_'.
 _TOKEN = re.compile(r"\s*(\d+|\w+|:=|\S)")
 _OPERATORS = frozenset(("+", "-", "*", "/", "^", "(", ")", ":="))
+# A text whose every token is an operator or starts with a letter, '_' or a
+# decimal digit: ASCII letters and digits, '_', whitespace and operators.
+_PLAIN = re.compile(r"(?:[A-Za-z0-9_\s+\-*/^()]|:=)*")
 # A script line ends where universal newlines end one, as open() reads it.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 
@@ -82,6 +85,8 @@ class _Tokens:
         self.line = line
         self.tokens = tokens = _TOKEN.findall(text)
         tokens.append("")
+        if _PLAIN.fullmatch(text):
+            return
         # A character outside the grammar, or a word that starts with none
         # of a letter, '_' or a decimal digit (such as '²', a digit for
         # str.isdigit but not for int).

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +22,7 @@ from lctkit import (
     lambda_newton,
     parse_poly,
 )
-from lctkit.algebra import _Substitution
+from lctkit.algebra import _Substitution, _add_into, _mul_terms, _pow_terms
 
 VARS = ("x", "y", "z")
 
@@ -724,6 +725,113 @@ def test_seeded_generator_shapes():
     g = random_element(rng, zero_ok=False)
     assert f.field is GAUSS
     assert g
+
+
+# -- the term-dict kernel against the element-by-element product ---------------
+#
+# The reference is the element-by-element product and binary power that the
+# kernel replaced for integral rational coefficients: every pair of terms
+# multiplied as FieldElements and summed into the output with `_add_into`.
+# It is kept here verbatim, so the kernel must match it term for term and in
+# the order of the terms; other inputs still take this route inside it.
+
+
+def _mul_terms_by_elements(f, g):
+    if len(f) == 1:
+        f, g = g, f
+    if len(g) == 1:
+        (shift, c), = g.items()
+        if c.den == 1 and c.num[0] == 1 and c.is_rational:
+            return {tuple(map(add, e, shift)): a for e, a in f.items()}
+        return {tuple(map(add, e, shift)): a * c for e, a in f.items()}
+    out = {}
+    for e1, c1 in f.items():
+        _add_into(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in g.items()})
+    return out
+
+
+def _pow_terms_by_elements(f, n, one):
+    out, base = one, f
+    while n:
+        if n & 1:
+            out = _mul_terms_by_elements(out, base)
+        n >>= 1
+        if n:
+            base = _mul_terms_by_elements(base, base)
+    return out
+
+
+integers = st.integers(-9, 9)
+
+
+@st.composite
+def kernel_terms(draw, field, max_terms=4, max_exp=3):
+    """A term dict whose coefficients are integral about two times in three
+    (rational or not), else anything field_coeffs draws."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(VARS))
+    keys = draw(st.lists(exps, max_size=max_terms, unique=True))
+    integral = draw(st.integers(0, 2))
+    terms = {}
+    for e in keys:
+        if integral:
+            head = draw(integers.filter(bool))
+            tail = [draw(integers) if integral == 2 else 0 for _ in range(field.degree - 1)]
+            coeffs = [head] + tail
+        else:
+            coeffs = draw(field_coeffs(field))
+        terms[e] = field.element(coeffs)
+    return terms
+
+
+def assert_same_terms(got, expected):
+    assert list(got.items()) == list(expected.items())
+    for c in got.values():
+        assert c and c.field is next(iter(expected.values())).field
+        assert_canonical(c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field_and(kernel_terms, kernel_terms))
+def test_kernel_products_match_the_element_by_element_product(case):
+    field, f, g = case
+    assert_same_terms(_mul_terms(f, g), _mul_terms_by_elements(f, g))
+    assert_same_terms(_mul_terms(g, f), _mul_terms_by_elements(g, f))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field_and(lambda field: kernel_terms(field, max_terms=3, max_exp=2)))
+def test_kernel_powers_match_the_element_by_element_power(case):
+    field, f = case
+    origin = (0,) * len(VARS)
+    for n in range(7):
+        got = _pow_terms(f, n, {origin: field.one()})
+        expected = _pow_terms_by_elements(f, n, {origin: field.one()})
+        assert_same_terms(got, expected)
+        assert (n > 0 and not f) == (not got)
+
+
+@pytest.mark.parametrize("field", FIELDS + (RATIONALS,), ids=lambda f: f.generator_name)
+def test_kernel_products_that_cancel(field):
+    def terms(*pairs):
+        return {e: field.element(c) for e, c in pairs}
+
+    one, x, x2, x3, x4 = ((k, 0, 0) for k in range(5))
+    y, y2 = (0, 1, 0), (0, 2, 0)
+    # (1 + x - x^2)^2: the sum at x^2 cancels to zero, and a later pair
+    # puts it back behind x^3, as the element product does.
+    f = terms((one, [1]), (x, [1]), (x2, [-1]))
+    got = _mul_terms(f, f)
+    assert list(got) == [one, x, x3, x2, x4]
+    assert_same_terms(got, _mul_terms_by_elements(f, f))
+    # (x + g y)(x - g y) = x^2 - g^2 y^2 for the generator g (2 over Q):
+    # the cross terms cancel, in a coordinate that is not the first.
+    gen = [0, 1] if field.degree > 1 else [2]
+    neg = [-c for c in gen]
+    f, g = terms((x, [1]), (y, gen)), terms((x, [1]), (y, neg))
+    got = _mul_terms(f, g)
+    assert list(got) == [x2, y2]
+    assert_same_terms(got, _mul_terms_by_elements(f, g))
+    assert _mul_terms(f, {}) == _mul_terms({}, g) == {}
 
 
 # -- quasihomogeneity of the catalogue generators ----------------------------

@@ -364,6 +364,20 @@ def test_each_simplex_condition_of_the_certificate_is_needed(
         lambda_newton(parse_poly(text, GAUSS, tuple(variables)))
 
 
+@pytest.mark.parametrize(
+    "family, n", [("A", 1), ("A", 4), ("D", 5), ("E6", None), ("E7", None), ("E8", None)]
+)
+def test_primal_point_one_unit_above_t0_is_rejected(family, n):
+    # The solver's own certificate passes; lowering t by one numerator unit
+    # leaves the primal point exactly one unit above it, which the primal
+    # bound alone must catch before the duality gap does.
+    pts = list(support(generator(family, n)))
+    t, lam, w, den = SOLVE(pts, len(pts[0]))
+    newton._check_certificate(pts, t, lam, w, den)
+    with pytest.raises(InternalInconsistencyError, match="exceeds t0"):
+        newton._check_certificate(pts, t - 1, lam, w, den)
+
+
 def test_tampered_t0_is_caught_by_facets():
     nd = lambda_newton(generator("E6"))
     forged = dataclasses.replace(nd, t0=nd.t0 + 1)

@@ -27,11 +27,15 @@ from lctkit import (
     parse_script,
 )
 from lctkit.parser import (
+    _OPERATORS,
+    _PLAIN,
+    _TOKEN,
     BlowupDirective,
     OrbitDirective,
     StopDirective,
     SubstDirective,
     TranslateDirective,
+    _Tokens,
 )
 from test_algebra import FIELDS, THIRD, VARS, as_poly, coords, polys
 
@@ -203,6 +207,53 @@ def test_non_decimal_digits_are_unexpected_characters():
             parse_poly(text)
         assert info.value.message == "unexpected character '²'"
         assert info.value.span == SourceSpan(1, column, 1)
+
+
+def test_bad_character_after_many_good_tokens():
+    # Only a text that cannot hold a bad character skips the token scan, so
+    # one far into a long text is still found, with its span.
+    good = "x*y^2 + 3/4*z - (x + y)^3 + " * 60
+    for text, line, column, char in [
+        (good + "z + $x", 1, len(good) + 5, "$"),
+        ("x + y\n" * 40 + "z ! 2", 41, 3, "!"),
+        (good + "y^2²", 1, len(good) + 4, "²"),
+        (good + "x := y", 1, len(good) + 3, ":="),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        if char == ":=":  # a good token, in the wrong place
+            assert info.value.message == "unexpected ':='"
+            assert info.value.span == SourceSpan(line, column, 2)
+            continue
+        assert info.value.message == f"unexpected character {char!r}"
+        assert info.value.span == SourceSpan(line, column, 1)
+    # Good text outside ASCII takes the token scan and parses.
+    assert parse_poly("α^2 + " * 30 + "β", GAUSS, ("α", "β"))
+
+
+def _bad_tokens(text):
+    """The tokens that start with none of a letter, '_' or a decimal digit
+    and are not operators: what the token scan looks for."""
+    return [
+        tok
+        for tok in _TOKEN.findall(text)
+        if tok not in _OPERATORS
+        and not (tok[0].isalpha() or tok[0].isdecimal() or tok[0] == "_")
+    ]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.text(alphabet="xy_09+-*/^():= \t\n\x0c²α!.", max_size=24))
+def test_tokens_raise_exactly_on_a_bad_token(text):
+    bad = _bad_tokens(text)
+    if _PLAIN.fullmatch(text):
+        assert not bad
+    if not bad:
+        _Tokens(text)
+        return
+    with pytest.raises(ParseError) as info:
+        _Tokens(text)
+    assert info.value.message == f"unexpected character {bad[0][0]!r}"
 
 
 @pytest.mark.parametrize(

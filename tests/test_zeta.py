@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lctkit import (
+    GAUSS,
     Auto,
     ChartError,
     ChartStatus,
@@ -20,7 +21,9 @@ from lctkit import (
     lambda_newton,
     lambda_uncapped,
     make_root_chart,
+    ScriptError,
     parse_poly,
+    parse_script,
     resolve,
     scripted_resolution,
 )
@@ -320,3 +323,24 @@ def test_disguised_a2_is_not_certified_wrong():
 def test_double_conic_is_not_certified_wrong():
     rep = report_for("(x^2+y^2+z^2)^2", depth=5)
     assert not rep.certified or rep.lambda_uncapped == Fraction(1, 2)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="a rewrite's content goes unrecorded: 1, not 1/2"
+)
+def test_rewrite_then_translate_is_refused_or_right():
+    # In U_y the strict transform is (x - y)^2; the rewrite makes it x^2, so
+    # the origin of U_y/S_x lies on {x = 0}, which no divisor records, and
+    # the translation away from it leaves lambda_uncapped at 1.
+    variables = ("x", "y")
+    f = parse_poly("(x - y^2)^2", GAUSS, variables)
+    script = parse_script(
+        "blowup x y\nchart y\nsubst x := x - y\ntranslate x := x + 1\n",
+        GAUSS,
+        variables,
+    )
+    try:
+        rep = lambda_uncapped(resolve(f, Scripted(script)), lambda_newton(f))
+    except (ChartError, ScriptError):
+        return
+    assert rep.lambda_uncapped == Fraction(1, 2)
