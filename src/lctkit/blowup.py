@@ -437,9 +437,9 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     Returns one child chart per center variable v; in that child every other
     center variable w is replaced by w*v and {v = 0} is the new exceptional
     divisor, shared (same divisor id) across the siblings. A chart whose
-    strict transform is divisible by a variable is refused: a coordinate
-    rewrite put its origin on a component {var = 0} that no divisor record
-    covers, and a resolution through it would report a minimum without it.
+    strict transform is divisible by a variable is refused: its origin lies
+    on a component {var = 0} that no divisor record covers, and a resolution
+    through it would report a minimum without it.
     """
     if chart.status is not ChartStatus.OPEN:
         raise ChartError(
@@ -608,7 +608,9 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
 
     Either way k and h are unchanged, the Jacobian d(expression)/d(var) of
     the rewrite is a unit (c1 != 0), so the chart starts a new run, and the
-    monomial factorization is re-checked (FactorizationDestroyedError).
+    monomial factorization is re-checked (FactorizationDestroyedError). A
+    rewrite that leaves the strict transform divisible by var is refused, as
+    in translate.
     """
     if var not in chart.variables:
         raise ChartError(f"unknown variable {var!r}")
@@ -645,6 +647,12 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
             )
         strict_new = _rewrite_in_new_coordinate(chart.strict, var, expression, c1)
         step = RewriteStep(var, expression, False)
+    if strict_new.order_in(var):
+        raise ChartError(
+            f"rewrite of {var!r} puts the origin on the component "
+            f"{{{var} = 0}} of the strict transform, whose divisor and h the "
+            "chart does not record"
+        )
     run = _restart_run(chart.variables, chart.divisors)
     child = _child(chart, step, strict_new, chart.divisors, *run)
     # The defining property of the rewrite, checked exactly either way.

@@ -12,17 +12,18 @@ plain integer loops. The value is accepted only if lam and w prove each
 other by LP duality, decided on their integer numerators over the whole
 support: lam is feasible at t0, w >= 0 sums to 1, and min_i w . a_i = t0.
 That certificate is the same whatever path the simplex took. Fractions
-are built only for t0 and 1/t0. Facet
-normals, whose null spaces use the same integer pivot, are enumerated only
-when they are displayed, and there the largest N/sum(w) over the facets
-must equal the certified t0. The value is what the polyhedron alone
-determines; for degenerate boundaries it is only a candidate, and no
-nondegeneracy check is attempted.
+are built only for t0 and 1/t0. Facet normals are enumerated only when
+they are displayed, by double description in integers: the extreme rays
+(w, N) of the cone w >= 0, N >= 0, a . w >= N over the support that make
+some support point tight. A ray (e_c, 0) that makes no point tight is a
+face of the orthant, not of the polyhedron, and is dropped. The largest
+N/sum(w) over the facets must equal the certified t0. The value is what
+the polyhedron alone determines; for degenerate boundaries it is only a
+candidate, and no nondegeneracy check is attempted.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -56,33 +57,6 @@ def _pivot(rows: list[list[int]], r: int, j: int, den: int) -> int:
             rows[i] = [(p * a - factor * b) // den for a, b in zip(row, pivot_row)]
     rows[r] = pivot_row
     return p
-
-
-def _null_space(matrix: list[list[int]], n: int) -> list[list[int]]:
-    """Primitive integer basis of the null space of a matrix with n columns."""
-    rows = [row[:] for row in matrix]
-    pivots: list[int] = []
-    den = 1
-    for col in range(n):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        den = _pivot(rows, r, col, den)
-        pivots.append(col)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        # pivot row i reads den * x_pc + rows[i][fc] * x_fc = 0
-        vec = [0] * n
-        vec[fc] = den
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        g = gcd(*vec)
-        basis.append([v // g for v in vec])
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -120,46 +94,47 @@ def support(f: Polynomial) -> tuple[tuple[int, ...], ...]:
     return f.support()
 
 
-def _unit_rows(d: int, coords) -> list[list[int]]:
-    return [[int(c == zc) for c in range(d)] for zc in coords]
-
-
 def _facet_normals(pts: list[tuple[int, ...]], d: int):
-    """Enumerate facet normals of conv(points + positive orthant).
+    """Facet normals (w, N) of conv(points + positive orthant), by double
+    description (Motzkin et al. 1953; Fukuda and Prodon 1996).
 
-    Every facet is the affine span of some affinely independent subset of
-    support points together with some coordinate recession directions, so
-    brute force over (point subset, coordinate subset) pairs finds them all;
-    each candidate normal is validated globally before being kept.
+    They are the extreme rays of the cone w >= 0, N >= 0, a . w >= N over the
+    support points a that make some point tight. The cone starts as the
+    orthant, spanned by the d+1 unit rays, and one point is added at a time.
+    Each ray carries the bitmask of its tight constraints: bit c for w_c >= 0
+    (c < d), bit d for N >= 0, bit d+1+i for point i. A ray on the wrong side
+    is dropped; each pair of a ray on the right side with one on the wrong
+    side gives a new ray on the new hyperplane when they are adjacent, that
+    is when they share at least d-1 tight constraints and no third ray is
+    tight on all of them. Rays stay nonnegative, so dividing by gcd(w) makes
+    each primitive. A ray (e_c, 0) with no tight point only cuts the orthant:
+    every point has a_c >= 1, and the facet is (e_c, min a_c).
     """
-    found: dict[tuple[int, ...], int] = {}
-    indices = range(len(pts))
-    for s in range(1, d + 1):
-        for subset in itertools.combinations(indices, s):
-            base = pts[subset[0]]
-            rows = [[pts[i][c] - base[c] for c in range(d)] for i in subset[1:]]
-            for coords in itertools.combinations(range(d), d - s):
-                basis = _null_space(rows + _unit_rows(d, coords), d)
-                if len(basis) != 1:
+    orthant = (1 << (d + 1)) - 1
+    rays = [
+        ([int(k == c) for k in range(d + 1)], orthant ^ (1 << c))
+        for c in range(d + 1)
+    ]
+    for i, a in enumerate(pts):
+        bit = 1 << (d + 1 + i)
+        slack = [sum(map(mul, a, r)) - r[d] for r, _ in rays]  # a . w - N
+        kept = [
+            (r, z | bit if s == 0 else z) for (r, z), s in zip(rays, slack) if s >= 0
+        ]
+        above = [(r, z, s) for (r, z), s in zip(rays, slack) if s > 0]
+        below = [(r, z, s) for (r, z), s in zip(rays, slack) if s < 0]
+        for p, zp, sp in above:
+            for q, zq, sq in below:
+                common = zp & zq
+                if common.bit_count() < d - 1:
                     continue
-                w = basis[0]
-                if all(c <= 0 for c in w):
-                    w = [-c for c in w]
-                if any(c < 0 for c in w):
+                if sum(common & z == common for _, z in rays) > 2:
                     continue
-                n_val = sum(map(mul, w, base))
-                if any(sum(map(mul, w, a)) < n_val for a in pts):
-                    continue
-                # Keep genuine facets only: the touching face must have
-                # affine dimension d-1, a null space of dimension 1.
-                touching = [a for a in pts if sum(map(mul, w, a)) == n_val]
-                span_rows = [
-                    [a[c] - touching[0][c] for c in range(d)] for a in touching[1:]
-                ]
-                span_rows += _unit_rows(d, (c for c in range(d) if w[c] == 0))
-                if len(_null_space(span_rows, d)) == 1:
-                    found.setdefault(tuple(w), n_val)
-    return sorted(found.items())
+                ray = [sp * y - sq * x for x, y in zip(p, q)]
+                g = gcd(*ray[:d])
+                kept.append(([c // g for c in ray], common | bit))
+        rays = kept
+    return sorted((tuple(r[:d]), r[d]) for r, z in rays if z & ~orthant)
 
 
 def _t0_primal(pts: list[tuple[int, ...]], d: int):

@@ -23,6 +23,11 @@ from lctkit import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+# A 6-variable, 14-term support, wide for a facet search.
+WIDE = (
+    "f^3 + e^3 + d^3 + c*d*f^4 + c*d^3*f + c^2*d^2 + c^3 + b*d^2*e + b*c^2*e"
+    " + b*c^2*d^2*f + b^6 + a*b*c^4 + a^3*b*c + a^5"
+)
 
 
 def schema(name):
@@ -99,22 +104,23 @@ def test_depth_zero_is_a_budget_not_an_error():
 
 
 def test_untranslated_origin_without_center_is_not_certified(tmp_path):
-    # In the y-chart of (x - y^2)^2 the strict transform x^2 involves only x,
-    # and y carries the divisor, so the origin left behind by the translate
-    # has no valid blow-up center. It must stay a DepthLimit leaf: the true
-    # value is 1/2, not the 1 found in the translated chart.
+    # In the y-chart of (x - y^2)^2 the rewrite turns the strict transform
+    # into x^2, so the origin of U_y/S_x would sit on {x = 0}, which no
+    # divisor records; the translate would then report 1, while the true
+    # value is 1/2. The rewrite itself is refused.
     script = tmp_path / "a.script"
     script.write_text(
         "blowup x y\nchart y\nsubst x := x - y\ntranslate x := x + 1\n"
     )
     argv = ["(x - y^2)^2", "--vars", "x,y", "--script", str(script)]
-    code, out, _ = run_cli(["pole", *argv])
-    assert code == 2
-    assert "certified: no" in out
-    code, out, _ = run_cli(["resolve", *argv, "--json"])
-    assert code == 2
-    nodes = json.loads(out)["nodes"]
-    assert [n["path"] for n in nodes if n["status"] == "DepthLimit"] == ["U_y/S_x"]
+    for command in (["pole", *argv], ["resolve", *argv, "--json"]):
+        code, out, err = run_cli(command)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: rewrite of 'x' puts the origin on the component {x = 0} of "
+            "the strict transform, whose divisor and h the chart does not record\n"
+        )
 
 
 def test_exit_1_translate_back_onto_a_dropped_divisor(tmp_path):
@@ -314,6 +320,8 @@ def test_newton_json_matches_golden(poly, golden):
     [
         (["verify", "--all", "--json"], "verify_all.json"),
         (["pole", "x^2+y^2*z+z^6", "--json"], "pole_x2_y2z_z6.json"),
+        # six variables, fourteen terms: seven facets, lambda 17/10
+        (["newton", WIDE, "--vars", "a,b,c,d,e,f", "--json"], "newton_wide_6var.json"),
     ],
 )
 def test_json_matches_golden(argv, golden):

@@ -9,6 +9,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import facet_reference
+
 from lctkit import (
     GAUSS,
     InternalInconsistencyError,
@@ -191,6 +193,52 @@ def test_certified_t0_matches_facet_enumeration():
         nd = lambda_newton(support_poly(points))
         facets = newton._facet_normals(points, d)
         assert nd.t0 == max(Fraction(order, sum(w)) for w, order in facets)
+
+
+# -- facets by double description against the brute-force reference ---------
+
+# The brute-force reference is exponential in d; these caps keep it fast.
+MAX_POINTS = {1: 14, 2: 14, 3: 14, 4: 14, 5: 10, 6: 8}
+
+
+@st.composite
+def facet_supports(draw):
+    """(d, points): distinct nonzero points with exponents 0-6, in drawn
+    order. Some have a_c >= 1 at every point, so that (e_c, 0) is a ray of
+    the cone with no tight point; some have points dominated by others."""
+    d = draw(st.integers(1, 6))
+    lifted = draw(st.sampled_from([None, *range(d)]))
+    point = st.tuples(*(st.integers(int(c == lifted), 6) for c in range(d)))
+    cap = MAX_POINTS[d]
+    points = draw(st.lists(point.filter(any), min_size=1, max_size=cap, unique=True))
+    for a in draw(st.lists(st.sampled_from(points), max_size=cap - len(points))):
+        bump = draw(st.tuples(*[st.integers(0, 2)] * d))
+        b = tuple(min(6, x + y) for x, y in zip(a, bump))
+        if b not in points:
+            points.append(b)
+    return d, points
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(facet_supports())
+def test_double_description_matches_brute_force(case):
+    d, points = case
+    assert newton._facet_normals(points, d) == facet_reference._facet_normals(
+        points, d
+    )
+
+
+def test_double_description_matches_brute_force_on_members():
+    members = (
+        [("A", n) for n in range(1, 21)]
+        + [("D", n) for n in range(4, 13)]
+        + [(family, None) for family in ("E6", "E7", "E8")]
+    )
+    for family, n in members:
+        points = list(support(generator(family, n)))
+        d = len(points[0])
+        expected = facet_reference._facet_normals(points, d)
+        assert newton._facet_normals(points, d) == expected, (family, n)
 
 
 def fraction_t0_primal(pts, d):

@@ -325,13 +325,10 @@ def test_double_conic_is_not_certified_wrong():
     assert not rep.certified or rep.lambda_uncapped == Fraction(1, 2)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="a rewrite's content goes unrecorded: 1, not 1/2"
-)
 def test_rewrite_then_translate_is_refused_or_right():
     # In U_y the strict transform is (x - y)^2; the rewrite makes it x^2, so
-    # the origin of U_y/S_x lies on {x = 0}, which no divisor records, and
-    # the translation away from it leaves lambda_uncapped at 1.
+    # the origin of U_y/S_x would lie on {x = 0}, which no divisor records,
+    # and the translation away from it would leave lambda_uncapped at 1.
     variables = ("x", "y")
     f = parse_poly("(x - y^2)^2", GAUSS, variables)
     script = parse_script(
