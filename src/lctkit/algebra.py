@@ -112,38 +112,6 @@ def _uni_divmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
     return _uni_trim(quo), _uni_trim(rem)
 
 
-def _uni_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
-    """Extended Euclid in Q[t]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _uni_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _uni_sub(s0, _uni_mul(q, s1))
-        t0, t1 = t1, _uni_sub(t0, _uni_mul(q, t1))
-    return r0, s0, t0
-
-
-def _uni_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ac in enumerate(a):
-        if ac == 0:
-            continue
-        for j, bc in enumerate(b):
-            out[i + j] += ac * bc
-    return _uni_trim(out)
-
-
-def _uni_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, bc in enumerate(b):
-        out[i] -= bc
-    return _uni_trim(out)
-
-
 def _uni_derivative(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return _uni_trim([k * c for k, c in enumerate(a)][1:])
 
@@ -155,18 +123,14 @@ def _uni_eval(coeffs: Sequence, x):
     return total
 
 
-def _integer_root(q: Sequence[int]):
+def _integer_root(q: Sequence[int], chain: Sequence[tuple[Fraction, ...]]):
     """An integer root of the monic squarefree integer polynomial q, or None.
 
     Sturm's theorem counts the distinct real roots in (lo, hi] as the drop
-    in sign changes of the chain q, q', -rem, ...; integer bisection of the
-    Cauchy interval then isolates each root to a unit interval, whose right
-    end is tested exactly. The cost is polynomial in the bit size of q.
+    in sign changes of q's Sturm chain q, q', -rem, ...; integer bisection
+    of the Cauchy interval then isolates each root to a unit interval, whose
+    right end is tested exactly. The cost is polynomial in the bit size of q.
     """
-    chain = [tuple(Fraction(c) for c in q)]
-    chain.append(_uni_derivative(chain[0]))
-    while len(chain[-1]) > 1:
-        chain.append(tuple(-c for c in _uni_divmod(chain[-2], chain[-1])[1]))
 
     def sign_changes(x: int) -> int:
         signs = [v > 0 for v in (_uni_eval(p, x) for p in chain) if v]
@@ -184,20 +148,6 @@ def _integer_root(q: Sequence[int]):
         elif _uni_eval(q, hi) == 0:
             return hi
     return None
-
-
-def _rational_root(coeffs: Sequence[Fraction]):
-    """A rational root of the monic squarefree polynomial P, or None.
-
-    With D the lcm of the denominators, Q(s) = D^n P(s/D) is monic with
-    integer coefficients, so its rational roots are integers s, and s/D
-    are the rational roots of P.
-    """
-    n = len(coeffs) - 1
-    scale = lcm(*(c.denominator for c in coeffs))
-    q = [int(c * scale ** (n - k)) for k, c in enumerate(coeffs)]
-    root = _integer_root(q)
-    return None if root is None else Fraction(root, scale)
 
 
 def reads_as_name(text: str) -> bool:
@@ -219,8 +169,10 @@ class NumberField:
 
     minpoly_tail holds the coefficients of t^0 .. t^(m-1); the leading 1 is
     implicit. Every instance, however built, passes the modulus checks of
-    __post_init__, which also keeps the tail as integers over one
-    denominator (`_tail`) for the element product.
+    __post_init__: one Sturm chain of the modulus scaled to integers, whose
+    end decides squarefreeness and whose sign changes find a rational root.
+    The tail is kept as integers over one denominator (`_tail`) for the
+    element product.
     """
 
     generator_name: str
@@ -236,15 +188,26 @@ class NumberField:
             )
         if not reads_as_name(self.generator_name):
             raise FieldError(f"bad generator name {self.generator_name!r}")
-        coeffs = tail + (Fraction(1),)
-        if len(_uni_ext_gcd(coeffs, _uni_derivative(coeffs))[0]) != 1:
+        # With D the lcm of the denominators, q(s) = D^m P(s/D) is monic with
+        # integer coefficients, so the rational roots of P are s/D for the
+        # integer roots s of q, and P is squarefree iff q is. Euclid's
+        # remainder sequence of q and q', each remainder negated, is q's
+        # Sturm chain; it ends in a nonzero constant exactly when q is
+        # squarefree, and in the zero polynomial () otherwise.
+        den, m = lcm(*(c.denominator for c in tail)), len(tail)
+        q = [int(c * den ** (m - k)) for k, c in enumerate(tail)] + [1]
+        chain = [tuple(map(Fraction, q))]
+        chain.append(_uni_derivative(chain[0]))
+        while len(chain[-1]) > 1:
+            chain.append(tuple(-c for c in _uni_divmod(chain[-2], chain[-1])[1]))
+        if len(chain[-1]) != 1:
             raise FieldError("minimal polynomial must be squarefree")
-        root = _rational_root(coeffs) if len(tail) > 1 else None
+        root = _integer_root(q, chain) if m > 1 else None
         if root is not None:
             raise FieldError(
-                f"minimal polynomial has the rational root {root}, so it is reducible"
+                f"minimal polynomial has the rational root {Fraction(root, den)}, "
+                "so it is reducible"
             )
-        den = lcm(*(c.denominator for c in tail))
         zeros = (0,) * (self.degree - 1)
         object.__setattr__(self, "_tail", (tuple(int(c * den) for c in tail), den))
         object.__setattr__(self, "_zeros", zeros)
@@ -399,13 +362,26 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """The b with self * b = 1, by Gauss-Jordan on the matrix whose
+        column k is self * t^k, from the field's own product. The ring is a
+        field, so that matrix is invertible and every column has a pivot."""
         if self.is_zero():
             raise ZeroDivisorError("division by zero")
-        modulus = tuple(self.field.minpoly_tail) + (Fraction(1),)
-        # The modulus is irreducible, so the gcd is a nonzero constant.
-        g, s, _ = _uni_ext_gcd(_uni_trim(self.coeffs), modulus)
-        inv = _uni_mul(s, (Fraction(1) / g[0],))
-        return self.field.element(_uni_divmod(inv, modulus)[1])
+        field, m = self.field, len(self.num)
+        columns = [self]
+        while len(columns) < m:
+            columns.append(columns[-1] * _element(field, (0, 1) + field._zeros[1:], 1))
+        # Row i: coordinate i of every column, then coordinate i of 1.
+        rows = [[Fraction(c.num[i], c.den) for c in columns] + [int(not i)] for i in range(m)]
+        for j in range(m):
+            # Swap a row with a nonzero entry in column j up to row j, scaled
+            # to a pivot of 1 (the right side is read before either store).
+            p = next(i for i in range(j, m) if rows[i][j])
+            rows[p], rows[j] = rows[j], [x / rows[p][j] for x in rows[p]]
+            for i, row in enumerate(rows):
+                if i != j and row[j]:
+                    rows[i] = [x - row[j] * y for x, y in zip(row, rows[j])]
+        return field.element([row[m] for row in rows])
 
     def __truediv__(self, other) -> "FieldElement":
         return self * self.field.coerce(other).inverse()

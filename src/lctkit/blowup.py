@@ -135,6 +135,7 @@ class TranslateStep:
     variable: str
     value: FieldElement
     localized: bool
+    noun = "translation"
 
     @property
     def label(self) -> str:
@@ -149,6 +150,7 @@ class RewriteStep:
     variable: str
     expression: Polynomial
     exact_inverse: bool
+    noun = "rewrite"
 
     @property
     def label(self) -> str:
@@ -319,14 +321,26 @@ def _classify(strict: Polynomial) -> ChartStatus:
 
 def _scan(chart: Chart) -> ChartStatus:
     """The chart's status, after one scan of the strict transform's exponent
-    vectors checks it free of content in every exceptional variable."""
+    vectors checks it free of content in every variable. Content in an
+    exceptional variable destroys the factorization. Content in another
+    variable v puts the origin on a component {v = 0} that no divisor record
+    covers, and a resolution through it would report a minimum without it,
+    so the translation or rewrite that made the chart is refused. No other
+    chart gets there: the root factors its content out, and a blow-up child
+    keeps its parent's exponents outside v, whose least exponent is 0."""
     # The zero polynomial has content in every variable.
     lows = _lowest_exponents(chart.strict) or [1] * len(chart.variables)
-    for e, low in zip(chart.variables, lows):
-        if low and e in chart.divisors:
+    for v, low in zip(chart.variables, lows):
+        if low and v in chart.divisors:
             raise FactorizationDestroyedError(
-                f"strict transform has content in exceptional variable {e!r} "
+                f"strict transform has content in exceptional variable {v!r} "
                 f"at {chart.path_text()}"
+            )
+        if low:
+            raise ChartError(
+                f"{chart.steps[-1].noun} of {v!r} puts the origin on the "
+                f"component {{{v} = 0}} of the strict transform, whose divisor "
+                "and h the chart does not record"
             )
     return _classify(chart.strict)
 
@@ -380,7 +394,7 @@ def _restart_run(variables: tuple[str, ...], divisors: Mapping) -> tuple:
 def _child(chart: Chart, step: PathStep, strict: Polynomial, *records) -> Chart:
     """The chart one step below `chart`, with `records` its divisors, run and
     run_start: the step appended to the path, the new strict transform
-    classified and checked free of exceptional content, and the path text
+    classified and checked free of content, and the path text
     the parent's with the step's label added."""
     (divisors, run, run_start), label = records, step.label
     return _chart(
@@ -436,23 +450,14 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
 
     Returns one child chart per center variable v; in that child every other
     center variable w is replaced by w*v and {v = 0} is the new exceptional
-    divisor, shared (same divisor id) across the siblings. A chart whose
-    strict transform is divisible by a variable is refused: its origin lies
-    on a component {var = 0} that no divisor record covers, and a resolution
-    through it would report a minimum without it.
+    divisor, shared (same divisor id) across the siblings. Every chart is
+    built free of monomial content (see _scan), so the origin lies on no
+    component {var = 0} that a divisor record does not cover.
     """
     if chart.status is not ChartStatus.OPEN:
         raise ChartError(
             f"blow-up of a chart with status {chart.status.value} at "
             f"{chart.path_text()}"
-        )
-    lows = _lowest_exponents(chart.strict)
-    content = [v for v, low in zip(chart.variables, lows) if low]
-    if content:
-        raise ChartError(
-            f"blow-up at {chart.path_text()} passes through the component "
-            f"{{{content[0]} = 0}} of the strict transform, whose divisor and "
-            "h the chart does not record"
         )
     center = tuple(center)
     unknown = set(center) - set(chart.variables)
@@ -529,8 +534,7 @@ def translate(chart: Chart, var: str, value) -> Chart:
     divisor then misses the new origin, its monomial factor (var + value)^k
     is absorbed into the strict transform as a unit, and its divisor record
     is dropped from the chart. A translation that leaves the strict transform
-    divisible by var is refused: the origin would sit on a component
-    {var = 0} that has no divisor record.
+    divisible by var is refused (see _scan).
     """
     value = chart.field.coerce(value)
     if var not in chart.variables:
@@ -551,15 +555,8 @@ def translate(chart: Chart, var: str, value) -> Chart:
         # the strict transform; the lowest power of var stays the same.
         k = divisors.pop(var).k
         strict = strict * Polynomial.monomial(chart.field, chart.variables, {var: k})
-    strict_new = strict.substitute(substitution)
-    if strict_new.order_in(var):
-        raise ChartError(
-            f"translation of {var!r} puts the origin on the component "
-            f"{{{var} = 0}} of the strict transform, whose divisor and h the "
-            "chart does not record"
-        )
     run = _restart_run(chart.variables, divisors)
-    child = _child(chart, step, strict_new, divisors, *run)
+    child = _child(chart, step, strict.substitute(substitution), divisors, *run)
     _assert_step_identity(chart.total, child, substitution)
     _assert_records_kept(chart, child, var if localized else None)
     return child
@@ -609,8 +606,8 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
     Either way k and h are unchanged, the Jacobian d(expression)/d(var) of
     the rewrite is a unit (c1 != 0), so the chart starts a new run, and the
     monomial factorization is re-checked (FactorizationDestroyedError). A
-    rewrite that leaves the strict transform divisible by var is refused, as
-    in translate.
+    rewrite that leaves the strict transform divisible by var is refused
+    (see _scan).
     """
     if var not in chart.variables:
         raise ChartError(f"unknown variable {var!r}")
@@ -647,12 +644,6 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
             )
         strict_new = _rewrite_in_new_coordinate(chart.strict, var, expression, c1)
         step = RewriteStep(var, expression, False)
-    if strict_new.order_in(var):
-        raise ChartError(
-            f"rewrite of {var!r} puts the origin on the component "
-            f"{{{var} = 0}} of the strict transform, whose divisor and h the "
-            "chart does not record"
-        )
     run = _restart_run(chart.variables, chart.divisors)
     child = _child(chart, step, strict_new, chart.divisors, *run)
     # The defining property of the rewrite, checked exactly either way.

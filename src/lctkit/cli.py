@@ -59,7 +59,7 @@ def _parse_field(text: str) -> NumberField:
             f"polynomial in t), got {text!r}"
         )
     poly = parse_poly(minpoly, GAUSS, ("t",))
-    degree = poly.degree_in("t")
+    degree = poly.degree_in("t") if poly else -1  # make() refuses 0: not monic
     coeffs = []
     for power in range(degree + 1):
         c = poly.coefficient_of("t", power).constant_term

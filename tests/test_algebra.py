@@ -7,6 +7,7 @@ from operator import add
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import field_reference
 from conftest import random_element, random_poly
 from lctkit import (
     EISENSTEIN,
@@ -165,6 +166,76 @@ def test_rational_root_test_matches_trial_division(tails):
         assert trial_division_root(poly)
     else:
         assert not trial_division_root(poly)
+
+
+def monic_product(tails):
+    """The coefficients, low degree first, of the product of the monic
+    factors with these tails."""
+    poly = [Fraction(1)]
+    for tail in tails:
+        factor = list(tail) + [Fraction(1)]
+        out = [Fraction(0)] * (len(poly) + len(tail))
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        poly = out
+    return poly
+
+
+def squarefree_verdict(poly):
+    """False iff make() refuses the modulus as not squarefree."""
+    try:
+        NumberField.make(poly, "a")
+    except FieldError as err:
+        return "squarefree" not in str(err)
+    return True
+
+
+# Products of degree 2 or 3 that repeat a monic factor: f^2 and f^3 with f
+# linear, f^2 * g with f and g linear, in either order.
+LINEAR = st.lists(TAIL_COEFFS, min_size=1, max_size=1)
+REPEATS = st.one_of(
+    LINEAR.map(lambda f: (f, f)),
+    LINEAR.map(lambda f: (f, f, f)),
+    st.tuples(LINEAR, LINEAR).map(lambda fg: (fg[0], fg[1], fg[0])),
+    st.tuples(LINEAR, LINEAR).map(lambda fg: (fg[0], fg[0], fg[1])),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        REPEATS,
+        st.sampled_from(SPLITS).flatmap(
+            lambda split: st.tuples(
+                *(st.lists(TAIL_COEFFS, min_size=d, max_size=d) for d in split)
+            )
+        ),
+    )
+)
+def test_squarefree_verdict_matches_extended_gcd(tails):
+    # The field reads the verdict off the end of the Sturm chain; the
+    # reference takes the gcd of the modulus and its derivative.
+    poly = monic_product(tails)
+    assert squarefree_verdict(poly) == field_reference.squarefree(poly)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        monic_product([[-1], [-1], [2]]),  # (t - 1)^2 (t + 2)
+        [0, 0, 0, 1],  # t^3
+        monic_product([[Fraction(1, 2)]] * 3),  # (t + 1/2)^3
+        [1, 2, 1],  # t^2 + 2t + 1
+    ],
+    ids=["(t-1)^2(t+2)", "t^3", "(t+1/2)^3", "t^2+2t+1"],
+)
+def test_repeated_factor_is_not_squarefree(poly):
+    # Every such modulus also has a rational root; squarefreeness is
+    # checked first, so the error names it.
+    assert not field_reference.squarefree(poly)
+    with pytest.raises(FieldError, match="^minimal polynomial must be squarefree$"):
+        NumberField.make(poly, "a")
 
 
 def test_rationals_degree_one():
@@ -475,6 +546,16 @@ def test_accepted_rings_have_no_zero_divisors(case):
     assert a * b and b * a
     assert a * a.inverse() == field.one()
     assert (a * b) * b.inverse() == a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nonzero_pair())
+def test_inverse_matches_extended_gcd_reference(case):
+    # Gauss-Jordan on the multiplication matrix against the extended gcd.
+    _, a, b = case
+    for x in (a, b, a * b, a + b):
+        if x:
+            assert x.inverse() == field_reference.inverse(x)
 
 
 # -- the field kernel against Fraction tuples ----------------------------------

@@ -1,7 +1,9 @@
 """Blow-up charts: substitution bookkeeping, classification, and drivers."""
 
+import importlib.util
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +33,7 @@ from lctkit import (
     translate,
 )
 import lctkit.blowup as blowup_module
-from lctkit.algebra import _Substitution
+from lctkit.algebra import _Substitution, _lowest_exponents
 from lctkit.blowup import (
     BlowupStep,
     RewriteStep,
@@ -530,6 +532,40 @@ def test_translate_exceptional_by_zero_rejected():
     chart = z_chart(make_root_chart(P("x^2 + y^2 + z^3")))
     with pytest.raises(ChartError):
         translate(chart, "z", 0)
+
+
+def pole_workload_pass(seed):
+    """Pass 0 of the benchmark's pole workload for the seed, read from
+    perfbench/workloads.py, which imports only the standard library."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.phase_ops("pole", "primary", seed, 0)
+
+
+MEMBERS = (
+    [("A", n) for n in range(1, 21)]
+    + [("D", n) for n in range(4, 13)]
+    + [(family, None) for family in ("E6", "E7", "E8")]
+)
+
+
+def test_every_chart_is_free_of_content():
+    # Every chart's strict transform has content 0 in every variable, as
+    # _scan requires; the 32 scripted members and a pole-auto pass resolve
+    # without meeting its refusal, DepthLimit copies of charts included.
+    trees = [
+        resolve(generator(family, n), Scripted(scripted_resolution(family, n), 12))
+        for family, n in MEMBERS
+    ]
+    for op in pole_workload_pass(1009):
+        f = parse_poly(op["text"], GAUSS, tuple(op["vars"].split(",")))
+        trees.append(resolve(f, Auto(op["depth"])))
+    charts = [node.chart for tree in trees for node in tree.nodes()]
+    assert len(trees) == 72 and len(charts) > 1000
+    for chart in charts:
+        assert not any(_lowest_exponents(chart.strict)), chart.path_text()
 
 
 # -- resolution drivers -----------------------------------------------------------

@@ -139,6 +139,23 @@ def test_exit_1_translate_back_onto_a_dropped_divisor(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_translate_refusal_names_the_component(tmp_path):
+    # The script above, with the exact message under pole and resolve --json.
+    script = tmp_path / "back.script"
+    script.write_text(
+        "blowup x y z\nchart z\ntranslate z := z + 1\ntranslate z := z - 1\n"
+    )
+    argv = ["x^2+y^2+z^3", "--script", str(script), "--max-depth", "4"]
+    for command in (["pole", *argv], ["resolve", *argv, "--json"]):
+        assert run_cli(command) == (
+            1,
+            "",
+            "error: translation of 'z' puts the origin on the component {z = 0} "
+            "of the strict transform, whose divisor and h the chart does not "
+            "record\n",
+        )
+
+
 def test_exit_1_rewrite_onto_an_unrecorded_component(tmp_path):
     # x := x + y turns (x+y)^2 into the strict transform x^2, so the origin
     # sits on {x = 0}, which no divisor record covers. Blowing that origin up
@@ -226,6 +243,17 @@ def test_exit_1_reducible_field(minpoly):
     assert out == ""
     assert err.startswith("error: minimal polynomial")
     assert err.count("\n") == 1
+
+
+def test_exit_1_zero_modulus_is_not_monic():
+    # The zero polynomial has no leading coefficient 1, so the message names
+    # the modulus, not the degree of zero.
+    for command in ("parse", "pole"):
+        assert run_cli([command, "x", "--field", "i:0"]) == (
+            1,
+            "",
+            "error: minimal polynomial must be monic\n",
+        )
 
 
 @pytest.mark.parametrize(
