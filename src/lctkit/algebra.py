@@ -25,34 +25,19 @@ the exponent tuples have one entry per variable, and no stored coefficient
 is zero. A product of stored coefficients is then nonzero, so only sums can
 cancel, and is_zero() stays exact.
 
-One term-dict product, `_mul_terms`, serves `*` and `**`, and one term-dict
-power, `_pow_terms`, serves `**` and the parser. When every coefficient is
-rational with den 1, both multiply and sum plain int numerators and build
-one FieldElement per result term, in lowest terms since its den is 1; a sum
-that cancels is deleted where it happens, so the terms keep the order of
-the element-by-element product. A one-term rational factor, such as a
-divisor monomial, shifts the other factor's exponents and scales its
-coefficients in O(terms); a coefficient of 1 skips the scaling. A blow-up
-chart map sends each variable to a monomial, so `substitute` folds each
-one-term image c * x^a into an integer exponent map: a term's exponent e of
-the mapped variable adds e * a to the exponents it keeps and multiplies its
-coefficient by c^e (skipped for c = 1), and with no other image the result
-term goes straight into the output dict. Only images with several terms,
-such as translations, go through `_mul_terms`, in the same loop; the powers
-a wide image needs are built in ascending order, each as the largest lower
-one times the image to the power of the gap, not each from scratch.
-`substitute` first compiles its mapping (`_Substitution`): the checks, and
-the split of each image into a shift and coefficient or a wide image. A map
-compiled for the polynomial's own field object and variables is folded as
-it is, so a caller that applies one map to several polynomials, such as a
-blow-up's step map, checks and splits it once. The compiled map memoizes
-the powers of its wide images; that memo only ever gains entries, each a
-value. There is one fold. A one-term
-Polynomial to the n-th power multiplies its exponents by n and takes one
-coefficient power. FieldElement * and ** with a rational operand (every
-coordinate above degree 0 is zero) scale the numerators by one integer
-ratio, or take one power of numerators and denominator, instead of
-convolving and reducing mod the modulus.
+One loop over pairs of terms, `_product`, serves every product of term
+dicts, and one square-and-multiply, `_power`, every power: of term dicts,
+of int numerator dicts and of FieldElements. A sum that cancels is deleted
+where it happens, so a result lists its terms in the order in which the
+pair loop first reaches them, whatever the coefficients. `_pow_terms` is the
+one term-dict power, behind `**`, the parser's '^' and substitute's wide
+images. Its int lift runs a power whose coefficients are all rational with
+den 1 on the int numerators and builds one FieldElement per result term at
+the end, so the parser's (v + m*w)^e builds no element per partial sum; a
+product of two polynomials has no such lift, since no caller multiplies two
+integral polynomials of several terms each. FieldElement * and ** with a
+rational operand scale the numerators by one integer ratio, or take one
+power of numerators and denominator, instead of reducing mod the modulus.
 """
 
 from __future__ import annotations
@@ -96,20 +81,16 @@ def _uni_trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs[:n])
 
 
-def _uni_divmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
+def _uni_rem(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """The remainder of a by b, for b nonzero."""
     rem = list(a)
-    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     lead = b[-1]
     for shift in range(len(a) - len(b), -1, -1):
         factor = rem[shift + len(b) - 1] / lead
-        if factor == 0:
-            continue
-        quo[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] -= factor * bc
-    return _uni_trim(quo), _uni_trim(rem)
+        if factor:
+            for i, bc in enumerate(b):
+                rem[shift + i] -= factor * bc
+    return _uni_trim(rem)
 
 
 def _uni_derivative(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -199,7 +180,7 @@ class NumberField:
         chain = [tuple(map(Fraction, q))]
         chain.append(_uni_derivative(chain[0]))
         while len(chain[-1]) > 1:
-            chain.append(tuple(-c for c in _uni_divmod(chain[-2], chain[-1])[1]))
+            chain.append(tuple(-c for c in _uni_rem(chain[-2], chain[-1])))
         if len(chain[-1]) != 1:
             raise FieldError("minimal polynomial must be squarefree")
         root = _integer_root(q, chain) if m > 1 else None
@@ -396,14 +377,7 @@ class FieldElement:
             # Powers of coprime integers stay coprime.
             num = (self.num[0] ** n,) + self.num[1:]
             return _element(self.field, num, self.den**n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, mul, self.field.one())
 
     def __str__(self) -> str:
         return format_element(self)
@@ -573,12 +547,9 @@ class Polynomial:
 
     # -- ring structure ------------------------------------------------------
 
-    def _check_ring(self, other: "Polynomial") -> None:
-        _check_ring(self.field, self.variables, other)
-
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            self._check_ring(other)
+            _check_ring(self.field, self.variables, other)
             return other
         return Polynomial.constant(self.field, self.variables, other)
 
@@ -610,9 +581,6 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        if len(self.terms) == 1:
-            (exps, coeff), = self.terms.items()
-            return self._with_terms({tuple(n * e for e in exps): coeff**n})
         one = {(0,) * len(self.variables): self.field.one()}
         return self._with_terms(_pow_terms(self.terms, n, one))
 
@@ -921,7 +889,7 @@ def _add_into(out: Terms, terms: Terms) -> None:
 def _mul_terms(f: Terms, g: Terms) -> Terms:
     """The product of two term dicts of one ring, with no zero coefficient:
     a shift for a one-term rational factor (scaling unless it is 1), else
-    the integer kernel when it applies, else element by element."""
+    `_product`."""
     if len(f) == 1:
         f, g = g, f
     if len(g) == 1:
@@ -933,29 +901,55 @@ def _mul_terms(f: Terms, g: Terms) -> Terms:
             if any(shift):
                 return {tuple(map(add, e, shift)): a for e, a in f.items()}
             return dict(f)
-    fi = _integral(f) if f and g else None
-    gi = None if fi is None else _integral(g)
-    if gi is not None:
-        return _from_integral(next(iter(f.values())).field, _int_product(fi, gi))
-    out = {}
-    for e1, c1 in f.items():
-        _add_into(out, {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in g.items()})
+    return _product(f, g)
+
+
+def _product(f: dict, g: dict) -> dict:
+    """The product of two term dicts whose coefficients are FieldElements of
+    one field or ints: the one loop over pairs of terms. A product of nonzero
+    coefficients is nonzero, so only a sum can cancel, and it is deleted."""
+    out: dict = {}
+    get = out.get
+    for e1, a in f.items():
+        for e2, b in g.items():
+            e = tuple(map(add, e1, e2))
+            cur = get(e)
+            s = a * b if cur is None else cur + a * b
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out
 
 
 def _pow_terms(f: Terms, n: int, one: Terms) -> Terms:
-    """The n-th power (n >= 0) of a term dict by binary powering, on the
-    integer kernel when it applies. `one` is a fresh unit term dict of the
-    ring, returned as is for n = 0."""
+    """The n-th power (n >= 0) of a term dict, the one term-dict power. One
+    term c * x^e gives c^n * x^(n e); otherwise the power runs on the int
+    numerators when every coefficient is rational with den 1, else on the
+    elements. `one` is a fresh unit term dict of the ring, returned for n = 0
+    unless f has one term."""
+    if len(f) == 1:
+        (exps, c), = f.items()
+        return {tuple(n * e for e in exps): c**n}
     fi = _integral(f) if f and n else None
-    product, out, base = (_mul_terms, one, f) if fi is None else (_int_product, None, fi)
+    if fi is None:
+        return _power(f, n, _product, one)
+    return _from_integral(next(iter(f.values())).field, _power(fi, n, _product, None))
+
+
+def _power(base, n: int, product, one):
+    """base**n (n >= 0) by square-and-multiply, the one such loop: for term
+    dicts, int numerator dicts and FieldElements. `one` is the power for
+    n = 0; every other product is product(out, base) or product(base, base),
+    in that order of operands."""
+    out = None
     while n:
         if n & 1:
             out = base if out is None else product(out, base)
         n >>= 1
         if n:
             base = product(base, base)
-    return out if fi is None else _from_integral(next(iter(f.values())).field, out)
+    return one if out is None else out
 
 
 def _integral(terms: Terms) -> Optional[dict]:
@@ -966,21 +960,6 @@ def _integral(terms: Terms) -> Optional[dict]:
         return None
     head, *rest = zip(*nums)
     return None if any(map(any, rest)) else dict(zip(terms, head))
-
-
-def _int_product(f: dict, g: dict) -> dict:
-    """The product of two int numerator dicts, a cancelled sum deleted."""
-    out: dict = {}
-    get = out.get
-    for e1, a in f.items():
-        for e2, b in g.items():
-            e = tuple(map(add, e1, e2))
-            s = get(e, 0) + a * b
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
 
 
 def _from_integral(field: NumberField, nums: dict) -> Terms:

@@ -6,58 +6,43 @@ divisor: `divisors[v]` is the PoleIndex (id, k, h) of {v = 0}, where the id
 names the blow-up (or root hyperplane) that created the divisor, k is the
 order of the total transform and h the order of the Jacobian determinant
 along it. The variables with a record are the chart's `exceptional` ones.
-The total transform `total` = strict * (prod e**k_e) is the strict
-transform's exponents shifted by the k vector. The root chart's total must
-equal f (and the product by `*`), and the defining identity
+The root chart's total must equal f (and the product by `*`), and the
+defining identity
 
     (parent total)(step map) = child total
 
 is asserted exactly across every blow-up and translation, so the chain of
-checks is anchored at f; the checked left side becomes the child's total.
-The rewrite of apply_affine is checked to reproduce the strict transform.
-A translation or a rewrite has a unit Jacobian, so its child must keep
-every record of its parent, but for a localized divisor that leaves; both
-check that. A chart stores only its path (`steps`); map_from_root is
-derived from it on demand: on a path of origin blow-ups only it is
-x = y**run, otherwise the step maps of _step_substitution composed, and it
-is None once a triangular (power-series) rewrite is on the path.
+checks is anchored at f. The rewrite of apply_affine is checked to
+reproduce the strict transform. A chart stores only its path (`steps`);
+map_from_root is derived from it on demand.
 
 Two independent codes pull a strict transform back through an origin
 blow-up. blowup_origin builds each child's strict transform directly as an
 integer exponent map: in chart U_v, v's exponent becomes the order of the
 term along the center, and the chart's order c of the strict transform is
 divided out, all in one pass over the parent's terms with the coefficients
-reused, and `_child` writes each child's fields (its depth among them)
-straight into the instance dict. The identity check instead substitutes
-the step map of _step_substitution into the parent's total with
-Polynomial.substitute, which does not use that code. Translations and
-rewrites build their strict transforms with Polynomial.substitute from the
-same step maps.
+reused. The identity check instead substitutes the step map of
+_step_substitution into the parent's total with Polynomial.substitute,
+which does not use that code. Translations and rewrites build their strict
+transforms with Polynomial.substitute from the same step maps.
 
 The h records have a builder and a checker too. blowup_origin sums the new
 divisor's h from the records through the center, and checks it in every
 child against the chart's run of blow-ups, one integer exponent matrix (see
-Chart); verify_jacobian applies the same rule to every coordinate.
+Chart).
 
 _step_substitution is the one source of step maps: the identity check,
 translate, apply_affine and map_from_root all read it. Each map comes
 compiled for the chart's ring (algebra._Substitution), so substitute folds
-it without checking or splitting the images again; an origin blow-up's map
-is compiled once per field object, variables, center and chart variable,
-in a bounded cache. A translation's strict transform and its identity check
-fold one compiled map, which builds each power of the wide image once.
+it without checking or splitting the images again. A translation's strict
+transform and its identity check fold one compiled map, which builds each
+power of the wide image once.
 
-One recursive walk, `_expand`, builds every resolution tree. It follows
-the script steps it is given along one path and resolves every other chart
-automatically, which is the walk with no steps left: `Auto` is the empty
-script. A chart still Open when the depth budget runs out, or one with no
-valid blow-up center, becomes a DepthLimit leaf.
+One recursive walk, `_expand`, builds every resolution tree.
 
-Coordinate-change directions: `translate` substitutes its right-hand side
-for the variable (recentring the chart on another point), while `subst`
-declares a new coordinate equal to an expression in the old ones and
-rewrites the strict transform in it. The two run in opposite directions;
-each docstring states its own.
+`translate` and `subst` (apply_affine) run in opposite directions: the one
+substitutes an expression for the variable, the other declares a new
+coordinate equal to one. Each docstring states its own.
 """
 
 from __future__ import annotations
@@ -69,7 +54,14 @@ from operator import add, itemgetter, mul
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .algebra import FieldElement, NumberField, Polynomial, _Substitution, _lowest_exponents
+from .algebra import (
+    FieldElement,
+    NumberField,
+    Polynomial,
+    _Substitution,
+    _check_ring,
+    _lowest_exponents,
+)
 from .errors import (
     ChartError,
     FactorizationDestroyedError,
@@ -611,7 +603,7 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
     """
     if var not in chart.variables:
         raise ChartError(f"unknown variable {var!r}")
-    chart.strict._check_ring(expression)
+    _check_ring(chart.strict.field, chart.strict.variables, expression)
     if expression.is_zero():
         raise ChartError("substitution expression must be nonzero")
     if expression.constant_term:

@@ -24,6 +24,13 @@ from .zeta import lambda_uncapped
 
 FAMILIES = ("A", "D", "E6", "E7", "E8")
 
+# The audited members, in the order of the audit table.
+MEMBERS = (
+    tuple(("A", n) for n in range(1, 21))
+    + tuple(("D", n) for n in range(4, 13))
+    + tuple((family, None) for family in ("E6", "E7", "E8"))
+)
+
 _RANGES = {"A": (1, None), "D": (4, None), "E6": None, "E7": None, "E8": None}
 
 
@@ -175,11 +182,4 @@ def verify(family: str, n: Optional[int] = None, max_depth: int = 12) -> VerifyR
 
 def verify_all(max_depth: int = 12) -> tuple[VerifyReport, ...]:
     """The full audit table: A1..A20, D4..D12, and the three E members."""
-    rows = []
-    for n in range(1, 21):
-        rows.append(verify("A", n, max_depth))
-    for n in range(4, 13):
-        rows.append(verify("D", n, max_depth))
-    for family in ("E6", "E7", "E8"):
-        rows.append(verify(family, None, max_depth))
-    return tuple(rows)
+    return tuple(verify(family, n, max_depth) for family, n in MEMBERS)

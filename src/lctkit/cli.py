@@ -245,6 +245,8 @@ def _cmd_pole(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.all and args.n is not None:
+        raise ParseError("argument --n: not allowed with argument --all")
     if args.all:
         rows = verify_all(args.max_depth)
     else:

@@ -5,11 +5,8 @@ Samples are drawn once per seed and shared across every threshold level,
 so hit counts are monotone in t by construction. They are drawn in chunks
 of 2^17, each from its own stream keyed by (seed, chunk index): the chunk
 size fixes the draws, and the results are identical however the chunks are
-scheduled. The calling thread draws chunk k + 1 while one helper thread
-evaluates chunk k and bins it against the threshold grid, and the caller
-adds the chunks' per-level sums in chunk order. No per-sample array
-outlives its chunk, so memory is a few chunks' worth whatever the sample
-count.
+scheduled. No per-sample array outlives its chunk, so memory is a few
+chunks' worth whatever the sample count.
 
 Each sample carries a likelihood weight w = p/q, where p is the uniform
 density on the box and q the density it was drawn from, and a level's volume
@@ -20,17 +17,12 @@ smooth part of the zero set, away from the origin, where uniform samples
 rarely land. So when f has a variable v of degree d <= 2, the first half of
 each chunk is drawn uniformly and the second half is directed at the zero
 set: the other coordinates x' stay uniform, and v is one of the d roots of
-f(x', v) = u for a target u whose modulus is uniform on the disk of radius
-t_min and log-uniform from t_min to t_max. The uniform half bounds every
-weight by 2 (a defensive mixture). Complex mode draws only the coordinates
+f(x', v) = u for a small target u. The uniform half bounds every weight by
+2 (a defensive mixture). Complex mode draws only the coordinates
 that f involves; the others cannot change |f|.
 
 f is evaluated one chunk at a time from one power table per chunk
-(_power_table): x^e for each coordinate x and each exponent e that a term
-uses, or, with directed draws, a term of a coefficient of v. x^1 is the
-coordinate's row, and each higher power is the next lower one times powers
-already in the table, so no sample array goes through libm pow. Terms are
-multiplied out in one scratch buffer and summed in place. How f is
+(_power_table), so no sample array goes through libm pow. How f is
 evaluated does not touch the draws: real-mode counts and fits are the same
 bit for bit as with libm pow, complex-mode counts the same and its floats
 within 1e-12 relative.
@@ -43,10 +35,7 @@ the cumulative levels share, and with more than two levels it is widened by
 the Birge ratio sqrt(max(1, chi^2 / (k - 2))), so that curvature of the
 log-log curve at finite t shows in the error. Levels with fewer than
 min_hits effective hits ((sum w)^2 / sum w^2, the hit count when every
-weight is 1) carry no usable information and are dropped; when fewer than
-two levels remain, or the grid itself is too coarse, the run raises
-UnreliableEstimateError carrying the partial data instead of returning a
-number.
+weight is 1) carry no usable information and are dropped.
 """
 
 from __future__ import annotations

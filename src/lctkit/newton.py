@@ -3,23 +3,14 @@ independent of any blow-up.
 
 For f vanishing at the origin, t0 is the parameter where the diagonal
 (t, ..., t) first meets the polyhedron conv(support + positive orthant);
-the reported value is 1/t0. One exact simplex solves the min-max program
-from a closed-form start tableau and returns its primal convex weights lam
-and its dual weights w. It is fraction-free: an integer tableau over one
-common denominator, pivoted by exact division and Bland's rule; the start
-tableau, the entering and leaving choices and the readout of the basis are
-plain integer loops. The value is accepted only if lam and w prove each
-other by LP duality, decided on their integer numerators over the whole
-support: lam is feasible at t0, w >= 0 sums to 1, and min_i w . a_i = t0.
+the reported value is 1/t0. One exact fraction-free simplex solves the
+min-max program, and the value is accepted only if its primal weights lam
+and dual weights w prove each other by LP duality over the whole support.
 That certificate is the same whatever path the simplex took. Fractions
-are built only for t0 and 1/t0. Facet normals are enumerated only when
-they are displayed, by double description in integers: the extreme rays
-(w, N) of the cone w >= 0, N >= 0, a . w >= N over the support that make
-some support point tight. A ray (e_c, 0) that makes no point tight is a
-face of the orthant, not of the polyhedron, and is dropped. The largest
-N/sum(w) over the facets must equal the certified t0. The value is what
-the polyhedron alone determines; for degenerate boundaries it is only a
-candidate, and no nondegeneracy check is attempted.
+are built only for t0 and 1/t0. The largest N/sum(w) over the facet
+normals (w, N), when they are enumerated, must equal the certified t0. The
+value is what the polyhedron alone determines; for degenerate boundaries
+it is only a candidate, and no nondegeneracy check is attempted.
 """
 
 from __future__ import annotations

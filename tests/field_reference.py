@@ -4,14 +4,31 @@ of multiplication by a, and for NumberField's squarefree verdict, which
 reads the end of the modulus's Sturm chain.
 
 Extended Euclid runs in Q[t] on tuples of Fractions, low degree first, with
-no trailing zeros. `_uni_divmod` and `_uni_trim` come from lctkit.algebra,
-where the Sturm chain still uses them.
+no trailing zeros. `_uni_trim` and `_uni_derivative` come from
+lctkit.algebra, where the Sturm chain still uses them; the Sturm chain needs
+only remainders, so the division with quotient lives here.
 """
 
 from fractions import Fraction
 
-from lctkit.algebra import _uni_derivative, _uni_divmod, _uni_trim
+from lctkit.algebra import _uni_derivative, _uni_trim
 from lctkit.errors import ZeroDivisorError
+
+
+def _uni_divmod(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
+    rem = list(a)
+    quo = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
+    for shift in range(len(a) - len(b), -1, -1):
+        factor = rem[shift + len(b) - 1] / lead
+        if factor == 0:
+            continue
+        quo[shift] = factor
+        for i, bc in enumerate(b):
+            rem[shift + i] -= factor * bc
+    return _uni_trim(quo), _uni_trim(rem)
 
 
 def _uni_ext_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):

@@ -915,6 +915,42 @@ def test_kernel_products_that_cancel(field):
     assert _mul_terms(f, {}) == _mul_terms({}, g) == {}
 
 
+@pytest.mark.parametrize("field", FIELDS + (RATIONALS,), ids=lambda f: f.generator_name)
+def test_kernel_powers_multiply_out_times_base(field):
+    # The cube of f = x - x^2 + 1/2 cancels a sum and puts it back later, so
+    # out * base and base * out list its terms in two orders; the power must
+    # keep the reference's order of operands. 2f runs on the int numerators,
+    # f and g*f (g the generator) on the elements.
+    x, x2, one = (1, 0, 0), (2, 0, 0), (0, 0, 0)
+    scales = [field.rational(2), field.one()]
+    if field.degree > 1:
+        scales.append(field.generator())
+    for c in scales:
+        f = {x: c, x2: -c, one: c * Fraction(1, 2)}
+        got = _pow_terms(f, 3, {one: field.one()})
+        assert_same_terms(got, _pow_terms_by_elements(f, 3, {one: field.one()}))
+
+
+@pytest.mark.parametrize("field", FIELDS + (RATIONALS,), ids=lambda f: f.generator_name)
+def test_one_term_powers_agree_on_every_path(field):
+    # One term c * m to the n-th power is c^n * m^n, by one rule that
+    # Polynomial.__pow__ and the parser's '^' share; the element-by-element
+    # power is the reference. Integral, fractional and (where the field has
+    # them) non-rational c.
+    kinds = [[3], [-1], [Fraction(-2, 3)]]
+    if field.degree > 1:
+        kinds += [[0, 1], [Fraction(1, 2), -1]]
+    origin, exps = (0,) * len(VARS), (1, 2, 0)
+    for coeffs in kinds:
+        c = field.element(coeffs)
+        f = {exps: c}
+        for n in range(7):
+            expected = _pow_terms_by_elements(f, n, {origin: field.one()})
+            assert_same_terms((Polynomial(field, VARS, f) ** n).terms, expected)
+            parsed = parse_poly(f"(({c})*x*y^2)^{n}", field, VARS)
+            assert_same_terms(parsed.terms, expected)
+
+
 # -- quasihomogeneity of the catalogue generators ----------------------------
 
 

@@ -75,6 +75,14 @@ def test_exit_1_usage_errors():
         assert err.startswith("error")
 
 
+def test_verify_all_refuses_an_index():
+    # --n names a member of one family, so --all would silently drop it.
+    code, out, err = run_cli(["verify", "--all", "--n", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: argument --n: not allowed with argument --all\n"
+
+
 def test_exit_2_depth_limit_still_reports(tmp_path):
     code, out, _ = run_cli(["pole", "x^2+y^2+z^5", "--max-depth", "1"])
     assert code == 2

@@ -33,16 +33,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from lctkit.catalogue import generator, script_text  # noqa: E402
+from lctkit.catalogue import MEMBERS, generator, script_text  # noqa: E402
 from lctkit.cli import main  # noqa: E402
 from lctkit.parser import format_poly  # noqa: E402
 from perfbench.workloads import phase_ops  # noqa: E402
-
-MEMBERS = (
-    [("A", n) for n in range(1, 21)]
-    + [("D", n) for n in range(4, 13)]
-    + [(family, None) for family in ("E6", "E7", "E8")]
-)
 
 # Generator name and minimal polynomial in t. The first eight are refused:
 # reducible, not squarefree, of degree 4, or zero.
