@@ -3,10 +3,10 @@
 
 Samples are drawn once per seed and shared across every threshold level,
 so hit counts are monotone in t by construction. They are drawn in chunks
-of 2^17, each from its own stream keyed by (seed, chunk index): the chunk
-size fixes the draws, and the results are identical however the chunks are
-scheduled. No per-sample array outlives its chunk, so memory is a few
-chunks' worth whatever the sample count.
+of 2^17, each from its own SFC64 stream seeded by (seed, chunk index): the
+chunk size fixes the draws, the same however the two lanes (_abs_values)
+share out the chunks. No per-sample array outlives its chunk, so memory is
+a few chunks' worth whatever the sample count.
 
 Each sample carries a likelihood weight w = p/q, where p is the uniform
 density on the box and q the density it was drawn from, and a level's volume
@@ -21,7 +21,7 @@ f(x', v) = u for a small target u. The uniform half bounds every weight by
 2 (a defensive mixture). Complex mode draws only the coordinates
 that f involves; the others cannot change |f|.
 
-f is evaluated one chunk at a time from one power table per chunk
+f is evaluated one block at a time from one power table per block
 (_power_table), so no sample array goes through libm pow. How f is
 evaluated does not touch the draws: real-mode counts and fits are the same
 bit for bit as with libm pow, complex-mode counts the same and its floats
@@ -41,6 +41,7 @@ weight is 1) carry no usable information and are dropped.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +51,7 @@ from .algebra import Polynomial
 from .errors import UnitInputError, UnreliableEstimateError, ZeroPolynomialError
 
 _CHUNK = 1 << 17
+_BLOCK = 1 << 15
 
 MODES = ("real", "complex")
 
@@ -202,24 +204,28 @@ def _direction(terms, dims: int) -> Optional[_Directed]:
 
 def _unit_disk(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill `out` with complex points uniform on the closed unit disk, by
-    rejection from the square (acceptance pi/4)."""
+    rejection from the square (acceptance pi/4), drawn in blocks of _BLOCK
+    points into one reused buffer."""
+    square = np.empty(2 * min(len(out) + len(out) // 3 + 16, _BLOCK))
     filled = 0
     while filled < len(out):
         need = len(out) - filled
-        square = rng.random(size=2 * (need + need // 3 + 16))
-        square *= 2
-        square -= 1
-        square = square.view(np.complex128)
-        kept = np.compress(np.abs(square) <= 1, square)[:need]
-        out[filled : filled + len(kept)] = kept
-        filled += len(kept)
+        draws = need + need // 3 + 16
+        for lo in range(0, draws, _BLOCK):
+            part = rng.random(out=square[: 2 * min(_BLOCK, draws - lo)])
+            part *= 2
+            part -= 1
+            part = part.view(np.complex128)
+            kept = np.compress(np.abs(part) <= 1, part)[: len(out) - filled]
+            out[filled : filled + len(kept)] = kept
+            filled += len(kept)
 
 
 def _sample_chunk(config: EstimatorConfig, chunk: int, points: np.ndarray) -> None:
     """Fill `points`, one coordinate per row, with uniform samples from the
     (seed, chunk) stream: on the box [-1, 1]^n in real mode (as
     rng.uniform(-1, 1) draws them), on the unit polydisk in complex mode."""
-    rng = np.random.Generator(np.random.Philox(key=[config.seed, chunk]))
+    rng = np.random.Generator(np.random.SFC64((config.seed, chunk)))
     if config.mode == "real":
         rng.random(out=points.T)
         points *= 2
@@ -230,7 +236,7 @@ def _sample_chunk(config: EstimatorConfig, chunk: int, points: np.ndarray) -> No
 
 
 def _plain_chunk(terms, points: np.ndarray, dtype, values: np.ndarray) -> None:
-    """Write |f| at every sample into `values`, from the chunk's power table.
+    """Write |f| at every sample into `values`, from the points' power table.
     The table and sums are freed on return."""
     total = np.empty(points.shape[1], dtype=dtype)
     np.abs(_evaluate(terms, _power_table([terms], points), total), out=values)
@@ -318,7 +324,8 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
 def _measure(f: Polynomial, config: EstimatorConfig):
     """The number of coordinates drawn per sample, and measure(points),
     which returns |f| at a chunk's samples and their weights (None when
-    every weight is 1), written into one pair of buffers that it reuses."""
+    every weight is 1) in new arrays. It works elementwise, in column blocks
+    of _BLOCK samples, so the temporaries are a block's worth."""
     terms = _compiled_terms(f)
     n = config.samples_per_level
     direction = None
@@ -339,20 +346,23 @@ def _measure(f: Polynomial, config: EstimatorConfig):
         dims = len(used)
         direction = _direction(terms, dims)
         dtype = np.complex128
-    values = np.empty(min(n, _CHUNK))
-    weights = None if direction is None else np.empty(len(values))
     chunks = (n + _CHUNK - 1) // _CHUNK
     # The first half of every chunk is uniform, the rest directed.
     plain_share = sum(min(_CHUNK, n - k * _CHUNK) // 2 for k in range(chunks)) / n
 
     def measure(points):
         count = points.shape[1]
-        if direction is None:
-            _plain_chunk(terms, points, dtype, values[:count])
-            return values[:count], None
-        _directed_chunk(direction, config, points, count // 2, plain_share,
-                        values[:count], weights[:count])
-        return values[:count], weights[:count]
+        values = np.empty(count)
+        weights = None if direction is None else np.empty(count)
+        for lo in range(0, count, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            if direction is None:
+                _plain_chunk(terms, points[:, block], dtype, values[block])
+            else:
+                _directed_chunk(direction, config, points[:, block],
+                                max(count // 2 - lo, 0), plain_share,
+                                values[block], weights[block])
+        return values, weights
 
     return dims, measure
 
@@ -360,18 +370,16 @@ def _measure(f: Polynomial, config: EstimatorConfig):
 def _abs_values(f: Polynomial, config: EstimatorConfig):
     """Per level of t_grid(config), cumulative: the hits, and the sums of
     their weights and of their squared weights (the hits at unit weights).
-    Chunk k + 1 is drawn here while a helper thread measures and bins chunk
-    k; the chunks' bincounts are added in chunk order."""
+    Two lanes, this thread and one helper, each draw, measure and bin
+    alternate chunks into their own buffers: the even chunks here, the odd
+    ones in the helper. The chunks' bincounts are added in chunk order."""
     from concurrent.futures import ThreadPoolExecutor
 
     dims, measure = _measure(f, config)
     grid = t_grid(config)
     n = config.samples_per_level
-    size = min(n, _CHUNK)
-    # The caller fills one point buffer while the helper measures the other.
-    buffers = [np.empty((size, dims)).T if config.mode == "real"
-               else np.empty((dims, size), dtype=np.complex128)
-               for _ in range(2)]
+    chunks = (n + _CHUNK - 1) // _CHUNK
+    failed = threading.Event()  # set by a lane that raised: the other stops
 
     def binned(points):
         values, weights = measure(points)
@@ -388,16 +396,28 @@ def _abs_values(f: Polynomial, config: EstimatorConfig):
         return (hits, np.bincount(level, weights=w, minlength=len(grid)),
                 np.bincount(level, weights=w * w, minlength=len(grid)))
 
-    sums = (0, 0.0, 0.0)  # the weight sums are floats at unit weights too
+    def lane(first):
+        buffer = (np.empty((min(n, _CHUNK), dims)).T if config.mode == "real"
+                  else np.empty((dims, min(n, _CHUNK)), dtype=np.complex128))
+        parts = []
+        try:
+            for chunk in range(first, chunks, 2):
+                if failed.is_set():
+                    break
+                points = buffer[:, : min(_CHUNK, n - chunk * _CHUNK)]
+                _sample_chunk(config, chunk, points)
+                parts.append(binned(points))
+        except BaseException:
+            failed.set()
+            raise
+        return parts
+
     with ThreadPoolExecutor(1) as helper:
-        pending = None
-        for chunk in range((n + _CHUNK - 1) // _CHUNK):
-            points = buffers[chunk % 2][:, : min(_CHUNK, n - chunk * _CHUNK)]
-            _sample_chunk(config, chunk, points)
-            if pending is not None:
-                sums = [a + b for a, b in zip(sums, pending.result())]
-            pending = helper.submit(binned, points)
-        sums = [a + b for a, b in zip(sums, pending.result())]
+        odd = helper.submit(lane, 1) if chunks > 1 else None
+        lanes = (lane(0), odd.result() if odd else [])
+    sums = (0, 0.0, 0.0)  # the weight sums are floats at unit weights too
+    for chunk in range(chunks):
+        sums = [a + b for a, b in zip(sums, lanes[chunk % 2][chunk // 2])]
     return tuple(np.cumsum(total) for total in sums)
 
 

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import random_element
+from disk_reference import unit_disk
 
 from lctkit import (
     EISENSTEIN,
@@ -22,12 +23,14 @@ from lctkit import (
     parse_poly,
 )
 from lctkit.estimator import (
+    _BLOCK,
     _CHUNK,
     _compiled_terms,
     _evaluate,
     _measure,
     _power_table,
     _sample_chunk,
+    _unit_disk,
     t_grid,
 )
 
@@ -151,8 +154,10 @@ def _level_sums(values, weights, grid):
 
 
 def _serial_sums(f, config):
-    """Serial reference for the pipeline: every chunk drawn and measured in
-    turn on this thread into arrays of all the samples, then binned whole."""
+    """Serial reference for the lanes: every chunk drawn and measured in turn
+    on this thread into arrays of all the samples, then binned whole. Call
+    it with estimator._BLOCK at _CHUNK, so that each chunk is measured in
+    one block and each disk row drawn in one buffer."""
     dims, measure = _measure(f, config)
     n = config.samples_per_level
     values, weights, directed = np.empty(n), np.empty(n), False
@@ -177,23 +182,32 @@ def _serial_sums(f, config):
     ("x^2 + y^2 + z^2", "complex"),  # directed draws
 ])
 def test_pipeline_matches_the_serial_reference(text, mode, monkeypatch):
-    # 3 full chunks and a partial one, so the last chunk is shorter.
-    config = cfg(mode, samples_per_level=3 * _CHUNK + 12345, seed=13)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        piped = estimate(P(text), config)
-    finally:
-        sys.setswitchinterval(interval)
-    reference = _serial_sums(P(text), config)
-    monkeypatch.setattr(estimator, "_abs_values", lambda f, config: reference)
-    serial = estimate(P(text), config)
-    assert serial.levels_used >= 2
-    assert piped.hit_counts == serial.hit_counts
-    assert piped.volumes == serial.volumes
-    assert piped.effective_hits == serial.effective_hits
-    assert (piped.lambda_hat, piped.stderr) == (serial.lambda_hat, serial.stderr)
-    assert hit_counts(P(text), config) == serial.hit_counts
+    counts = (
+        3 * _CHUNK + 12345,  # 3 full chunks and a shorter last one
+        2 * _BLOCK + 999,  # one chunk: the calling lane alone
+        # an odd last chunk whose half falls inside its second block
+        _CHUNK + 3 * _BLOCK + 4321,
+    )
+    for count in counts:
+        config = cfg(mode, samples_per_level=count, seed=13)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            piped = estimate(P(text), config)
+        finally:
+            sys.setswitchinterval(interval)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_BLOCK", _CHUNK)
+            reference = _serial_sums(P(text), config)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_abs_values", lambda f, config: reference)
+            serial = estimate(P(text), config)
+        assert serial.levels_used >= 2, count
+        assert piped.hit_counts == serial.hit_counts, count
+        assert piped.volumes == serial.volumes, count
+        assert piped.effective_hits == serial.effective_hits, count
+        assert (piped.lambda_hat, piped.stderr) == (serial.lambda_hat, serial.stderr)
+        assert hit_counts(P(text), config) == serial.hit_counts, count
 
 
 class _Broken(Exception):
@@ -208,12 +222,63 @@ def test_helper_failure_reaches_the_caller(text, mode, monkeypatch):
     def broken(term_lists, points):
         raise _Broken("power table")
 
-    monkeypatch.setattr(estimator, "_power_table", broken)
-    before = threading.active_count()
+    def broken_draw(config, chunk, points):
+        if chunk == broken_chunk:
+            raise _Broken(f"chunk {chunk}")
+        draw(config, chunk, points)
+
+    draw = estimator._sample_chunk
+    # None: every power table raises, in whichever lane measures first;
+    # 0 and 1: the first draw of the calling lane, or of the helper lane
+    for broken_chunk in (None, 0, 1):
+        with monkeypatch.context() as patch:
+            if broken_chunk is None:
+                patch.setattr(estimator, "_power_table", broken)
+            else:
+                patch.setattr(estimator, "_sample_chunk", broken_draw)
+            before = threading.active_count()
+            with pytest.raises(_Broken):
+                estimate(P(text), cfg(mode, seed=1))
+            # the helper thread has been joined, not left running
+            assert threading.active_count() == before, broken_chunk
+
+
+def test_a_failed_lane_stops_the_other(monkeypatch):
+    # Twenty chunks, and the calling lane's first draw raises: the helper
+    # lane stops at its next chunk instead of drawing its ten.
+    drawn = []
+    draw = estimator._sample_chunk
+
+    def broken_draw(config, chunk, points):
+        drawn.append(chunk)
+        if chunk == 0:
+            raise _Broken("chunk 0")
+        draw(config, chunk, points)
+
+    monkeypatch.setattr(estimator, "_sample_chunk", broken_draw)
     with pytest.raises(_Broken):
-        estimate(P(text), cfg(mode, seed=1))
-    # the helper thread has been joined, not left running
-    assert threading.active_count() == before
+        hit_counts(P("x^2 + y^3"), cfg("real", samples_per_level=20 * _CHUNK))
+    assert len(drawn) < 6, drawn
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_chunk_points_depend_only_on_seed_and_index(mode, k, monkeypatch):
+    # Chunk k is drawn from the same stream whatever the sample count, so
+    # the lanes' schedule cannot move it.
+    draw = estimator._sample_chunk
+    kept = []
+
+    def recorded(config, chunk, points):
+        draw(config, chunk, points)
+        if chunk == k:
+            kept.append(points.copy())
+
+    monkeypatch.setattr(estimator, "_sample_chunk", recorded)
+    for chunks in (k + 1, k + 3):
+        hit_counts(P("x^2 + y^2 + z^2"),
+                   cfg(mode, samples_per_level=chunks * _CHUNK, seed=21))
+    assert len(kept) == 2 and np.array_equal(kept[0], kept[1])
 
 
 @pytest.mark.parametrize("text, mode, sample_bytes", [
@@ -235,6 +300,65 @@ def test_memory_does_not_grow_with_samples(text, mode, sample_bytes):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < _CHUNK * sample_bytes, peaks
+
+
+def test_memory_of_a_complex_estimate_is_bounded():
+    # numpy's buffers for three complex variables at 10^6 samples, both
+    # lanes included: each lane keeps a chunk's points, |f| and weights,
+    # and its temporaries are a block's worth. Whole-chunk temporaries in
+    # both lanes measured about 36 MiB.
+    f = P("x^2+y^2+z^2")
+    hit_counts(f, EstimatorConfig("complex", samples_per_level=1000))  # warm up
+    tracemalloc.start()
+    try:
+        estimate(f, EstimatorConfig("complex", samples_per_level=10**6, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20, peak
+
+
+class _Cornered:
+    """A generator whose first `bad` doubles are 0.99: those squares map to
+    the corner (0.98, 0.98), off the disk. Its stream does not depend on
+    how the draws are split into calls."""
+
+    def __init__(self, seed, bad):
+        self.rng = np.random.default_rng(seed)
+        self.bad = bad
+        self.drawn = 0
+
+    def random(self, size=None, out=None):
+        values = self.rng.random(size=size, out=out)
+        values[: max(0, self.bad - self.drawn)] = 0.99
+        self.drawn += len(values)
+        return values
+
+
+@pytest.mark.parametrize("count", [1, 100, _BLOCK - 7, _BLOCK + 1, 4 * _BLOCK])
+def test_unit_disk_matches_the_whole_row_reference(count):
+    # Same points, and the generator left at the same position.
+    rows = [np.empty(count, dtype=np.complex128) for _ in range(2)]
+    rngs = [np.random.default_rng(count) for _ in range(2)]
+    unit_disk(rngs[0], rows[0])
+    _unit_disk(rngs[1], rows[1])
+    assert np.array_equal(rows[0], rows[1])
+    assert np.all(np.abs(rows[1]) <= 1)
+    assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("count", [50, 3 * _BLOCK + 5])
+def test_unit_disk_second_attempt_matches_the_reference(count):
+    # The first attempt keeps at most 10 points, so a second attempt (and a
+    # third for the short row) draws for the rest.
+    bad = 2 * (count + count // 3 + 16) - 20
+    rows = [np.empty(count, dtype=np.complex128) for _ in range(2)]
+    rngs = [_Cornered(count, bad) for _ in range(2)]
+    unit_disk(rngs[0], rows[0])
+    _unit_disk(rngs[1], rows[1])
+    assert rngs[0].drawn == rngs[1].drawn > 2 * (count + count // 3 + 16)
+    assert np.array_equal(rows[0], rows[1])
+    assert rngs[0].rng.random() == rngs[1].rng.random()
 
 
 # -- failure modes ---------------------------------------------------------------
@@ -318,56 +442,59 @@ def test_real_mode_weights_are_one():
 
 
 def test_real_mode_counts_and_slope_are_pinned():
-    # Real mode draws and fits exactly as before the complex sampler gained
-    # its directed draws; only the stderr may widen (Birge ratio, shared hits).
+    # Counts and slope on the SFC64 chunk streams. The bound is the stderr
+    # that these levels give as independent delta-method estimates; the
+    # Birge ratio and the shared hits may only widen it.
     e = estimate(P("x^2 + y^3"), cfg("real", seed=9))
-    assert e.hit_counts == (124, 288, 625, 1380, 2929, 6412, 13776, 28829)
-    assert e.lambda_hat == 0.7711310218696766
-    assert e.stderr >= 0.0034672175788191726
+    assert e.hit_counts == (132, 280, 659, 1409, 3023, 6435, 13712, 28868)
+    assert e.lambda_hat == 0.7660722208538544
+    assert e.stderr >= 0.0034359565620528765
 
 
-# Counts and fits at seed 7, taken when the powers went through pow. Real mode
-# must reproduce them bit for bit; complex mode must reproduce the counts, and
-# its floats to 1e-12 relative, since a multiplication chain may differ from
-# complex pow in the last ulp.
+# Counts and fits at seed 7, taken when the draws moved from Philox keys to
+# SFC64 streams seeded by (seed, chunk). Real mode must reproduce them bit
+# for bit. Complex mode must reproduce the counts, and its floats to 1e-12
+# relative, since numpy's complex loops may round differently in the last
+# ulp on another CPU's SIMD path.
 PINNED_REAL = [
-    ("x^2+y^3+z^5", (36, 97, 264, 646, 1693, 4079, 9729, 22921),
-     0.8859172861696514, 0.010453046086429024),
-    ("x^4+y^4", (1348, 2231, 3716, 6095, 9901, 16175, 26724, 43931),
-     0.5025312354335343, 0.0026730753314362144),
-    ("x^2+y^2+z^3", (12, 29, 82, 229, 593, 1607, 4287, 11472),
-     0.9966215155389208, 0.010461627960866802),
+    ("x^2+y^3+z^5", (47, 108, 313, 735, 1780, 4239, 9925, 23036),
+     0.8677111130181159, 0.008696906425759713),
+    ("x^4+y^4", (1371, 2255, 3657, 5981, 9900, 16314, 26587, 43809),
+     0.5023537360096798, 0.002680144122933692),
+    ("x^2+y^2+z^3", (9, 26, 78, 232, 634, 1664, 4280, 11640),
+     0.9899953598559433, 0.010291089366193351),
 ]
 PINNED_COMPLEX = [
-    ("x^2+y^3", (5153, 15193, 25218, 35169, 45287, 55328, 65559, 77410),
-     0.8052335893245993, 0.005259371316641281,
-     (4.7550733548012e-07, 2.480846592460596e-06, 1.1355113208816816e-05,
-      5.060334341378252e-05, 0.00026693558703678723, 0.0013646344229183457,
-      0.006581554137324764, 0.03135724652394321)),
-    ("x^2+y^4", (5153, 15193, 25220, 35176, 45311, 55400, 65743, 78105),
-     0.7359095956326275, 0.0028656323609902385,
-     (1.554553075446551e-06, 6.538807006411638e-06, 2.87893676429816e-05,
-      0.00012101756890269916, 0.0005237722964296203, 0.002286982061566768,
-      0.009634686340369717, 0.040868778413009246)),
-    ("z^3", (323, 602, 1187, 2295, 4533, 8795, 16705, 32354),
-     0.33366666952468355, 0.0021136717410372265,
-     (0.0021533333333333335, 0.004013333333333333, 0.007913333333333333,
-      0.0153, 0.03022, 0.058633333333333336,
-      0.11136666666666667, 0.21569333333333332)),
-    ("x^2+y^2+z^7", (5152, 15192, 25216, 35164, 45268, 55245, 65220, 76220),
-     0.9786298483508096, 0.005069973437167282,
-     (2.1805056288464555e-08, 1.4485594643976624e-07, 1.0247148857470543e-06,
-      7.461472248415978e-06, 5.579875808144571e-05, 0.00037001761635680375,
-      0.0024987126450534726, 0.0161468932945933)),
-    ("x^3*y^2+z^2", (5075, 14772, 24741, 34732, 44901, 55242, 65998, 79054),
-     0.7389888414208937, 0.016342301982112922,
-     (8.190370971720846e-07, 1.780668889703837e-06, 8.52100463486881e-06,
-      0.00011720648075416349, 0.0005684022021710035, 0.0030115421285872193,
-      0.013172610388034111, 0.05462927444724036)),
+    ("x^2+y^3", (4913, 14879, 24949, 34865, 44925, 55110, 65610, 77354),
+     0.8026623912635561, 0.004934927819654966,
+     (4.0960940503902883e-07, 2.2084723079112784e-06, 1.0865661691701992e-05,
+      5.5373139861186854e-05, 0.00028623360324921913, 0.0013693866223580054,
+      0.006817612944419374, 0.03184332619442547)),
+    ("x^2+y^4", (4913, 14881, 24952, 34880, 44949, 55181, 65853, 78162),
+     0.7412885643242433, 0.002778489965819242,
+     (1.271163531539418e-06, 6.123623408712343e-06, 2.6922275703954456e-05,
+      0.00012185247123697507, 0.0005146206483937167, 0.0022820922898492088,
+      0.009813467950298433, 0.041459211512023385)),
+    ("z^3", (298, 600, 1162, 2320, 4479, 8552, 16766, 32282),
+     0.3354983076173128, 0.0021252590154043796,
+     (0.0019866666666666665, 0.004, 0.0077466666666666665,
+      0.015466666666666667, 0.02986, 0.05701333333333333,
+      0.11177333333333334, 0.21521333333333334)),
+    ("x^2+y^2+z^7", (4913, 14879, 24948, 34865, 44906, 55032, 65307, 76199),
+     0.9667858992387464, 0.005599512434301669,
+     (2.2572678627543592e-08, 1.7099466604177898e-07, 1.07050632352601e-06,
+      8.000148814727652e-06, 5.687473290576728e-05, 0.00036033178444442346,
+      0.002481751796052641, 0.015889077672658812)),
+    ("x^3*y^2+z^2", (5091, 15213, 25127, 35131, 45034, 55273, 65911, 79022),
+     0.7413876819593899, 0.013667870841236223,
+     (1.8181914246365997e-07, 1.1058080578648712e-05, 3.7464931230817534e-05,
+      0.00013309434910224478, 0.0006156050155972696, 0.0028362738517616515,
+      0.013147663956632052, 0.05438276204835529)),
 ]
 
 
-@pytest.mark.parametrize("text, hits, lam, stderr", PINNED_REAL)
+@pytest.mark.parametrize("text, hits, lam, stderr", PINNED_REAL,
+                         ids=[row[0] for row in PINNED_REAL])
 def test_real_mode_pins(text, hits, lam, stderr):
     config = cfg("real", seed=7)
     e = estimate(P(text), config)
@@ -375,7 +502,8 @@ def test_real_mode_pins(text, hits, lam, stderr):
     assert (e.lambda_hat, e.stderr) == (lam, stderr)
 
 
-@pytest.mark.parametrize("text, hits, lam, stderr, volumes", PINNED_COMPLEX)
+@pytest.mark.parametrize("text, hits, lam, stderr, volumes", PINNED_COMPLEX,
+                         ids=[row[0] for row in PINNED_COMPLEX])
 def test_complex_mode_pins(text, hits, lam, stderr, volumes):
     config = cfg("complex", seed=7)
     e = estimate(P(text), config)
