@@ -19,13 +19,14 @@ each chunk is drawn uniformly and the second half is directed at the zero
 set: the other coordinates x' stay uniform, and v is one of the d roots of
 f(x', v) = u for a small target u. The uniform half bounds every weight by
 2 (a defensive mixture). Complex mode draws only the coordinates
-that f involves; the others cannot change |f|.
+that f involves; the others cannot change |f|. With no term linear in v,
+v = +-sqrt((u - c) / a) is taken in real arithmetic (_sqrt): numpy's
+complex sqrt and division cost many times its real loops.
 
-f is evaluated one block at a time from one power table per block
-(_power_table), so no sample array goes through libm pow. How f is
-evaluated does not touch the draws: real-mode counts and fits are the same
-bit for bit as with libm pow, complex-mode counts the same and its floats
-within 1e-12 relative.
+f is evaluated a block at a time from one power table per block
+(_power_table), not by libm pow. Against libm pow and complex-arithmetic
+roots, real-mode counts and fits are the same bit for bit, complex-mode
+counts the same and its floats within 1e-12 relative.
 
 The log-log slope of the volumes is fitted by weighted least squares, each
 level weighted by volume^2 / variance, and converted to the index estimate:
@@ -250,6 +251,27 @@ def _coefficient(terms, table: dict, count: int):
     return _evaluate(terms, table, np.empty(count, dtype=np.complex128))
 
 
+def _sqrt(w: np.ndarray):
+    """np.sqrt(w) for |w| < 8e307 in real arithmetic, as real and imaginary
+    parts: equal to a few ulp, exactly on the branch cut and at signed zeros.
+    Larger part sqrt((|Re w| + |w|) / 2), smaller |Im w| / (2 larger); exact
+    0/1 masks put the larger on the real axis where Re w >= 0."""
+    larger = np.abs(w)
+    smaller = np.abs(w.real)
+    larger += smaller
+    larger *= 0.5
+    np.sqrt(larger, out=larger)
+    # the floor only turns 0/0 at w = 0 into 0: else larger >= 1e-162
+    np.maximum(np.add(larger, larger, out=smaller), 1e-300, out=smaller)
+    np.abs(np.divide(w.imag, smaller, out=smaller), out=smaller)
+    right = np.greater_equal(w.real, 0, out=np.empty(len(w)))
+    re = right * larger
+    np.maximum(re, smaller, out=re)  # larger >= smaller
+    larger *= np.subtract(1, right, out=right)
+    np.maximum(larger, smaller, out=larger)
+    return re, np.copysign(larger, w.imag, out=larger)
+
+
 def _directed_chunk(direction: _Directed, config: EstimatorConfig,
                     points: np.ndarray, first: int, plain_share: float,
                     values: np.ndarray, weights: np.ndarray) -> None:
@@ -270,7 +292,8 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
     coeffs = [_coefficient(terms, table, points.shape[1])
               for terms in direction.coeffs]
     del table  # free the powers before the root arithmetic below
-    c, b = [k if np.ndim(k) == 0 else k[first:] for k in coeffs[:2]]
+    c, b, a = [k if np.ndim(k) == 0 else k[first:]  # a leads: b when d = 1
+               for k in (coeffs[0], coeffs[1], coeffs[-1])]
     v = points[direction.axis]
     z = v[first:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -279,24 +302,30 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
         depth = mass * (radius * radius)
         modulus = (t_min * np.sqrt(np.minimum(2 * depth, 1))
                    * np.exp(np.maximum(depth - 0.5, 0)))
-        unit = z / radius
-        if d == 1:
-            v[first:] = (modulus * unit - c) / b
+        u = z * np.divide(1, radius, out=radius)  # z / |z|
+        if d == 2:
+            u *= u
+        u *= modulus
+        del radius, depth, modulus  # free them before the roots
+        if d == 2 and not (np.ndim(b) == 0 and b == 0):
+            # Roots q/a and (c - u)/q with q = -(b + w)/2, the sign of w
+            # chosen so that b + w does not cancel.
+            w = np.sqrt(b * b - 4 * a * (c - u))
+            w *= np.where((np.conj(b) * w).real < 0, -1.0, 1.0)
+            q = -0.5 * (b + w)
+            z[:] = np.where(z.imag >= 0, q / a, (c - u) / q)
         else:
-            u = modulus * (unit * unit)
-            a = coeffs[2] if np.ndim(coeffs[2]) == 0 else coeffs[2][first:]
-            sign = np.where(z.imag < 0, -1.0, 1.0)
-            if np.ndim(b) == 0 and b == 0:
-                v[first:] = sign * np.sqrt((u - c) / a)
+            u -= c
+            u *= 1 / a  # v^d = (u - c) / a: one division when a is constant
+            if d == 1:
+                z[:] = u
             else:
-                # Roots q/a and (c - u)/q with q = -(b + w)/2, the sign of w
-                # chosen so that b + w does not cancel.
-                w = np.sqrt(b * b - 4 * a * (c - u))
-                w *= np.where((np.conj(b) * w).real < 0, -1.0, 1.0)
-                q = -0.5 * (b + w)
-                v[first:] = np.where(sign > 0, q / a, (c - u) / q)
-            del u, sign
-        del radius, depth, modulus, unit  # free them before |f| and weights
+                # +1 where Im z >= 0, else -1 (the draws never give -0)
+                sign = np.copysign(1.0, z.imag)
+                re, im = _sqrt(u)
+                np.multiply(re, sign, out=z.real)
+                np.multiply(im, sign, out=z.imag)
+        del u
         # f and f' in v by Horner, from the same coefficients.
         if d == 1:
             c, b = coeffs
@@ -317,8 +346,9 @@ def _directed_chunk(direction: _Directed, config: EstimatorConfig,
         weights *= (1 - plain_share) / (2 * d * mass)
         weights += plain_share
         np.divide(1, weights, out=weights)
-    # p is 0 off the disk, which only directed samples can leave.
-    weights[first:][~(np.abs(v[first:]) <= 1)] = 0.0
+    # p is 0 off the disk, which only directed samples can leave. A v that
+    # is not finite keeps a nan weight, but no level counts its |f| either.
+    weights[first:] *= np.abs(z) <= 1
 
 
 def _measure(f: Polynomial, config: EstimatorConfig):

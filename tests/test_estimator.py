@@ -581,3 +581,18 @@ def test_kernel_matches_python_arithmetic(seed, points_dtype, out_dtype):
                  for coeff, exps in terms]
         # relative to the size of the terms: the sum itself may cancel
         assert abs(got - sum(parts)) <= 1e-12 * sum(map(abs, parts))
+
+
+@pytest.mark.parametrize("text", ["x^2+y^2+z^2", "x^3*y^2+z^2"])
+@pytest.mark.parametrize("chunks", [8, 11])
+def test_chunk_sums_are_added_in_chunk_order(text, chunks, monkeypatch):
+    # Float sums depend on their order. Over many chunks of directed
+    # weights, adding one lane's chunks before the other's rounds the
+    # level sums differently from the serial chunk order.
+    config = cfg("complex", samples_per_level=chunks * _CHUNK - 777, seed=7)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "_BLOCK", _CHUNK)
+        reference = _serial_sums(P(text), config)
+    piped = estimator._abs_values(P(text), config)
+    for got, want in zip(piped, reference, strict=True):
+        assert got.tobytes() == want.tobytes(), (got, want)
