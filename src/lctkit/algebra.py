@@ -18,12 +18,12 @@ denominator, and one gcd reduces it. `coeffs` (Fractions) is derived.
 Each ring result is built once. The public `Polynomial(...)` constructor
 guards outside input: it checks every exponent vector and coerces every
 coefficient into the field. A ring operation (+, -, *, **, partial,
-substitute, monomial_content, coefficient_of) combines terms that are already
-valid in one ring, so it builds its result with `_with_terms`, which skips
-those checks. That is sound only under the invariant every such path keeps:
-the exponent tuples have one entry per variable, and no stored coefficient
-is zero. A product of stored coefficients is then nonzero, so only sums can
-cancel, and is_zero() stays exact.
+substitute, coordinate_content, coefficient_of) combines terms that are
+already valid in one ring, so it builds its result with `_with_terms`, which
+skips those checks. That is sound only under the invariant every such path
+keeps: the exponent tuples have one entry per variable, and no stored
+coefficient is zero. A product of stored coefficients is then nonzero, so
+only sums can cancel, and is_zero() stays exact.
 
 One loop over pairs of terms, `_product`, serves every product of term
 dicts, and one square-and-multiply, `_power`, every power: of term dicts,
@@ -510,10 +510,6 @@ class Polynomial:
         return Polynomial(field, variables, {(0,) * len(variables): field.coerce(value)})
 
     @staticmethod
-    def one(field: NumberField, variables: Sequence[str]) -> "Polynomial":
-        return Polynomial.constant(field, variables, 1)
-
-    @staticmethod
     def variable(field: NumberField, variables: Sequence[str], name: str) -> "Polynomial":
         variables = tuple(variables)
         if name not in variables:
@@ -739,21 +735,6 @@ class Polynomial:
                 del terms[key]
         return self._with_terms(terms)
 
-    def monomial_content(self, name: str) -> tuple[int, "Polynomial"]:
-        """Split off the largest power of one variable: f = name**k * g with
-        g having content 0 in name. Returns (k, g)."""
-        if not self.terms:
-            raise ZeroPolynomialError("content of the zero polynomial")
-        idx = self._var_index(name)
-        k = min(e[idx] for e in self.terms)
-        if k == 0:
-            return 0, self
-        terms = {
-            exps[:idx] + (exps[idx] - k,) + exps[idx + 1 :]: coeff
-            for exps, coeff in self.terms.items()
-        }
-        return k, self._with_terms(terms)
-
     def coordinate_content(self) -> tuple[dict[str, int], "Polynomial"]:
         """Extract the full monomial factor: f = (prod v**k_v) * g, with each
         k_v read from one scan of the exponent vectors."""
@@ -767,21 +748,6 @@ class Polynomial:
         return exponents, self._with_terms(
             {tuple(map(sub, e, lows)): c for e, c in self.terms.items()}
         )
-
-    def evaluate(self, values: Sequence) -> FieldElement:
-        if len(values) != len(self.variables):
-            raise VariableMismatchError(
-                f"expected {len(self.variables)} values, got {len(values)}"
-            )
-        points = [self.field.coerce(v) for v in values]
-        total = self.field.zero()
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(points, exps):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
 
     def __str__(self) -> str:
         from .parser import format_poly

@@ -724,19 +724,6 @@ class ResolutionTree:
         return False
 
 
-def _auto_center(chart: Chart) -> Optional[tuple[str, ...]]:
-    """Blow-up center for the automatic strategy: every variable the strict
-    transform actually involves, falling back to all non-exceptional
-    variables when fewer than two appear. None when no valid center exists."""
-    involved = chart.strict.variables_present()
-    if len(involved) >= 2:
-        return involved
-    fallback = tuple(v for v in chart.variables if v not in chart.exceptional)
-    if len(fallback) >= 2:
-        return fallback
-    return None
-
-
 def _depth_limited(chart: Chart) -> TreeNode:
     return TreeNode(replace(chart, status=ChartStatus.DEPTH_LIMIT), ())
 
@@ -786,9 +773,9 @@ def _expand(chart: Chart, steps: tuple[ScriptStep, ...], max_depth: int) -> Tree
         return TreeNode(chart, ())
     if chart.depth >= max_depth:
         return _depth_limited(chart)
-    center = _auto_center(chart) if step is None else step.center
-    if center is None:
-        return _depth_limited(chart)
+    # An Open chart's strict transform involves two variables or more: it
+    # has no constant term, and (see _scan) no content in any variable.
+    center = chart.strict.variables_present() if step is None else step.center
     # The script goes on in the chart the step names; every other child
     # resolves automatically.
     follow = None if step is None else step.chart
@@ -818,8 +805,7 @@ def resolve(f: Polynomial, strategy: Strategy) -> ResolutionTree:
     Scripted follows its script along one path while every sibling resolves
     automatically; Auto is the empty script, so it repeatedly blows up the
     origin of every Open chart. Charts still Open when the depth budget runs
-    out, or left without a valid center, are flagged DepthLimit, never
-    dropped.
+    out are flagged DepthLimit, never dropped.
     """
     root = make_root_chart(f)
     if isinstance(strategy, Auto):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import GAUSS, NumberField, Polynomial
-from .errors import FieldError
+from .algebra import GAUSS, Polynomial
 from .blowup import Scripted, resolve
 from .newton import lambda_newton
 from .parser import DEFAULT_VARIABLES, ResolutionScript, format_poly, parse_script
@@ -47,11 +46,9 @@ def _check_family(family: str, n: Optional[int]) -> None:
             raise ValueError(f"family {family} needs an index n >= {low}")
 
 
-def generator(
-    family: str, n: Optional[int] = None, field: NumberField = GAUSS
-) -> Polynomial:
-    """The defining polynomial of the family member, in variables x, y, z:
-    one term dict of x^2 and two more monomials, all with coefficient 1."""
+def generator(family: str, n: Optional[int] = None) -> Polynomial:
+    """The defining polynomial of the family member over GAUSS in x, y, z: one
+    term dict of x^2 and two more monomials, all with coefficient 1."""
     _check_family(family, n)
     if family == "A":
         rest = ((0, 2, 0), (0, 0, n + 1))  # y^2 + z^(n+1)
@@ -63,8 +60,8 @@ def generator(
         rest = ((0, 3, 0), (0, 1, 3))  # y^3 + y*z^3
     else:
         rest = ((0, 3, 0), (0, 0, 5))  # y^3 + z^5
-    terms = dict.fromkeys(((2, 0, 0),) + rest, field.one())
-    return Polynomial._trusted(field, DEFAULT_VARIABLES, terms)
+    terms = dict.fromkeys(((2, 0, 0),) + rest, GAUSS.one())
+    return Polynomial._trusted(GAUSS, DEFAULT_VARIABLES, terms)
 
 
 def paper_claim(family: str, n: Optional[int] = None) -> tuple[Fraction, ...]:
@@ -89,25 +86,13 @@ def paper_claim(family: str, n: Optional[int] = None) -> tuple[Fraction, ...]:
     return (Fraction(9, 8),)
 
 
-def _require_sqrt_minus_one(field: NumberField) -> str:
-    if field.degree == 2 and tuple(field.minpoly_tail) == (
-        Fraction(1),
-        Fraction(0),
-    ):
-        return field.generator_name
-    raise FieldError(
-        "the D-family script recentres at a square root of -1, which the "
-        f"session field {field.generator_name} does not contain"
-    )
-
-
-def script_text(family: str, n: Optional[int] = None, field: NumberField = GAUSS) -> str:
-    """The resolution script for the family member, in the script DSL.
+def script_text(family: str, n: Optional[int] = None) -> str:
+    """The resolution script for the family member, in the script DSL over GAUSS.
 
     A members chain through the z-chart. D members peel two z-chart steps at
     a time until the index-4 or index-5 shape remains, then split cases in
     the y-chart: the even tail recentres at the two off-origin singular
-    points (conjugate, hence orbit 2) and the odd tail straightens the
+    points z = +-i (conjugate, hence orbit 2) and the odd tail straightens the
     residual curve with a triangular substitution. E members enter the
     z-chart once (E6 continues through y-charts) and finish automatically.
     """
@@ -118,8 +103,7 @@ def script_text(family: str, n: Optional[int] = None, field: NumberField = GAUSS
         lines = ["blowup x y z", "chart z"] * ((n - 4) // 2)
         lines += ["blowup x y z", "chart y"]
         if n % 2 == 0:
-            g = _require_sqrt_minus_one(field)
-            lines += [f"translate z := z + {g}", "orbit 2"]
+            lines += ["translate z := z + i", "orbit 2"]
         else:
             lines += ["subst z := z + y*z^4"]
         return "\n".join(lines)
@@ -130,10 +114,8 @@ def script_text(family: str, n: Optional[int] = None, field: NumberField = GAUSS
     return "\n".join(["blowup x y z", "chart z"])
 
 
-def scripted_resolution(
-    family: str, n: Optional[int] = None, field: NumberField = GAUSS
-) -> ResolutionScript:
-    return parse_script(script_text(family, n, field), field, DEFAULT_VARIABLES)
+def scripted_resolution(family: str, n: Optional[int] = None) -> ResolutionScript:
+    return parse_script(script_text(family, n), GAUSS, DEFAULT_VARIABLES)
 
 
 @dataclass(frozen=True)

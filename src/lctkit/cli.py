@@ -27,7 +27,7 @@ from .errors import (
     UnreliableEstimateError,
     ZeroDivisorError,
 )
-from .estimator import EstimatorConfig, estimate
+from .estimator import MODES, EstimatorConfig, estimate
 from .newton import lambda_newton
 from .parser import DEFAULT_VARIABLES, format_poly, parse_poly, parse_script
 from .serialize import (
@@ -142,7 +142,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("estimate", help="Monte Carlo volume-scaling estimate")
     p.add_argument("poly")
-    p.add_argument("--mode", choices=("real", "complex"), default="complex")
+    p.add_argument("--mode", choices=MODES, default="complex")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tmin", type=float, default=1e-5)
@@ -281,30 +281,29 @@ def _cmd_estimate(args) -> int:
         seed=args.seed,
         min_hits=args.min_hits,
     )
+    unreliable = None
     try:
         result = estimate(poly, config)
     except UnreliableEstimateError as err:
-        if err.partial is not None:
-            if args.csv:
-                with open(args.csv, "w", encoding="utf-8") as handle:
-                    handle.write(estimate_csv(err.partial))
-            if args.json:
-                payload = estimate_json(args.poly, err.partial)
-                payload["unreliable"] = str(err)
-                sys.stdout.write(dump_json(payload))
-        print(f"unreliable estimate: {err}", file=sys.stderr)
-        return EXIT_UNRELIABLE
-    if args.csv:
+        # The partial result, if any, is written like a reliable one.
+        result, unreliable = err.partial, err
+    if result is not None and args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(estimate_csv(result))
-    if args.json:
-        sys.stdout.write(dump_json(estimate_json(args.poly, result)))
-    else:
+    if result is not None and args.json:
+        payload = estimate_json(args.poly, result)
+        if unreliable is not None:
+            payload["unreliable"] = str(unreliable)
+        sys.stdout.write(dump_json(payload))
+    elif unreliable is None:
         print(f"input: {format_poly(poly)}")
         print(f"mode: {result.mode}")
         print(f"lambda_hat: {result.lambda_hat:.6f}")
         print(f"stderr: {result.stderr:.6f}")
         print(f"levels_used: {result.levels_used}")
+    if unreliable is not None:
+        print(f"unreliable estimate: {unreliable}", file=sys.stderr)
+        return EXIT_UNRELIABLE
     return EXIT_OK
 
 

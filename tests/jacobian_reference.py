@@ -63,12 +63,9 @@ def _is_recorded_jacobian(chart: Chart, det: Polynomial) -> bool:
     chart's divisor records."""
     if det.is_zero():
         return False
-    residual = det
-    for e in chart.exceptional:
-        c, residual = residual.monomial_content(e)
-        if c != chart.divisors[e].h:
-            return False
-    return residual.is_unit_at_origin()
+    content, residual = det.coordinate_content()
+    recorded = {e: r.h for e, r in chart.divisors.items() if r.h}
+    return content == recorded and residual.is_unit_at_origin()
 
 
 def _verify_stepwise(chart: Chart) -> bool:
@@ -78,7 +75,7 @@ def _verify_stepwise(chart: Chart) -> bool:
     d(expression)/d(variable) must be a unit at the origin, the carried
     polynomial must be a monomial times a unit, and only the monomial goes
     on (the rewrite maps each coordinate to itself times a unit)."""
-    jacobian = Polynomial.one(chart.field, chart.variables)
+    jacobian = Polynomial.constant(chart.field, chart.variables, 1)
     for step in chart.steps:
         substitution = _step_substitution(chart.field, chart.variables, step)
         if substitution is not None:

@@ -300,7 +300,9 @@ def reference_children(chart, center):
     out = []
     for v in center:
         pulled = chart.strict.substitute({w: var(w) * var(v) for w in center if w != v})
-        c, strict = pulled.monomial_content(v)
+        # pulled has content in v only: the chart's strict transform has none.
+        content, strict = pulled.coordinate_content()
+        c = content.get(v, 0)
         k = sum(r.k for r in below) + c
         h = sum(r.h for r in below) + len(center) - 1
         record = PoleIndex(f"E@{chart.path_text()}", k, h)
@@ -339,7 +341,7 @@ def gauss_polys(draw):
 @given(gauss_polys())
 def test_blowup_children_match_the_schoolbook_pullback(f):
     # The children are built by an exponent map; the reference goes through
-    # substitute and monomial_content. Each Open child of the full center is
+    # substitute and coordinate_content. Each Open child of the full center is
     # blown up once more, so records below the center are summed too.
     charts = [make_root_chart(f)]
     full = f.variables
@@ -353,6 +355,22 @@ def test_blowup_children_match_the_schoolbook_pullback(f):
                 children = blowup_origin(chart, center)
                 got = [(c.strict, dict(c.divisors), c.status) for c in children]
                 assert got == reference_children(chart, center)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gauss_polys(), st.integers(1, 4))
+def test_auto_charts_involve_two_variables(f, depth):
+    # Auto blows up every Open chart along the variables its strict
+    # transform involves, which needs two of them: an Open strict transform
+    # has no constant term and no content, so it cannot live in one
+    # variable. A DepthLimit leaf is only ever the depth budget running out.
+    tree = resolve(f, Auto(depth))
+    for node in tree.nodes():
+        chart = node.chart
+        if node.children or chart.status is ChartStatus.DEPTH_LIMIT:
+            assert len(chart.strict.variables_present()) >= 2, chart.path_text()
+        if chart.status is ChartStatus.DEPTH_LIMIT:
+            assert chart.depth == depth, chart.path_text()
 
 
 def test_sibling_charts_share_divisor_id():

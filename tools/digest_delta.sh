@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Compare a base commit with the checked-out tree, as Markdown on stdout: the
 # CLI output digest of each side, each computed by that side's own
-# tools/output_digest.py, and the src/lctkit line count. It reports only and
-# exits 0 whether or not the two differ. Run it from the checkout to compare:
+# tools/output_digest.py, and the src/lctkit line and code-line counts. It
+# reports only and exits 0 whether or not the two differ. Run it from the
+# checkout to compare:
 #
 #   bash -e tools/digest_delta.sh <base-commit> >> report.md
 #
@@ -21,6 +22,11 @@ git -C "$root" worktree add --quiet --detach "$work/base" "$base"
 lines() { cat "$1"/src/lctkit/*.py | wc -l; }
 base_lines=$(lines "$work/base")
 head_lines=$(lines "$root")
+# Code lines leave out blank, comment and docstring lines; both sides are
+# counted by the head's tools/code_lines.py, which the base may not have.
+code() { python3 "$root/tools/code_lines.py" "$1/src/lctkit" | tail -n 1 | awk '{print $1}'; }
+base_code=$(code "$work/base")
+head_code=$(code "$root")
 
 echo "### Against ${base:0:12}"
 echo
@@ -38,3 +44,4 @@ else
 fi
 echo
 echo "src/lctkit: $base_lines -> $head_lines lines ($((head_lines - base_lines)) net)."
+echo "src/lctkit: $base_code -> $head_code code lines ($((head_code - base_code)) net)."
