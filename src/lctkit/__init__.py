@@ -9,9 +9,7 @@ and a Monte Carlo volume-scaling estimator (stochastic).
 """
 
 from .algebra import (
-    EISENSTEIN,
     GAUSS,
-    RATIONALS,
     FieldElement,
     NumberField,
     Polynomial,
@@ -36,8 +34,6 @@ from .catalogue import (
     VerifyReport,
     generator,
     paper_claim,
-    script_text,
-    scripted_resolution,
     verify,
     verify_all,
 )
@@ -71,9 +67,7 @@ from .zeta import PoleReport, lambda_uncapped
 __version__ = "0.1.0"
 
 __all__ = [
-    "EISENSTEIN",
     "GAUSS",
-    "RATIONALS",
     "FieldElement",
     "NumberField",
     "Polynomial",
@@ -93,8 +87,6 @@ __all__ = [
     "VerifyReport",
     "generator",
     "paper_claim",
-    "script_text",
-    "scripted_resolution",
     "verify",
     "verify_all",
     "ChartError",

@@ -435,10 +435,8 @@ def _signed_join(parts: list[str]) -> str:
     return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
 
-# Fields used throughout the tests and as CLI defaults.
+# The default field of the CLI and the catalogue.
 GAUSS = NumberField.make((1, 0, 1), "i")
-EISENSTEIN = NumberField.make((1, 1, 1), "j")
-RATIONALS = NumberField.make((0, 1), "q")
 
 
 class Polynomial:
@@ -524,22 +522,14 @@ class Polynomial:
         exponents: Mapping[str, int],
         coeff=1,
     ) -> "Polynomial":
-        """coeff * prod v**e over exponents, built without the constructor's
-        per-term pass but with the same checks on variables and exponents."""
+        """coeff * prod v**e over exponents; the constructor checks the
+        exponents and the coefficient."""
         variables = tuple(variables)
         if any(v not in variables for v in exponents):
             unknown = set(exponents) - set(variables)
             raise VariableMismatchError(f"unknown variables {sorted(unknown)}")
         exps = tuple(exponents.get(v, 0) for v in variables)
-        if not all(
-            isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps
-        ):
-            raise ValueError(f"exponents must be non-negative integers: {exps}")
-        if type(coeff) is int and coeff == 1:
-            coeff = field.one()
-        else:
-            coeff = field.coerce(coeff)
-        return Polynomial._trusted(field, variables, {exps: coeff} if coeff else {})
+        return Polynomial(field, variables, {exps: coeff})
 
     # -- ring structure ------------------------------------------------------
 

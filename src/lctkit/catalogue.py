@@ -1,7 +1,8 @@
 """The two-variable-quadratic surface family catalogue: generators, the
-classically claimed minimal pole values, scripted resolutions, and an audit
-that compares claim, engine, and polyhedron oracle by exact rational
-arithmetic.
+classically claimed minimal pole values, and an audit that compares claim,
+engine, and polyhedron oracle by exact rational arithmetic. The engine value
+of a member is what `lctkit pole` reports for its generator: the `Auto`
+resolution read by `lambda_uncapped`.
 
 The claimed values are stored verbatim as the by-hand derivations state
 them, including the A-family's parity split and the D-family's two branch
@@ -16,9 +17,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import GAUSS, Polynomial
-from .blowup import Scripted, resolve
+from .blowup import Auto, resolve
 from .newton import lambda_newton
-from .parser import DEFAULT_VARIABLES, ResolutionScript, format_poly, parse_script
+from .parser import DEFAULT_VARIABLES, format_poly
 from .zeta import lambda_uncapped
 
 FAMILIES = ("A", "D", "E6", "E7", "E8")
@@ -86,38 +87,6 @@ def paper_claim(family: str, n: Optional[int] = None) -> tuple[Fraction, ...]:
     return (Fraction(9, 8),)
 
 
-def script_text(family: str, n: Optional[int] = None) -> str:
-    """The resolution script for the family member, in the script DSL over GAUSS.
-
-    A members chain through the z-chart. D members peel two z-chart steps at
-    a time until the index-4 or index-5 shape remains, then split cases in
-    the y-chart: the even tail recentres at the two off-origin singular
-    points z = +-i (conjugate, hence orbit 2) and the odd tail straightens the
-    residual curve with a triangular substitution. E members enter the
-    z-chart once (E6 continues through y-charts) and finish automatically.
-    """
-    _check_family(family, n)
-    if family == "A":
-        return "\n".join(["blowup x y z", "chart z"] * ((n + 1) // 2))
-    if family == "D":
-        lines = ["blowup x y z", "chart z"] * ((n - 4) // 2)
-        lines += ["blowup x y z", "chart y"]
-        if n % 2 == 0:
-            lines += ["translate z := z + i", "orbit 2"]
-        else:
-            lines += ["subst z := z + y*z^4"]
-        return "\n".join(lines)
-    if family == "E6":
-        return "\n".join(
-            ["blowup x y z", "chart z"] + ["blowup x y z", "chart y"] * 3
-        )
-    return "\n".join(["blowup x y z", "chart z"])
-
-
-def scripted_resolution(family: str, n: Optional[int] = None) -> ResolutionScript:
-    return parse_script(script_text(family, n), GAUSS, DEFAULT_VARIABLES)
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     family: str
@@ -137,12 +106,12 @@ class VerifyReport:
 
 
 def verify(family: str, n: Optional[int] = None, max_depth: int = 12) -> VerifyReport:
-    """Run the scripted resolution and the polyhedron oracle on one family
+    """Run the `Auto` resolution and the polyhedron oracle on one family
     member and compare everything by exact equality. A claim matches when
     any of its stored branch values equals the oracle value."""
     f = generator(family, n)
     claimed = paper_claim(family, n)
-    tree = resolve(f, Scripted(scripted_resolution(family, n), max_depth))
+    tree = resolve(f, Auto(max_depth))
     report = lambda_uncapped(tree, lambda_newton(f))
     newton_value = report.newton_value
     assert newton_value is not None

@@ -1,12 +1,17 @@
-"""Shared test helpers: seeded random generators and an in-process CLI runner."""
+"""Shared test helpers: two more fields, seeded random generators and an
+in-process CLI runner."""
 
 import contextlib
 import io
 from dataclasses import replace
 from fractions import Fraction
 
-from lctkit import GAUSS, Polynomial
+from lctkit import GAUSS, NumberField, Polynomial
 from lctkit.cli import main
+
+# Two more fields of the tests: Q(j) with j^2 + j + 1 = 0, and Q itself.
+EISENSTEIN = NumberField.make((1, 1, 1), "j")
+RATIONALS = NumberField.make((0, 1), "q")
 
 
 def raised_k(chart):

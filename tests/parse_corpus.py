@@ -24,7 +24,8 @@ import sys
 from pathlib import Path
 
 from lctkit import FieldElement, Polynomial, SourceSpan, parse_poly, parse_script
-from lctkit.catalogue import script_text
+from lctkit.catalogue import MEMBERS
+from member_scripts import script_text
 
 ALPHABET = "xyzi0123 +-*/^()\n:=$w"
 EDGE_CASES = ["", "  \n  ", "x y", "1/0", "(x+y", "--x^2", "0^0", "(1+i)^5*x"]
@@ -95,11 +96,9 @@ def inputs(seed: int = 2024, count: int = 2000) -> list[str]:
 
 
 def scripts() -> list[str]:
-    """The distinct bundled scripts of the 32 catalogue members, in the
+    """The distinct hand scripts of the 32 catalogue members, in the
     order of the audit table (E7 and E8 share the one-step A1 script)."""
-    members = [("A", n) for n in range(1, 21)] + [("D", n) for n in range(4, 13)]
-    members += [(family, None) for family in ("E6", "E7", "E8")]
-    return list(dict.fromkeys(script_text(family, n) for family, n in members))
+    return list(dict.fromkeys(script_text(family, n) for family, n in MEMBERS))
 
 
 def script_inputs(seed: int = 2026, edits: int = 40) -> list[str]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from conftest import random_poly
 from jacobian_reference import jacobian_verdicts
+from member_scripts import scripted_resolution
 from lctkit import (
     Auto,
     ChartStatus,
@@ -30,7 +31,6 @@ from lctkit import (
     parse_poly,
     parse_script,
     resolve,
-    scripted_resolution,
     verify_all,
 )
 from lctkit.algebra import GAUSS

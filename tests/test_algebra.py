@@ -8,15 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import field_reference
-from conftest import random_element, random_poly
+from conftest import EISENSTEIN, RATIONALS, random_element, random_poly
 from lctkit import (
-    EISENSTEIN,
     FieldError,
     FieldMismatchError,
     GAUSS,
     NumberField,
     Polynomial,
-    RATIONALS,
     VariableMismatchError,
     ZeroDivisorError,
     generator,
@@ -24,6 +22,7 @@ from lctkit import (
     parse_poly,
 )
 from lctkit.algebra import _Substitution, _add_into, _mul_terms, _pow_terms
+from lctkit.catalogue import MEMBERS
 
 VARS = ("x", "y", "z")
 
@@ -958,12 +957,7 @@ def positive_facet(f):
     return hits[0]
 
 
-@pytest.mark.parametrize(
-    "family,n",
-    [("A", n) for n in range(1, 21)]
-    + [("D", n) for n in range(4, 13)]
-    + [("E6", None), ("E7", None), ("E8", None)],
-)
+@pytest.mark.parametrize("family,n", MEMBERS)
 def test_euler_identity_on_catalogue(family, n):
     # weighted Euler identity: sum_i w_i x_i df/dx_i = N f for the facet weights
     f = generator(family, n)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from member_scripts import scripted_resolution
 from lctkit import (
-    EISENSTEIN,
     GAUSS,
     Auto,
     ChartError,
@@ -29,7 +29,6 @@ from lctkit import (
     parse_poly,
     parse_script,
     resolve,
-    scripted_resolution,
     translate,
 )
 import lctkit.blowup as blowup_module
@@ -41,6 +40,7 @@ from lctkit.blowup import (
     _classify,
     _step_substitution,
 )
+from lctkit.catalogue import MEMBERS
 from lctkit.parser import (
     BlowupDirective,
     ResolutionScript,
@@ -48,7 +48,7 @@ from lctkit.parser import (
     StopDirective,
     SubstDirective,
 )
-from conftest import raised_h, raised_k
+from conftest import EISENSTEIN, raised_h, raised_k
 from jacobian_reference import (
     _verify_stepwise,
     composed_map_from_root,
@@ -562,13 +562,6 @@ def pole_workload_pass(seed):
     return workloads.phase_ops("pole", "primary", seed, 0)
 
 
-MEMBERS = (
-    [("A", n) for n in range(1, 21)]
-    + [("D", n) for n in range(4, 13)]
-    + [(family, None) for family in ("E6", "E7", "E8")]
-)
-
-
 def test_every_chart_is_free_of_content():
     # Every chart's strict transform has content 0 in every variable, as
     # _scan requires; the 32 scripted members and a pole-auto pass resolve
@@ -771,8 +764,7 @@ def test_map_from_root_matches_the_composed_path_on_auto_trees(f, depth):
 
 
 def test_map_from_root_matches_the_composed_path_on_catalogue_trees():
-    members = [("A", n) for n in range(1, 21)] + [("D", n) for n in range(4, 13)]
-    for family, n in members + [("E6", None), ("E7", None), ("E8", None)]:
+    for family, n in MEMBERS:
         script = Scripted(scripted_resolution(family, n), max_depth=12)
         assert_map_from_root_is_composed(resolve(generator(family, n), script))
 

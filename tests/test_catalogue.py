@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from member_scripts import script_text, scripted_resolution
 from lctkit import (
     FAMILIES,
     Auto,
@@ -14,8 +15,6 @@ from lctkit import (
     paper_claim,
     parse_poly,
     resolve,
-    script_text,
-    scripted_resolution,
     verify,
     verify_all,
 )
@@ -92,8 +91,8 @@ def test_verify_single_rows():
     assert a5.engine_vs_newton == "match"
 
 
-# engine values are the discovered minima of the bundled scripts; they are
-# pinned here so catalogue regressions surface as table diffs
+# engine values are the minima that Auto finds, which the hand scripts find
+# too; they are pinned here so catalogue regressions surface as table diffs
 TABLE = {
     ("A", 1): (F(3, 2), F(3, 2), True, "match", "match"),
     ("A", 2): (F(4, 3), F(3, 2), False, "mismatch", "mismatch"),
@@ -176,3 +175,18 @@ def test_scripts_report_what_auto_reports():
             assert (copy.k, copy.h) == (first.k, first.h), label
         else:
             assert extra == [], label
+
+
+@pytest.mark.parametrize("depth", list(range(13)) + [24])
+def test_verify_reports_what_the_scripts_report(depth):
+    # verify resolves with Auto; at every depth its row carries the engine
+    # value, certificate and depth-limit flag of the member's hand script.
+    for family, n in MEMBERS:
+        f = generator(family, n)
+        tree = resolve(f, Scripted(scripted_resolution(family, n), depth))
+        scripted = lambda_uncapped(tree, lambda_newton(f))
+        row = verify(family, n, depth)
+        label = (row.label, depth)
+        assert row.engine_value == scripted.lambda_uncapped, label
+        assert row.engine_certified == scripted.certified, label
+        assert row.depth_limited == tree.has_depth_limit(), label

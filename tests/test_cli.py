@@ -13,13 +13,13 @@ import jsonschema
 import pytest
 
 from conftest import raised_h, raised_k, run_cli
+from member_scripts import script_text
 from lctkit import (
     FieldMismatchError,
     LctkitError,
     VariableMismatchError,
     blowup,
     cli,
-    script_text,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -8,11 +8,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_element
+from conftest import EISENSTEIN, random_element
 from disk_reference import unit_disk
 
 from lctkit import (
-    EISENSTEIN,
     GAUSS,
     EstimatorConfig,
     Polynomial,

@@ -23,6 +23,7 @@ from lctkit import (
     parse_poly,
     support,
 )
+from lctkit.catalogue import MEMBERS
 
 
 def brieskorn(a, b, c):
@@ -229,12 +230,7 @@ def test_double_description_matches_brute_force(case):
 
 
 def test_double_description_matches_brute_force_on_members():
-    members = (
-        [("A", n) for n in range(1, 21)]
-        + [("D", n) for n in range(4, 13)]
-        + [(family, None) for family in ("E6", "E7", "E8")]
-    )
-    for family, n in members:
+    for family, n in MEMBERS:
         points = list(support(generator(family, n)))
         d = len(points[0])
         expected = facet_reference._facet_normals(points, d)

@@ -10,16 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import parse_corpus
-from conftest import random_poly, run_cli
+from conftest import EISENSTEIN, RATIONALS, random_poly, run_cli
 from lctkit import (
     DEFAULT_VARIABLES,
-    EISENSTEIN,
     GAUSS,
     FieldError,
     NumberField,
     ParseError,
     Polynomial,
-    RATIONALS,
     ScriptError,
     SourceSpan,
     format_poly,

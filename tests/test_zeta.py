@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from member_scripts import scripted_resolution
 from lctkit import (
     GAUSS,
     Auto,
@@ -25,7 +26,6 @@ from lctkit import (
     parse_poly,
     parse_script,
     resolve,
-    scripted_resolution,
 )
 from lctkit.zeta import _candidates, _survey
 

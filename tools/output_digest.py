@@ -9,8 +9,9 @@ byte-identical outputs on the whole corpus. Run it from any checkout:
     python3 tools/output_digest.py --runs   # one line per run, to find a diff
 
 The groups:
-- members: the 32 du Val members, scripted `pole --json` and `resolve --json`
-  at depth 12, the same at depth 6 without a script, and `newton --json`;
+- members: the 32 du Val members, `pole --json` and `resolve --json` at
+  depth 12 along the hand scripts of `tests/member_scripts.py`, the same at
+  depth 6 without a script, and `newton --json`;
 - verify: `verify --all` as text and as JSON;
 - pole-auto: `pole --json` on pass 0 of the benchmark's pole workload for
   seeds 1, 2 and 1009 (the inputs are only read);
@@ -31,11 +32,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
-from lctkit.catalogue import MEMBERS, generator, script_text  # noqa: E402
+from lctkit.catalogue import MEMBERS, generator  # noqa: E402
 from lctkit.cli import main  # noqa: E402
 from lctkit.parser import format_poly  # noqa: E402
+from member_scripts import script_text  # noqa: E402
 from perfbench.workloads import phase_ops  # noqa: E402
 
 # Generator name and minimal polynomial in t. The first eight are refused:
