@@ -20,7 +20,6 @@ from .blowup import (
     ChartStatus,
     PoleIndex,
     ResolutionTree,
-    Scripted,
     TreeNode,
     apply_affine,
     blowup_origin,
@@ -75,7 +74,6 @@ __all__ = [
     "Chart",
     "ChartStatus",
     "ResolutionTree",
-    "Scripted",
     "TreeNode",
     "apply_affine",
     "blowup_origin",

@@ -1,5 +1,5 @@
 """Blow-up charts with exact bookkeeping of the exceptional divisors and
-strict transforms, plus the resolution walk.
+strict transforms, plus the resolution walk of the `Auto` strategy.
 
 A chart keeps one divisor record per variable that carries an exceptional
 divisor: `divisors[v]` is the PoleIndex (id, k, h) of {v = 0}, where the id
@@ -38,7 +38,11 @@ it without checking or splitting the images again. A translation's strict
 transform and its identity check fold one compiled map, which builds each
 power of the wide image once.
 
-One recursive walk, `_expand`, builds every resolution tree.
+One recursive walk, `_expand`, builds every resolution tree: it blows up
+the origin of every Open chart along every variable its strict transform
+involves. `translate` and `apply_affine` are not part of it; they serve
+callers that build charts by hand, such as the tests' replay of the paper's
+hand-derived chains (`tests/member_scripts.py`).
 
 `translate` and `subst` (apply_affine) run in opposite directions: the one
 substitutes an expression for the variable, the other declares a new
@@ -66,20 +70,10 @@ from .errors import (
     ChartError,
     FactorizationDestroyedError,
     InternalInconsistencyError,
-    ScriptError,
     UnitInputError,
     ZeroPolynomialError,
 )
-from .parser import (
-    BlowupDirective,
-    OrbitDirective,
-    ResolutionScript,
-    ScriptStep,
-    StopDirective,
-    SubstDirective,
-    TranslateDirective,
-    format_poly,
-)
+from .parser import format_poly
 
 
 @dataclass(frozen=True)
@@ -469,7 +463,7 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     if c < 1:
         # A term of order 0 along the center does not vanish on it: the
         # caller's center misses the hypersurface. Auto's centers hold every
-        # variable the strict transform involves, so only a script's can.
+        # variable the strict transform involves, so only a caller's own can.
         exps, coeff = next(t for t, order in zip(terms, orders) if order < 1)
         raise ChartError(
             f"blow-up center {{{' = '.join(center)} = 0}} at "
@@ -663,29 +657,13 @@ def verify_jacobian(chart: Chart) -> bool:
 # Resolution driver.
 
 
-def _check_depth(max_depth: int) -> None:
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be at least 0, got {max_depth}")
-
-
 @dataclass(frozen=True)
 class Auto:
     max_depth: int = 24
 
     def __post_init__(self) -> None:
-        _check_depth(self.max_depth)
-
-
-@dataclass(frozen=True)
-class Scripted:
-    script: ResolutionScript
-    max_depth: int = 24
-
-    def __post_init__(self) -> None:
-        _check_depth(self.max_depth)
-
-
-Strategy = Union[Auto, Scripted]
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
 @dataclass(frozen=True)
@@ -728,91 +706,25 @@ def _depth_limited(chart: Chart) -> TreeNode:
     return TreeNode(replace(chart, status=ChartStatus.DEPTH_LIMIT), ())
 
 
-def _expand(chart: Chart, steps: tuple[ScriptStep, ...], max_depth: int) -> TreeNode:
-    """Resolve the chart: follow the script steps along one path, and with
-    no steps left blow up the origin of every Open chart automatically."""
-    step = steps[0] if steps else None
-    rest = steps[1:]
-
-    if isinstance(step, OrbitDirective):
-        chart = replace(chart, orbit_factor=chart.orbit_factor * step.count)
-        return _expand(chart, rest, max_depth)
-
-    if isinstance(step, StopDirective):
-        if chart.status is ChartStatus.OPEN:
-            return _depth_limited(chart)
-        return TreeNode(chart, ())
-
-    if isinstance(step, SubstDirective):
-        rewritten = apply_affine(chart, step.variable, step.expression)
-        return TreeNode(chart, (_expand(rewritten, rest, max_depth),))
-
-    if isinstance(step, TranslateDirective):
-        moved = translate(chart, step.variable, step.value)
-        moved_node = _expand(moved, rest, max_depth)
-        # The untranslated origin still needs its own analysis: it resolves
-        # automatically, its charts (or its DepthLimit leaf) as siblings.
-        origin = _expand(chart, (), max_depth)
-        if origin.chart.status is ChartStatus.DEPTH_LIMIT:
-            origin_children: tuple[TreeNode, ...] = (origin,)
-        else:
-            origin_children = origin.children
-        return TreeNode(chart, origin_children + (moved_node,))
-
-    if step is not None and not isinstance(step, BlowupDirective):
-        span = getattr(step, "span", None)
-        raise ScriptError(f"unsupported script step {step!r}", span)
-
+def _expand(chart: Chart, max_depth: int) -> TreeNode:
+    """Resolve the chart: blow up the origin of every Open chart until the
+    depth budget runs out."""
     if chart.status is not ChartStatus.OPEN:
-        if step is not None:
-            raise ScriptError(
-                f"blowup requested on a {chart.status.value} chart at "
-                f"{chart.path_text()}",
-                step.span,
-            )
         return TreeNode(chart, ())
     if chart.depth >= max_depth:
         return _depth_limited(chart)
     # An Open chart's strict transform involves two variables or more: it
     # has no constant term, and (see _scan) no content in any variable.
-    center = chart.strict.variables_present() if step is None else step.center
-    # The script goes on in the chart the step names; every other child
-    # resolves automatically.
-    follow = None if step is None else step.chart
-    nodes = []
-    for child in blowup_origin(chart, center):
-        below = rest if child.steps[-1].chart_variable == follow else ()
-        nodes.append(_expand(child, below, max_depth))
-    return TreeNode(chart, tuple(nodes))
+    children = blowup_origin(chart, chart.strict.variables_present())
+    return TreeNode(chart, tuple(_expand(child, max_depth) for child in children))
 
 
-def _check_script_shape(steps: tuple[ScriptStep, ...]) -> None:
-    """Refuse a script whose later steps the walk could not reach: a step
-    after a `stop`, or after a blowup with no chart to follow. parse_script
-    never builds one; a script assembled by hand can."""
-    for step in steps[:-1]:
-        if isinstance(step, StopDirective):
-            raise ScriptError("no steps allowed after stop", step.span)
-        if isinstance(step, BlowupDirective) and step.chart is None:
-            raise ScriptError(
-                "blowup must be followed by chart (or end the script)", step.span
-            )
-
-
-def resolve(f: Polynomial, strategy: Strategy) -> ResolutionTree:
-    """Build the resolution tree for f (which must vanish at the origin).
-
-    Scripted follows its script along one path while every sibling resolves
-    automatically; Auto is the empty script, so it repeatedly blows up the
-    origin of every Open chart. Charts still Open when the depth budget runs
-    out are flagged DepthLimit, never dropped.
+def resolve(f: Polynomial, strategy: Auto) -> ResolutionTree:
+    """Build the resolution tree for f (which must vanish at the origin):
+    repeatedly blow up the origin of every Open chart. Charts still Open
+    when the depth budget runs out are flagged DepthLimit, never dropped.
     """
     root = make_root_chart(f)
-    if isinstance(strategy, Auto):
-        steps: tuple[ScriptStep, ...] = ()
-    elif isinstance(strategy, Scripted):
-        steps = strategy.script.steps
-        _check_script_shape(steps)
-    else:
+    if not isinstance(strategy, Auto):
         raise ChartError(f"unknown strategy {strategy!r}")
-    return ResolutionTree(f, _expand(root, steps, strategy.max_depth))
+    return ResolutionTree(f, _expand(root, strategy.max_depth))

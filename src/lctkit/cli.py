@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success (including reportable findings such as claim/oracle
-mismatches), 1 bad input (syntax, script misuse, domain preconditions),
+mismatches), 1 bad input (syntax, domain preconditions),
 2 resolution stopped by the depth budget (the report is still printed),
 3 internal inconsistency detected by a cross-check (division by zero,
 destroyed factorization, bookkeeping identity failure),
@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import GAUSS, NumberField
-from .blowup import Auto, Scripted, resolve
+from .blowup import Auto, resolve
 from .catalogue import FAMILIES, verify, verify_all
 from .errors import (
     FactorizationDestroyedError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .estimator import MODES, EstimatorConfig, estimate
 from .newton import lambda_newton
-from .parser import DEFAULT_VARIABLES, format_poly, parse_poly, parse_script
+from .parser import DEFAULT_VARIABLES, format_poly, parse_poly
 from .serialize import (
     dump_json,
     estimate_csv,
@@ -95,7 +95,6 @@ def _add_ring_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_tree_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("poly")
-    sub.add_argument("--script", help="path to a resolution script")
     sub.add_argument("--max-depth", type=int, default=24)
     sub.add_argument("--dot", help="write a Graphviz rendering to this path")
     _add_ring_flags(sub)
@@ -188,17 +187,11 @@ def _cmd_newton(args) -> int:
 
 
 def _resolve_tree(args):
-    """Parse the input and resolve it with the script or automatically: the
-    shared start of `resolve` and `pole`."""
+    """Parse the input and resolve it: the shared start of `resolve` and
+    `pole`."""
     field, variables = _session(args)
     poly = parse_poly(args.poly, field, variables)
-    if args.script:
-        with open(args.script, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        strategy = Scripted(parse_script(text, field, variables), args.max_depth)
-    else:
-        strategy = Auto(args.max_depth)
-    return poly, resolve(poly, strategy)
+    return poly, resolve(poly, Auto(args.max_depth))
 
 
 def _write_dot(args, tree) -> None:
@@ -211,9 +204,7 @@ def _cmd_resolve(args) -> int:
     poly, tree = _resolve_tree(args)
     _write_dot(args, tree)
     if args.json:
-        sys.stdout.write(
-            dump_json(tree_json(tree, args.max_depth, bool(args.script)))
-        )
+        sys.stdout.write(dump_json(tree_json(tree, args.max_depth)))
     else:
         counts = leaf_counts(tree)
         print(f"input: {format_poly(poly)}")

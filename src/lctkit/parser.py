@@ -19,9 +19,12 @@ and makes one Polynomial at the end. A term folds its variables into one
 exponent list and its literals into one rational scale, made a field
 element once; only factors with several terms are multiplied as term dicts.
 
-A script line ends at '\n', '\r\n' or '\r', as universal newlines read a
-file; '\f', '\v', U+2028 and the other breaks of str.splitlines are
-whitespace in it, so its line numbers count what parse_poly's spans do.
+The script DSL is no CLI input: it states the paper's hand-derived
+resolution chains, which the tests replay through blowup_origin, translate
+and apply_affine. A script line ends at '\n', '\r\n' or '\r', as universal
+newlines read a file; '\f', '\v', U+2028 and the other breaks of
+str.splitlines are whitespace in it, so its line numbers count what
+parse_poly's spans do.
 """
 
 from __future__ import annotations

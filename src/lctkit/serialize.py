@@ -64,7 +64,7 @@ def newton_json(source: str, data: NewtonData) -> dict:
     }
 
 
-def tree_json(tree: ResolutionTree, max_depth: int, scripted: bool) -> dict:
+def tree_json(tree: ResolutionTree, max_depth: int) -> dict:
     nodes = []
     for node in tree.nodes():
         chart = node.chart
@@ -82,7 +82,6 @@ def tree_json(tree: ResolutionTree, max_depth: int, scripted: bool) -> dict:
         )
     return {
         "input": format_poly(tree.root_polynomial),
-        "strategy": "scripted" if scripted else "auto",
         "max_depth": max_depth,
         "depth_limited": tree.has_depth_limit(),
         "node_count": len(nodes),

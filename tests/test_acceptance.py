@@ -13,13 +13,12 @@ from fractions import Fraction
 
 from conftest import random_poly
 from jacobian_reference import jacobian_verdicts
-from member_scripts import scripted_resolution
+from member_scripts import replay, scripted_resolution
 from lctkit import (
     Auto,
     ChartStatus,
     EstimatorConfig,
     Polynomial,
-    Scripted,
     UnreliableEstimateError,
     apply_affine,
     blowup_origin,
@@ -88,16 +87,14 @@ def test_criterion_2_jacobian_bookkeeping():
         ]
         for family, n in (("D", 4), ("D", 5), ("D", 6), ("D", 7)):
             trees.append(
-                resolve(
-                    generator(family, n),
-                    Scripted(scripted_resolution(family, n), max_depth=12),
-                )
+                replay(generator(family, n), scripted_resolution(family, n), max_depth=12)
             )
         # a linear change of coordinates with an exact inverse
         trees.append(
-            resolve(
+            replay(
                 P("x^2 + y^2 + z^4"),
-                Scripted(parse_script("blowup x y z\nchart z\nsubst x := x + z"), max_depth=12),
+                parse_script("blowup x y z\nchart z\nsubst x := x + z"),
+                max_depth=12,
             )
         )
         for tree in trees:
@@ -117,11 +114,10 @@ def test_criterion_4_a_family_odd():
         for n in range(1, 20, 2):
             f = generator("A", n)
             newton = lambda_newton(f)
-            for strategy in (
-                Scripted(scripted_resolution("A", n), max_depth=24),
-                Auto(max_depth=24),
+            for tree in (
+                replay(f, scripted_resolution("A", n), max_depth=24),
+                resolve(f, Auto(max_depth=24)),
             ):
-                tree = resolve(f, strategy)
                 assert not tree.has_depth_limit()
                 leaves = [node.chart.status for node in tree.nodes() if node.is_leaf]
                 assert set(leaves) == {ChartStatus.UNIT_STRICT}

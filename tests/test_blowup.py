@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from member_scripts import scripted_resolution
+from member_scripts import replay, scripted_resolution
 from lctkit import (
     GAUSS,
     Auto,
@@ -19,7 +19,6 @@ from lctkit import (
     PoleIndex,
     Polynomial,
     ScriptError,
-    Scripted,
     UnitInputError,
     ZeroPolynomialError,
     apply_affine,
@@ -242,15 +241,15 @@ def made_by_a_checked_step(tree):
 
 
 @pytest.mark.parametrize(
-    "f, strategy",
+    "f, script, depth",
     [
-        (P("x^2 + y^3 + z^5"), Auto(max_depth=5)),
-        (generator("D", 4), Scripted(scripted_resolution("D", 4), max_depth=12)),
-        (generator("D", 6), Scripted(scripted_resolution("D", 6), max_depth=12)),
+        (P("x^2 + y^3 + z^5"), None, 5),
+        (generator("D", 4), scripted_resolution("D", 4), 12),
+        (generator("D", 6), scripted_resolution("D", 6), 12),
     ],
     ids=["E8-auto", "D4-scripted", "D6-scripted"],
 )
-def test_step_identity_runs_once_per_child(monkeypatch, f, strategy):
+def test_step_identity_runs_once_per_child(monkeypatch, f, script, depth):
     # The pulled-back total becomes the child's total only through the
     # check, which every blow-up and translation child passes exactly once.
     checked = []
@@ -261,10 +260,10 @@ def test_step_identity_runs_once_per_child(monkeypatch, f, strategy):
         return check(parent_total, child, substitution)
 
     monkeypatch.setattr(blowup_module, "_assert_step_identity", counted)
-    tree = resolve(f, strategy)
+    tree = resolve(f, Auto(depth)) if script is None else replay(f, script, depth)
     made = made_by_a_checked_step(tree)
     assert sorted(checked) == sorted(made)
-    if isinstance(strategy, Auto):
+    if script is None:
         assert len(made) == sum(1 for node in tree.nodes()) - 1 > 10
     else:
         assert any(path[-1].startswith("T_") for path in made)
@@ -459,7 +458,7 @@ def test_chart_map_is_composed_from_the_path():
     script = parse_script(
         "blowup x y z\nchart z\ntranslate y := y + 1\nsubst x := 2*x + 3*y"
     )
-    tree = resolve(f, Scripted(script))
+    tree = replay(f, script)
     (chart,) = [
         node.chart for node in tree.nodes() if node.chart.path == ("U_z", "T_y", "S_x")
     ]
@@ -567,7 +566,7 @@ def test_every_chart_is_free_of_content():
     # _scan requires; the 32 scripted members and a pole-auto pass resolve
     # without meeting its refusal, DepthLimit copies of charts included.
     trees = [
-        resolve(generator(family, n), Scripted(scripted_resolution(family, n), 12))
+        replay(generator(family, n), scripted_resolution(family, n), 12)
         for family, n in MEMBERS
     ]
     for op in pole_workload_pass(1009):
@@ -606,22 +605,29 @@ def test_depth_limit_marks_leaves():
     assert limited and all(n.is_leaf for n in limited)
 
 
+def test_resolve_refuses_a_strategy_other_than_auto():
+    strategy = object()
+    with pytest.raises(ChartError) as info:
+        resolve(P("x^2 + y^2 + z^3"), strategy)
+    assert str(info.value) == f"unknown strategy {strategy!r}"
+
+
 def test_scripted_follows_script_then_auto():
     script = parse_script("blowup x y z\nchart z")
-    tree = resolve(P("x^2 + y^2 + z^9"), Scripted(script, max_depth=10))
+    tree = replay(P("x^2 + y^2 + z^9"), script, max_depth=10)
     # the script stops after one chart; the driver finishes the rest
     assert not tree.has_depth_limit()
     assert all(jacobian_verdicts(node.chart) == (True, True) for node in tree.nodes())
 
 
 def test_scripted_stop_leaves_depth_limit():
-    tree = resolve(P("x^2 + y^2 + z^3"), Scripted(parse_script("stop"), max_depth=10))
+    tree = replay(P("x^2 + y^2 + z^3"), parse_script("stop"), max_depth=10)
     assert tree.has_depth_limit()
     assert tree.root.is_leaf
 
 
 def test_scripted_orbit_and_translate_shape():
-    tree = resolve(generator("D", 4), Scripted(scripted_resolution("D", 4), max_depth=12))
+    tree = replay(generator("D", 4), scripted_resolution("D", 4), max_depth=12)
     by_path = {node.chart.path_text(): node for node in tree.nodes()}
     moved = by_path["U_y/T_z"]
     assert moved.chart.orbit_factor == 2
@@ -638,7 +644,7 @@ def test_scripted_rejects_blowup_on_finished_chart():
 
     script = parse_script("blowup x y z\nchart x\nblowup x y z\nchart x")
     with pytest.raises(ScriptError):
-        resolve(P("x^2 + y^2 + z^3"), Scripted(script, max_depth=10))
+        replay(P("x^2 + y^2 + z^3"), script, max_depth=10)
 
 
 def test_script_steps_past_a_bare_blowup_are_refused():
@@ -650,11 +656,11 @@ def test_script_steps_past_a_bare_blowup_are_refused():
         SubstDirective("z", P("z + y*z^4"), at),
     )
     with pytest.raises(ScriptError, match="must be followed by chart") as info:
-        resolve(P("x^2 + y^2*z + z^4"), Scripted(ResolutionScript(steps)))
+        replay(P("x^2 + y^2*z + z^4"), ResolutionScript(steps))
     assert info.value.span == at
     # With the chart named, the same steps reach U_y/S_z.
     named = (replace(steps[0], chart="y"), steps[1])
-    tree = resolve(P("x^2 + y^2*z + z^4"), Scripted(ResolutionScript(named)))
+    tree = replay(P("x^2 + y^2*z + z^4"), ResolutionScript(named))
     assert "U_y/S_z" in {node.chart.path_text() for node in tree.nodes()}
 
 
@@ -662,7 +668,7 @@ def test_script_steps_past_stop_are_refused():
     at, later = SourceSpan(1, 1, 4), SourceSpan(2, 1, 6)
     steps = (StopDirective(at), BlowupDirective(("x", "y", "z"), later))
     with pytest.raises(ScriptError, match="after stop") as info:
-        resolve(P("x^2 + y^2 + z^3"), Scripted(ResolutionScript(steps)))
+        replay(P("x^2 + y^2 + z^3"), ResolutionScript(steps))
     assert info.value.span == at
 
 
@@ -701,7 +707,7 @@ def test_jacobian_checks_agree_on_auto_trees(f, depth):
     [("A", 5), ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("E6", None), ("E7", None), ("E8", None)],
 )
 def test_catalogue_trees_verify(family, n):
-    tree = resolve(generator(family, n), Scripted(scripted_resolution(family, n), max_depth=12))
+    tree = replay(generator(family, n), scripted_resolution(family, n), max_depth=12)
     for node in tree.nodes():
         assert_jacobian_checks_agree(node.chart)
         assert total_transform_identity(tree, node.chart)
@@ -744,11 +750,11 @@ def test_records_kept_across_a_coordinate_change_are_checked(monkeypatch, kind, 
     # A translation or a rewrite has a unit Jacobian: the child keeps every
     # record of its parent, which resolve checks even when no later blow-up
     # goes through the corrupted coordinate.
-    f, steps = P("x^2 + y^2 + z^3"), Scripted(parse_script(script))
-    assert resolve(f, steps)
+    f, steps = P("x^2 + y^2 + z^3"), parse_script(script)
+    assert replay(f, steps)
     monkeypatch.setattr(blowup_module, "_child", kept_record_raised(kind))
     with pytest.raises(InternalInconsistencyError, match=f"at {path}: recorded"):
-        resolve(f, steps)
+        replay(f, steps)
 
 
 def assert_map_from_root_is_composed(tree):
@@ -765,8 +771,8 @@ def test_map_from_root_matches_the_composed_path_on_auto_trees(f, depth):
 
 def test_map_from_root_matches_the_composed_path_on_catalogue_trees():
     for family, n in MEMBERS:
-        script = Scripted(scripted_resolution(family, n), max_depth=12)
-        assert_map_from_root_is_composed(resolve(generator(family, n), script))
+        tree = replay(generator(family, n), scripted_resolution(family, n), max_depth=12)
+        assert_map_from_root_is_composed(tree)
 
 
 def tree_shape(tree):

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from member_scripts import script_text, scripted_resolution
+from member_scripts import replay, script_text, scripted_resolution
 from lctkit import (
     FAMILIES,
     Auto,
-    Scripted,
     generator,
     lambda_newton,
     lambda_uncapped,
@@ -160,7 +159,7 @@ def test_scripts_report_what_auto_reports():
         f = generator(family, n)
         newton = lambda_newton(f)
         auto = resolve(f, Auto(12))
-        scripted = resolve(f, Scripted(scripted_resolution(family, n), 12))
+        scripted = replay(f, scripted_resolution(family, n), 12)
         a, s = lambda_uncapped(auto, newton), lambda_uncapped(scripted, newton)
         label = f"{family}{n or ''}"
         for name in ("lambda_uncapped", "lambda_capped", "multiplicity", "certified"):
@@ -183,7 +182,7 @@ def test_verify_reports_what_the_scripts_report(depth):
     # value, certificate and depth-limit flag of the member's hand script.
     for family, n in MEMBERS:
         f = generator(family, n)
-        tree = resolve(f, Scripted(scripted_resolution(family, n), depth))
+        tree = replay(f, scripted_resolution(family, n), depth)
         scripted = lambda_uncapped(tree, lambda_newton(f))
         row = verify(family, n, depth)
         label = (row.label, depth)

@@ -13,14 +13,24 @@ import jsonschema
 import pytest
 
 from conftest import raised_h, raised_k, run_cli
-from member_scripts import script_text
+from member_scripts import replay, scripted_resolution
 from lctkit import (
+    GAUSS,
+    ChartError,
     FieldMismatchError,
+    InternalInconsistencyError,
     LctkitError,
+    ScriptError,
+    SourceSpan,
     VariableMismatchError,
     blowup,
     cli,
+    lambda_newton,
+    lambda_uncapped,
+    parse_poly,
+    parse_script,
 )
+from lctkit.serialize import dump_json, pole_json, tree_dot, tree_json
 
 GOLDEN = Path(__file__).parent / "golden"
 # A 6-variable, 14-term support, wide for a facet search.
@@ -32,6 +42,14 @@ WIDE = (
 
 def schema(name):
     return json.loads(resources.files("lctkit.schemas").joinpath(name).read_text())
+
+
+def replay_text(poly, script, names="x,y,z", max_depth=24):
+    """Replay the script text on the polynomial, both parsed over GAUSS in
+    the named variables."""
+    variables = tuple(names.split(","))
+    f = parse_poly(poly, GAUSS, variables)
+    return replay(f, parse_script(script, GAUSS, variables), max_depth)
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -111,71 +129,50 @@ def test_depth_zero_is_a_budget_not_an_error():
     assert "certified: no" in out
 
 
-def test_untranslated_origin_without_center_is_not_certified(tmp_path):
+def test_untranslated_origin_without_center_is_not_certified():
     # In the y-chart of (x - y^2)^2 the rewrite turns the strict transform
     # into x^2, so the origin of U_y/S_x would sit on {x = 0}, which no
     # divisor records; the translate would then report 1, while the true
     # value is 1/2. The rewrite itself is refused.
-    script = tmp_path / "a.script"
-    script.write_text(
-        "blowup x y\nchart y\nsubst x := x - y\ntranslate x := x + 1\n"
+    script = "blowup x y\nchart y\nsubst x := x - y\ntranslate x := x + 1\n"
+    with pytest.raises(ChartError) as info:
+        replay_text("(x - y^2)^2", script, "x,y")
+    assert str(info.value) == (
+        "rewrite of 'x' puts the origin on the component {x = 0} of "
+        "the strict transform, whose divisor and h the chart does not record"
     )
-    argv = ["(x - y^2)^2", "--vars", "x,y", "--script", str(script)]
-    for command in (["pole", *argv], ["resolve", *argv, "--json"]):
-        code, out, err = run_cli(command)
-        assert code == 1
-        assert out == ""
-        assert err == (
-            "error: rewrite of 'x' puts the origin on the component {x = 0} of "
-            "the strict transform, whose divisor and h the chart does not record\n"
-        )
 
 
-def test_exit_1_translate_back_onto_a_dropped_divisor(tmp_path):
+BACK = "blowup x y z\nchart z\ntranslate z := z + 1\ntranslate z := z - 1\n"
+
+
+def test_exit_1_translate_back_onto_a_dropped_divisor():
     # The first translate drops the divisor {z = 0} of the z-chart; the
     # second moves the origin back onto it, where the strict transform is
     # divisible by z and the chart would hold no record of that divisor.
-    script = tmp_path / "back.script"
-    script.write_text(
-        "blowup x y z\nchart z\ntranslate z := z + 1\ntranslate z := z - 1\n"
+    with pytest.raises(ChartError) as info:
+        replay_text("x^2+y^2+z^3", BACK, max_depth=4)
+    assert "\n" not in str(info.value)
+
+
+def test_translate_refusal_names_the_component():
+    # The script above, with the exact message.
+    with pytest.raises(ChartError) as info:
+        replay_text("x^2+y^2+z^3", BACK, max_depth=4)
+    assert str(info.value) == (
+        "translation of 'z' puts the origin on the component {z = 0} "
+        "of the strict transform, whose divisor and h the chart does not "
+        "record"
     )
-    code, out, err = run_cli(
-        ["pole", "x^2+y^2+z^3", "--script", str(script), "--max-depth", "4"]
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_translate_refusal_names_the_component(tmp_path):
-    # The script above, with the exact message under pole and resolve --json.
-    script = tmp_path / "back.script"
-    script.write_text(
-        "blowup x y z\nchart z\ntranslate z := z + 1\ntranslate z := z - 1\n"
-    )
-    argv = ["x^2+y^2+z^3", "--script", str(script), "--max-depth", "4"]
-    for command in (["pole", *argv], ["resolve", *argv, "--json"]):
-        assert run_cli(command) == (
-            1,
-            "",
-            "error: translation of 'z' puts the origin on the component {z = 0} "
-            "of the strict transform, whose divisor and h the chart does not "
-            "record\n",
-        )
-
-
-def test_exit_1_rewrite_onto_an_unrecorded_component(tmp_path):
+def test_exit_1_rewrite_onto_an_unrecorded_component():
     # x := x + y turns (x+y)^2 into the strict transform x^2, so the origin
     # sits on {x = 0}, which no divisor record covers. Blowing that origin up
     # would report 1 from the new divisor alone; the true value is 1/2.
-    script = tmp_path / "subst.script"
-    script.write_text("subst x := x + y\n")
-    code, out, err = run_cli(
-        ["pole", "(x+y)^2", "--vars", "x,y", "--script", str(script)]
-    )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(ChartError) as info:
+        replay_text("(x+y)^2", "subst x := x + y\n", "x,y")
+    assert "\n" not in str(info.value)
 
 
 def test_exit_3_internal_inconsistency(monkeypatch):
@@ -207,7 +204,7 @@ def test_exit_3_raised_h(monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_exit_3_raised_h_kept_across_a_translation(monkeypatch, tmp_path):
+def test_exit_3_raised_h_kept_across_a_translation(monkeypatch):
     # A record that a translation child keeps must equal its parent's; a
     # raised h there stops the run, though no later blow-up goes through it.
     child = blowup._child
@@ -221,16 +218,13 @@ def test_exit_3_raised_h_kept_across_a_translation(monkeypatch, tmp_path):
         return made
 
     monkeypatch.setattr(blowup, "_child", corrupted)
-    script = tmp_path / "t.script"
-    script.write_text("blowup x y z\nchart z\ntranslate x := x + 1\n")
-    code, out, err = run_cli(["pole", "x^2+y^2+z^3", "--script", str(script)])
-    assert code == 3
-    assert out == ""
-    assert err.startswith(
-        "internal inconsistency: divisor records changed across a coordinate "
-        "change at U_z/T_x: "
+    script = "blowup x y z\nchart z\ntranslate x := x + 1\n"
+    with pytest.raises(InternalInconsistencyError) as info:
+        replay_text("x^2+y^2+z^3", script)
+    assert str(info.value).startswith(
+        "divisor records changed across a coordinate change at U_z/T_x: "
     )
-    assert err.count("\n") == 1
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize(
@@ -390,37 +384,28 @@ def test_fractional_and_non_rational_coefficients_match_golden(command, golden):
         (7, "x^2 + y^2*z + z^6", "resolve_d7_scripted.json"),
     ],
 )
-def test_scripted_resolve_json_matches_golden(tmp_path, n, poly, golden):
-    script = tmp_path / f"d{n}.script"
-    script.write_text(script_text("D", n))
-    code, out, _ = run_cli(["resolve", poly, "--script", str(script), "--json"])
-    assert code == 0
-    assert out == (GOLDEN / golden).read_text()
+def test_scripted_resolve_json_matches_golden(n, poly, golden):
+    tree = replay(parse_poly(poly), scripted_resolution("D", n))
+    assert not tree.has_depth_limit()
+    assert dump_json(tree_json(tree, 24)) == (GOLDEN / golden).read_text()
 
 
-def test_exit_1_blowup_on_a_resolved_chart(tmp_path):
+def test_exit_1_blowup_on_a_resolved_chart():
     # One blow-up resolves x^2+y^2+z^2: the z-chart is already UnitStrict.
-    script = tmp_path / "a1.script"
-    script.write_text("blowup x y z\nchart z\nblowup x y z\n")
-    code, out, err = run_cli(["pole", "x^2+y^2+z^2", "--script", str(script)])
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error at line 3 col 1: blowup requested on a UnitStrict chart at U_z\n"
-    )
+    with pytest.raises(ScriptError) as info:
+        replay_text("x^2+y^2+z^2", "blowup x y z\nchart z\nblowup x y z\n")
+    assert info.value.span == SourceSpan(3, 1, 6)
+    assert info.value.message == "blowup requested on a UnitStrict chart at U_z"
 
 
-def test_exit_1_blowup_center_off_the_hypersurface(tmp_path):
+def test_exit_1_blowup_center_off_the_hypersurface():
     # z^3 does not vanish on the line {x = y = 0}: the script's center misses
     # the hypersurface, which is an input error, not an internal one.
-    script = tmp_path / "xy.script"
-    script.write_text("blowup x y\nchart x\n")
-    code, out, err = run_cli(["pole", "x^2+y^2+z^3", "--script", str(script)])
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: blow-up center {x = y = 0} at root does not lie on the strict "
-        "transform: its term z^3 does not vanish there\n"
+    with pytest.raises(ChartError) as info:
+        replay_text("x^2+y^2+z^3", "blowup x y\nchart x\n")
+    assert str(info.value) == (
+        "blow-up center {x = y = 0} at root does not lie on the strict "
+        "transform: its term z^3 does not vanish there"
     )
 
 
@@ -432,12 +417,13 @@ def test_exit_1_blowup_center_off_the_hypersurface(tmp_path):
         ("blowup x y z\nchart z\nstop\n", 2, "pole_a5_stop_in_chart.json"),
     ],
 )
-def test_scripted_pole_json_matches_golden(tmp_path, text, expected_code, golden):
-    script = tmp_path / "a5.script"
-    script.write_text(text)
-    code, out, _ = run_cli(["pole", "x^2+y^2+z^6", "--script", str(script), "--json"])
-    assert code == expected_code
-    assert out == (GOLDEN / golden).read_text()
+def test_scripted_pole_json_matches_golden(text, expected_code, golden):
+    # Exit code 2 is the depth-limit flag.
+    f = parse_poly("x^2+y^2+z^6")
+    tree = replay(f, parse_script(text))
+    assert tree.has_depth_limit() == (expected_code == 2)
+    report = lambda_uncapped(tree, lambda_newton(f))
+    assert dump_json(pole_json(tree, report)) == (GOLDEN / golden).read_text()
 
 
 def test_verify_family_table():
@@ -535,15 +521,11 @@ def test_dot_export(tmp_path):
     assert "U_z/U_z" in text and "UnitStrict" in text
 
 
-def test_dot_marks_orbit_charts(tmp_path):
-    dot = tmp_path / "d4.dot"
-    script = tmp_path / "d4.script"
-    script.write_text("blowup x y z\nchart y\ntranslate z := z + i\norbit 2\n")
-    code, _, _ = run_cli(
-        ["resolve", "x^2+y^2*z+z^3", "--script", str(script), "--dot", str(dot)]
-    )
-    assert code == 0
-    assert "peripheries=2" in dot.read_text()
+def test_dot_marks_orbit_charts():
+    script = "blowup x y z\nchart y\ntranslate z := z + i\norbit 2\n"
+    tree = replay_text("x^2+y^2*z+z^3", script)
+    assert not tree.has_depth_limit()
+    assert "peripheries=2" in tree_dot(tree)
 
 
 def test_csv_export(tmp_path):
@@ -558,17 +540,12 @@ def test_csv_export(tmp_path):
     assert len(lines) == 9
 
 
-def test_script_from_file(tmp_path):
+@pytest.mark.parametrize("command", ["pole", "resolve"])
+def test_script_flag_is_refused(tmp_path, command):
+    # Only Auto resolves; `--script` is an unknown option like any other.
     script = tmp_path / "d5.script"
     script.write_text("blowup x y z\nchart y\nsubst z := z + y*z^4\n")
-    code, out, _ = run_cli(["pole", "x^2+y^2*z+z^4", "--script", str(script)])
-    assert code == 0
-    assert "lambda_uncapped: 9/8" in out
-
-
-def test_missing_script_file_is_input_error(tmp_path):
-    code, _, err = run_cli(
-        ["pole", "x^2", "--script", str(tmp_path / "absent.script")]
-    )
+    code, out, err = run_cli([command, "x^2+y^2*z+z^4", "--script", str(script)])
     assert code == 1
-    assert "error" in err
+    assert out == ""
+    assert err == f"error: unrecognized arguments: --script {script}\n"

@@ -620,12 +620,11 @@ def test_script_lines_end_at_universal_newlines(newline):
     assert info.value.span == SourceSpan(3, 7, 1)
 
 
-def test_cli_script_line_numbers_ignore_form_feeds(tmp_path):
-    script = tmp_path / "ff.txt"
-    script.write_text("blowup x y z\f\nchart q\n", encoding="utf-8")
-    code, out, err = run_cli(["pole", "x^2+y^2+z^2", "--script", str(script)])
-    assert code == 1 and not out
-    assert err == "error at line 2 col 7: chart variable 'q' not in the blowup center\n"
+def test_cli_script_line_numbers_ignore_form_feeds():
+    with pytest.raises(ScriptError) as info:
+        parse_script("blowup x y z\f\nchart q\n")
+    assert (info.value.span.line, info.value.span.column) == (2, 7)
+    assert info.value.message == "chart variable 'q' not in the blowup center"
 
 
 def test_script_orbit_count_errors_have_spans():

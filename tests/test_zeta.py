@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from member_scripts import scripted_resolution
+from member_scripts import replay, scripted_resolution
 from lctkit import (
     GAUSS,
     Auto,
@@ -16,7 +16,6 @@ from lctkit import (
     InternalInconsistencyError,
     PoleIndex,
     ResolutionTree,
-    Scripted,
     TreeNode,
     generator,
     lambda_newton,
@@ -110,7 +109,7 @@ def test_refinement_monotonicity():
 
 
 def test_orbit_replicates_divisors():
-    tree = resolve(generator("D", 4), Scripted(scripted_resolution("D", 4), max_depth=12))
+    tree = replay(generator("D", 4), scripted_resolution("D", 4), max_depth=12)
     rep = lambda_uncapped(tree, lambda_newton(generator("D", 4)))
     assert rep.lambda_uncapped == Fraction(5, 4)
     assert not rep.certified
@@ -133,8 +132,7 @@ def test_orbit_replicates_divisors():
 def test_report_matches_separate_walks(family, n, depth):
     # lambda_uncapped walks the tree once; each field must equal its own
     # definition read off tree.leaves().
-    script = Scripted(scripted_resolution(family, n), depth)
-    tree = resolve(generator(family, n), script)
+    tree = replay(generator(family, n), scripted_resolution(family, n), depth)
     rep = lambda_uncapped(tree)
     leaves = [leaf.chart for leaf in tree.leaves()]
     lam = min(Fraction(c.h + 1, c.k) for c in rep.candidates)
@@ -337,7 +335,7 @@ def test_rewrite_then_translate_is_refused_or_right():
         variables,
     )
     try:
-        rep = lambda_uncapped(resolve(f, Scripted(script)), lambda_newton(f))
+        rep = lambda_uncapped(replay(f, script), lambda_newton(f))
     except (ChartError, ScriptError):
         return
     assert rep.lambda_uncapped == Fraction(1, 2)

@@ -1,24 +1,25 @@
-"""Digest of the CLI's outputs over a fixed corpus: one sha256 per group.
+"""Digest of the outputs of CLI runs and script replays: one sha256 per group.
 
-Each run calls `lctkit.cli.main` in-process and records its argv, exit
-code, stdout and stderr; the temporary directory that holds the scripts is
-masked in every output. Two checkouts that print the same lines give
-byte-identical outputs on the whole corpus. Run it from any checkout:
+Each CLI run calls `lctkit.cli.main` in-process and records its argv, exit
+code, stdout and stderr. Each replay run resolves a polynomial along a
+script with `tests/member_scripts.replay` and records the pole JSON and the
+tree JSON of `lctkit.serialize`, or the type, span and message of the error
+it raises. Two checkouts that print the same lines give byte-identical
+outputs on the whole corpus. Run it from any checkout:
 
     python3 tools/output_digest.py          # one line per group
     python3 tools/output_digest.py --runs   # one line per run, to find a diff
 
 The groups:
-- members: the 32 du Val members, `pole --json` and `resolve --json` at
-  depth 12 along the hand scripts of `tests/member_scripts.py`, the same at
-  depth 6 without a script, and `newton --json`;
+- members: the 32 du Val members, replayed at depth 12 along the hand
+  scripts of `tests/member_scripts.py`, `pole --json` and `resolve --json`
+  at depth 6, and `newton --json`;
 - verify: `verify --all` as text and as JSON;
 - pole-auto: `pole --json` on pass 0 of the benchmark's pole workload for
   seeds 1, 2 and 1009 (the inputs are only read);
-- fields: `parse`, `pole` and a scripted rewrite under 15 `--field` moduli,
-  refused ones included;
-- refusals: scripts that the walk refuses, each under `pole` and
-  `resolve --json`.
+- fields: `parse`, `pole` and the replay of a rewrite under 15 `--field`
+  moduli, refused ones included;
+- refusals: scripts that the walk refuses, replayed.
 """
 
 from __future__ import annotations
@@ -28,16 +29,17 @@ import contextlib
 import hashlib
 import io
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
+from lctkit import LctkitError, lambda_newton, lambda_uncapped  # noqa: E402
 from lctkit.catalogue import MEMBERS, generator  # noqa: E402
-from lctkit.cli import main  # noqa: E402
-from lctkit.parser import format_poly  # noqa: E402
-from member_scripts import script_text  # noqa: E402
+from lctkit.cli import _parse_field, main  # noqa: E402
+from lctkit.parser import format_poly, parse_poly, parse_script  # noqa: E402
+from lctkit.serialize import dump_json, pole_json, tree_json  # noqa: E402
+from member_scripts import replay, script_text  # noqa: E402
 from perfbench.workloads import phase_ops  # noqa: E402
 
 # Generator name and minimal polynomial in t. The first eight are refused:
@@ -77,60 +79,61 @@ REFUSALS = (
 )
 
 
-def _run(argv: list[str], tmp: str) -> bytes:
+Run = tuple[str, list[str]]  # its label and its outputs
+
+
+def _cli(*argv: str) -> Run:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    text = "\0".join([" ".join(argv), str(code), out.getvalue(), err.getvalue()])
-    return text.replace(tmp, "<tmp>").encode()
+        code = main(list(argv))
+    return " ".join(argv), [str(code), out.getvalue(), err.getvalue()]
 
 
-def _corpus(tmp: Path) -> dict[str, list[list[str]]]:
-    """The argv lists of every run, by group; scripts go into tmp."""
+def _replay(poly: str, script: str, depth: int, names="x,y,z", field="i:t^2+1") -> Run:
+    label = f"replay {poly} --vars {names} --field {field} --max-depth {depth} {script!r}"
+    variables = tuple(names.split(","))
+    try:
+        ring = _parse_field(field)
+        f = parse_poly(poly, ring, variables)
+        tree = replay(f, parse_script(script, ring, variables), depth)
+        report = lambda_uncapped(tree, lambda_newton(f))
+    except LctkitError as err:
+        span = getattr(err, "span", None)
+        where = f" at line {span.line} col {span.column}" if span else ""
+        return label, [f"{type(err).__name__}{where}: {err}"]
+    return label, [dump_json(pole_json(tree, report)), dump_json(tree_json(tree, depth))]
 
-    def script(name: str, text: str) -> str:
-        path = tmp / name
-        path.write_text(text, encoding="utf-8")
-        return str(path)
 
+def _corpus() -> dict[str, list[Run]]:
+    """The runs of every group."""
     members = []
     for family, n in MEMBERS:
-        label = f"{family}{n or ''}"
         poly = format_poly(generator(family, n))
-        path = script(f"{label}.script", script_text(family, n))
+        members.append(_replay(poly, script_text(family, n), 12))
         for command in ("pole", "resolve"):
-            members.append([command, poly, "--script", path, "--max-depth", "12", "--json"])
-            members.append([command, poly, "--max-depth", "6", "--json"])
-        members.append(["newton", poly, "--json"])
+            members.append(_cli(command, poly, "--max-depth", "6", "--json"))
+        members.append(_cli("newton", poly, "--json"))
 
     pole_auto = [
-        ["pole", op["text"], "--vars", op["vars"], "--max-depth", str(op["depth"]), "--json"]
+        _cli("pole", op["text"], "--vars", op["vars"], "--max-depth", str(op["depth"]), "--json")
         for seed in (1, 2, 1009)
         for op in phase_ops("pole", "primary", seed, 0)
     ]
 
-    rewrite = script("rewrite.script", "subst x := (2 + a)*x + a*y\n")
     fields = []
     for field in FIELDS:
-        fields.append(["parse", "(x + a)^3 - a*y + 1/3", "--field", field])
-        fields.append(["pole", "x^2 + a*y^2 + z^3", "--field", field, "--max-depth", "6"])
+        fields.append(_cli("parse", "(x + a)^3 - a*y + 1/3", "--field", field))
+        fields.append(_cli("pole", "x^2 + a*y^2 + z^3", "--field", field, "--max-depth", "6"))
         fields.append(
-            ["pole", "x^2 + y^3 + z^5", "--field", field, "--script", rewrite, "--max-depth", "4"]
+            _replay("x^2 + y^3 + z^5", "subst x := (2 + a)*x + a*y\n", 4, field=field)
         )
-
-    refusals = []
-    for k, (poly, variables, text) in enumerate(REFUSALS):
-        path = script(f"refusal{k}.script", text)
-        for tail in ([], ["--json"]):
-            command = "resolve" if tail else "pole"
-            refusals.append([command, poly, "--vars", variables, "--script", path, *tail])
 
     return {
         "members": members,
-        "verify": [["verify", "--all"], ["verify", "--all", "--json"]],
+        "verify": [_cli("verify", "--all"), _cli("verify", "--all", "--json")],
         "pole-auto": pole_auto,
         "fields": fields,
-        "refusals": refusals,
+        "refusals": [_replay(poly, text, 24, names) for poly, names, text in REFUSALS],
     }
 
 
@@ -138,16 +141,14 @@ def main_digest(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", action="store_true", help="one line per run")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        for group, runs in _corpus(Path(tmp)).items():
-            digest = hashlib.sha256()
-            for argv_run in runs:
-                run = hashlib.sha256(_run(argv_run, tmp))
-                digest.update(run.digest())
-                if args.runs:
-                    shown = " ".join(argv_run).replace(tmp, "<tmp>")
-                    print(f"{run.hexdigest()[:16]}  {group}  {shown}")
-            print(f"{digest.hexdigest()}  {group} ({len(runs)} runs)")
+    for group, runs in _corpus().items():
+        digest = hashlib.sha256()
+        for label, outputs in runs:
+            run = hashlib.sha256("\0".join([label, *outputs]).encode())
+            digest.update(run.digest())
+            if args.runs:
+                print(f"{run.hexdigest()[:16]}  {group}  {label}")
+        print(f"{digest.hexdigest()}  {group} ({len(runs)} runs)")
     return 0
 
 
