@@ -21,12 +21,9 @@ from .blowup import (
     PoleIndex,
     ResolutionTree,
     TreeNode,
-    apply_affine,
     blowup_origin,
     make_root_chart,
     resolve,
-    translate,
-    verify_jacobian,
 )
 from .catalogue import (
     FAMILIES,
@@ -51,15 +48,13 @@ from .errors import (
     ZeroDivisorError,
     ZeroPolynomialError,
 )
-from .estimator import Estimate, EstimatorConfig, estimate, hit_counts
+from .estimator import Estimate, EstimatorConfig, estimate
 from .newton import NewtonData, lambda_newton, support
 from .parser import (
     DEFAULT_VARIABLES,
-    ResolutionScript,
     SourceSpan,
     format_poly,
     parse_poly,
-    parse_script,
 )
 from .zeta import PoleReport, lambda_uncapped
 
@@ -75,12 +70,9 @@ __all__ = [
     "ChartStatus",
     "ResolutionTree",
     "TreeNode",
-    "apply_affine",
     "blowup_origin",
     "make_root_chart",
     "resolve",
-    "translate",
-    "verify_jacobian",
     "FAMILIES",
     "VerifyReport",
     "generator",
@@ -103,16 +95,13 @@ __all__ = [
     "Estimate",
     "EstimatorConfig",
     "estimate",
-    "hit_counts",
     "NewtonData",
     "lambda_newton",
     "support",
     "DEFAULT_VARIABLES",
-    "ResolutionScript",
     "SourceSpan",
     "format_poly",
     "parse_poly",
-    "parse_script",
     "PoleIndex",
     "PoleReport",
     "lambda_uncapped",

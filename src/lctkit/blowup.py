@@ -13,8 +13,9 @@ defining identity
 
 is asserted exactly across every blow-up and translation, so the chain of
 checks is anchored at f. The rewrite of apply_affine is checked to
-reproduce the strict transform. A chart stores only its path (`steps`);
-map_from_root is derived from it on demand.
+reproduce the strict transform. A chart stores its path (`steps`), not
+its map from the root: map_from_root reads the run matrix on demand, and
+gives a map on a path of origin blow-ups only.
 
 Two independent codes pull a strict transform back through an origin
 blow-up. blowup_origin builds each child's strict transform directly as an
@@ -32,9 +33,9 @@ child against the chart's run of blow-ups, one integer exponent matrix (see
 Chart).
 
 _step_substitution is the one source of step maps: the identity check,
-translate, apply_affine and map_from_root all read it. Each map comes
-compiled for the chart's ring (algebra._Substitution), so substitute folds
-it without checking or splitting the images again. A translation's strict
+translate and apply_affine read it. Each map comes compiled for the
+chart's ring (algebra._Substitution), so substitute folds it without
+checking or splitting the images again. A translation's strict
 transform and its identity check fold one compiled map, which builds each
 power of the wide image once.
 
@@ -220,7 +221,6 @@ class Chart:
     divisors: Mapping[str, PoleIndex]
     run: tuple[tuple[int, ...], ...]
     run_start: tuple[int, ...]
-    orbit_factor: int = 1
     depth: int = 0  # the number of origin blow-ups on the path
 
     @property
@@ -259,28 +259,19 @@ class Chart:
 
     @cached_property
     def map_from_root(self) -> Optional[Mapping[str, Polynomial]]:
-        """The root coordinates as polynomials in this chart's; None when a
-        triangular rewrite makes the inverse a power series only. On a path
-        of origin blow-ups only, the run is the whole path, so the map is
-        x_i = prod_j y_j**run[j][i]; any other path composes the step maps."""
-        if all(isinstance(s, BlowupStep) for s in self.steps):
-            one = self.field.one()
-            return {
-                x: Polynomial._trusted(
-                    self.field, self.variables, {tuple(col[i] for col in self.run): one}
-                )
-                for i, x in enumerate(self.variables)
-            }
-        images = {
-            v: Polynomial.variable(self.field, self.variables, v)
-            for v in self.variables
+        """The root coordinates as polynomials in this chart's, on a path of
+        origin blow-ups only: the run is then the whole path, so the map is
+        x_i = prod_j y_j**run[j][i]. None once a translation or a rewrite is
+        on the path (the tests' jacobian_reference composes those maps)."""
+        if not all(isinstance(s, BlowupStep) for s in self.steps):
+            return None
+        one = self.field.one()
+        return {
+            x: Polynomial._trusted(
+                self.field, self.variables, {tuple(col[i] for col in self.run): one}
+            )
+            for i, x in enumerate(self.variables)
         }
-        for step in self.steps:
-            substitution = _step_substitution(self.field, self.variables, step)
-            if substitution is None:
-                return None
-            images = {x: p.substitute(substitution) for x, p in images.items()}
-        return images
 
 
 @cache
@@ -386,7 +377,7 @@ def _child(chart: Chart, step: PathStep, strict: Polynomial, *records) -> Chart:
     return _chart(
         field=chart.field, variables=chart.variables, steps=chart.steps + (step,),
         strict=strict, divisors=divisors, run=run, run_start=run_start,
-        orbit_factor=1, depth=chart.depth + (step.__class__ is BlowupStep),
+        depth=chart.depth + (step.__class__ is BlowupStep),
         _path_text=f"{chart.path_text()}/{label}" if chart.steps else label,
     )
 
@@ -417,7 +408,7 @@ def make_root_chart(f: Polynomial) -> Chart:
     run, run_start = _restart_run(variables, divisors)  # root records have h = 0
     chart = _chart(
         field=f.field, variables=variables, steps=(), strict=strict,
-        divisors=divisors, run=run, run_start=run_start, orbit_factor=1, depth=0,
+        divisors=divisors, run=run, run_start=run_start, depth=0,
     )
     # Every later identity check reads this total as its parent side. The
     # ring product also checks the content split against f, and so the
@@ -583,17 +574,16 @@ def apply_affine(chart: Chart, var: str, expression: Polynomial) -> Chart:
     are supported exactly:
 
     - affine in var (c*var + q with c a nonzero constant, q free of var):
-      inverted by the polynomial map var := (var - q)/c, so the chart map
-      from the root stays polynomial;
+      inverted by the polynomial map var := (var - q)/c;
     - triangular (every term contains var, unit coefficient on var^1):
-      the strict transform is rewritten by exact decomposition and the chart
-      has no map_from_root (the inverse is only a power series).
+      the strict transform is rewritten by exact decomposition (the inverse
+      is only a power series).
 
     Either way k and h are unchanged, the Jacobian d(expression)/d(var) of
-    the rewrite is a unit (c1 != 0), so the chart starts a new run, and the
-    monomial factorization is re-checked (FactorizationDestroyedError). A
-    rewrite that leaves the strict transform divisible by var is refused
-    (see _scan).
+    the rewrite is a unit (c1 != 0), so the chart starts a new run (and has
+    no map_from_root), and the monomial factorization is re-checked
+    (FactorizationDestroyedError). A rewrite that leaves the strict
+    transform divisible by var is refused (see _scan).
     """
     if var not in chart.variables:
         raise ChartError(f"unknown variable {var!r}")

@@ -362,8 +362,10 @@ class TranslateDirective:
 
 @dataclass(frozen=True)
 class OrbitDirective:
-    """Declare that the analysis below this point holds at `count` conjugate
-    points; pole candidates found below are replicated accordingly."""
+    """Annotate that the analysis below this point holds at `count` conjugate
+    points. Nothing replicates the candidates: the tests' replay reads past
+    the line, and the grammar keeps it because the recorded script corpus
+    (tests/golden/script_corpus.json) draws from scripts that carry it."""
 
     count: int
     span: SourceSpan

@@ -76,7 +76,6 @@ def tree_json(tree: ResolutionTree, max_depth: int) -> dict:
                 "k": {v: r.k for v, r in chart.divisors.items()},
                 "h": {v: r.h for v, r in chart.divisors.items()},
                 "divisors": {v: r.divisor for v, r in chart.divisors.items()},
-                "orbit": chart.orbit_factor,
                 "children": len(node.children),
             }
         )
@@ -177,8 +176,7 @@ def tree_dot(tree: ResolutionTree) -> str:
                 _dot_escape(format_poly(chart.strict)),
             ]
         )
-        extra = ", peripheries=2" if chart.orbit_factor > 1 else ""
-        lines.append(f'  n{i} [label="{label}"{extra}];')
+        lines.append(f'  n{i} [label="{label}"];')
     for node in tree.nodes():
         for child in node.children:
             lines.append(f"  n{index[id(node)]} -> n{index[id(child)]};")

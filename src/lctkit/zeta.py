@@ -4,11 +4,9 @@ Every exceptional divisor seen in a leaf chart contributes the candidate
 (h + 1)/k. Divisors are identified by the blow-up event that created them
 (or by the root coordinate hyperplane they came from), so a divisor visible
 in several sibling charts is counted once; its record (id, k, h) is
-asserted equal across sightings. Charts under an orbit annotation stand for
-several points with identical local analysis, and the divisors born below
-them are replicated accordingly under suffixed ids. lambda_uncapped reads
-the candidates, their multiplicity and the certificate off one walk of the
-tree.
+asserted equal across sightings. lambda_uncapped reads the candidates,
+their multiplicity and the certificate off the leaves of the tree, in
+pre-order.
 
 The candidates sort by the integer key ((h + 1) * (L // k), id), L the lcm
 of their k, as their values (h + 1)/k do. A report builds one Fraction, the
@@ -22,14 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .blowup import (
-    BlowupStep,
-    Chart,
-    ChartStatus,
-    PoleIndex,
-    ResolutionTree,
-    TreeNode,
-)
+from .blowup import Chart, ChartStatus, PoleIndex, ResolutionTree
 from .errors import ChartError, InternalInconsistencyError
 from .newton import NewtonData
 
@@ -48,27 +39,7 @@ class PoleReport:
     newton_agrees: Optional[bool] = None
 
 
-def _survey(tree: ResolutionTree) -> tuple[list[Chart], dict[str, int]]:
-    """One walk over the tree: the leaf charts in order, and for each divisor
-    born at a blow-up the orbit factor in force where it was born."""
-    leaves: list[Chart] = []
-    factors: dict[str, int] = {}
-
-    def walk(node: TreeNode, inherited: int) -> None:
-        factor = inherited * node.chart.orbit_factor
-        if not node.children:
-            leaves.append(node.chart)
-        for child in node.children:
-            last = child.chart.steps[-1] if child.chart.steps else None
-            if isinstance(last, BlowupStep):
-                factors[last.divisor] = factor
-            walk(child, factor)
-
-    walk(tree.root, 1)
-    return leaves, factors
-
-
-def _candidates(leaves: list[Chart], factors: dict[str, int]) -> tuple[PoleIndex, ...]:
+def _candidates(leaves: list[Chart]) -> tuple[PoleIndex, ...]:
     if any(leaf.status is ChartStatus.OPEN for leaf in leaves):
         raise ChartError("tree has unresolved Open leaves")
     seen: dict[str, PoleIndex] = {}
@@ -81,13 +52,10 @@ def _candidates(leaves: list[Chart], factors: dict[str, int]) -> tuple[PoleIndex
                     f"{(record.k, record.h)} in one chart and "
                     f"{(prior.k, prior.h)} in another"
                 )
-    out = []
-    for divisor, record in seen.items():
-        out.append(record)
-        for copy in range(2, factors.get(divisor, 1) + 1):
-            out.append(PoleIndex(f"{divisor}~{copy}", record.k, record.h))
-    scale = lcm(*(c.k for c in out))
-    return tuple(sorted(out, key=lambda c: ((c.h + 1) * (scale // c.k), c.divisor)))
+    scale = lcm(*(c.k for c in seen.values()))
+    return tuple(
+        sorted(seen.values(), key=lambda c: ((c.h + 1) * (scale // c.k), c.divisor))
+    )
 
 
 def lambda_uncapped(
@@ -99,8 +67,8 @@ def lambda_uncapped(
     bound). A smooth input with no content yields no candidates; the capped
     value is then 1.
     """
-    leaves, factors = _survey(tree)
-    candidates = _candidates(leaves, factors)
+    leaves = [node.chart for node in tree.leaves()]
+    candidates = _candidates(leaves)
     if candidates:
         lam: Optional[Fraction] = candidates[0].value
         p, q = lam.numerator, lam.denominator

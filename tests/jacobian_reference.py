@@ -1,19 +1,20 @@
 """The polynomial Jacobian audit: an independent reference for the h records.
 
 resolve checks every new divisor's h against the chart's integer run matrix,
-and lctkit.verify_jacobian applies that rule to every coordinate. This module
-checks the same records the long way, with polynomials only: it composes the
-step maps of _step_substitution, cofactor-expands the Jacobian matrix, and
-factors the recorded monomial out of the determinant. It also holds the
-global identity f(chart map) = total transform, and the chart map composed
-from the path, the reference for Chart.map_from_root, which reads the run
-matrix on a path of blow-ups only.
+and lctkit.blowup.verify_jacobian applies that rule to every coordinate.
+This module checks the same records the long way, with polynomials only: it
+composes the step maps of _step_substitution, cofactor-expands the Jacobian
+matrix, and factors the recorded monomial out of the determinant. It also
+holds the global identity f(chart map) = total transform, and the chart map
+composed from the path: the reference for Chart.map_from_root, which reads
+the run matrix and gives a map on a path of blow-ups only, and the only map
+of a chart below a translation or a rewrite.
 """
 
 from typing import Mapping, Optional
 
-from lctkit import Polynomial, verify_jacobian
-from lctkit.blowup import Chart, ResolutionTree, _step_substitution
+from lctkit import Polynomial
+from lctkit.blowup import Chart, ResolutionTree, _step_substitution, verify_jacobian
 
 
 def composed_map_from_root(chart: Chart) -> Optional[dict[str, Polynomial]]:

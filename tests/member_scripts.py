@@ -6,12 +6,13 @@ reference that the tests, the goldens, `tests/parse_corpus.py` and
 `lctkit.resolve` takes the `Auto` strategy only, and `lctkit.catalogue.verify`
 resolves every member with it; neither the chains nor the walk are part of
 the package. The package keeps `parse_script` and its directives, and the
-steps the walk takes (`blowup_origin`, `translate`, `apply_affine`).
+steps the walk takes (`blowup_origin`, `translate`, `apply_affine`), in
+their modules. The walk reads past an `orbit N` line, so a tree it builds
+lists each divisor once, as an `Auto` tree does.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from lctkit.algebra import GAUSS, Polynomial
@@ -81,7 +82,8 @@ def _walk(chart, steps: tuple[ScriptStep, ...], max_depth: int) -> TreeNode:
     step, rest = steps[0], steps[1:]
 
     if isinstance(step, OrbitDirective):
-        chart = replace(chart, orbit_factor=chart.orbit_factor * step.count)
+        # An annotation only: the two conjugate points z = +-i of the even D
+        # tails have the same local analysis, and each divisor is listed once.
         return _walk(chart, rest, max_depth)
 
     if isinstance(step, StopDirective):

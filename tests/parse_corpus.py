@@ -23,7 +23,8 @@ import re
 import sys
 from pathlib import Path
 
-from lctkit import FieldElement, Polynomial, SourceSpan, parse_poly, parse_script
+from lctkit import FieldElement, Polynomial, SourceSpan, parse_poly
+from lctkit.parser import parse_script
 from lctkit.catalogue import MEMBERS
 from member_scripts import script_text
 

@@ -20,7 +20,6 @@ from lctkit import (
     EstimatorConfig,
     Polynomial,
     UnreliableEstimateError,
-    apply_affine,
     blowup_origin,
     estimate,
     generator,
@@ -28,11 +27,12 @@ from lctkit import (
     lambda_uncapped,
     make_root_chart,
     parse_poly,
-    parse_script,
     resolve,
     verify_all,
 )
 from lctkit.algebra import GAUSS
+from lctkit.blowup import apply_affine
+from lctkit.parser import parse_script
 from lctkit.serialize import verify_json
 
 P = parse_poly

@@ -28,9 +28,9 @@ from lctkit import (
     lambda_newton,
     lambda_uncapped,
     parse_poly,
-    parse_script,
 )
-from lctkit.serialize import dump_json, pole_json, tree_dot, tree_json
+from lctkit.parser import parse_script
+from lctkit.serialize import dump_json, pole_json, tree_json
 
 GOLDEN = Path(__file__).parent / "golden"
 # A 6-variable, 14-term support, wide for a facet search.
@@ -521,11 +521,12 @@ def test_dot_export(tmp_path):
     assert "U_z/U_z" in text and "UnitStrict" in text
 
 
-def test_dot_marks_orbit_charts():
-    script = "blowup x y z\nchart y\ntranslate z := z + i\norbit 2\n"
-    tree = replay_text("x^2+y^2*z+z^3", script)
-    assert not tree.has_depth_limit()
-    assert "peripheries=2" in tree_dot(tree)
+def test_dot_matches_golden(tmp_path):
+    # Pins the DOT bytes of an A5 tree: labels, node order and edges.
+    dot = tmp_path / "a5.dot"
+    code, _, _ = run_cli(["resolve", "x^2+y^2+z^6", "--dot", str(dot)])
+    assert code == 0
+    assert dot.read_bytes() == (GOLDEN / "resolve_a5.dot").read_bytes()
 
 
 def test_csv_export(tmp_path):

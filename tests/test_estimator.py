@@ -18,7 +18,6 @@ from lctkit import (
     UnreliableEstimateError,
     estimate,
     estimator,
-    hit_counts,
     parse_poly,
 )
 from lctkit.estimator import (
@@ -30,6 +29,7 @@ from lctkit.estimator import (
     _power_table,
     _sample_chunk,
     _unit_disk,
+    hit_counts,
     t_grid,
 )
 

@@ -22,7 +22,6 @@ from lctkit import (
     SourceSpan,
     format_poly,
     parse_poly,
-    parse_script,
 )
 from lctkit.parser import (
     _OPERATORS,
@@ -34,6 +33,7 @@ from lctkit.parser import (
     SubstDirective,
     TranslateDirective,
     _Tokens,
+    parse_script,
 )
 from test_algebra import FIELDS, THIRD, VARS, as_poly, coords, polys
 

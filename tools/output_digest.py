@@ -12,7 +12,8 @@ outputs on the whole corpus. Run it from any checkout:
 
 The groups:
 - members: the 32 du Val members, replayed at depth 12 along the hand
-  scripts of `tests/member_scripts.py`, `pole --json` and `resolve --json`
+  scripts of `tests/member_scripts.py` (the replay reads past an `orbit`
+  line, so each divisor is listed once), `pole --json` and `resolve --json`
   at depth 6, and `newton --json`;
 - verify: `verify --all` as text and as JSON;
 - pole-auto: `pole --json` on pass 0 of the benchmark's pole workload for
