@@ -1,6 +1,7 @@
 """Blow-up charts: substitution bookkeeping, classification, and drivers."""
 
 import importlib.util
+import re
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -228,6 +229,36 @@ def test_step_identity_catches_a_corrupted_child(monkeypatch, step, corrupt):
     )
     with pytest.raises(InternalInconsistencyError, match="identity failed at U_z/"):
         step(chart)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (doubled_coefficient, "total transform identity failed at"),
+        (raised_h, "Jacobian check failed at"),
+    ],
+    ids=["identity", "jacobian"],
+)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_every_sibling_of_a_blowup_is_checked(monkeypatch, k, corrupt, message):
+    # Both checks run on every child, not once per blow-up: corrupting only
+    # the k-th sibling must stop the blow-up at that sibling's path, after
+    # the siblings before it passed.
+    chart = z_chart(make_root_chart(P("x^2 + y^2 + z^5")))
+    child = blowup_module._child
+    made = []
+
+    def kth_corrupted(*args):
+        made.append(child(*args))
+        return corrupt(made[-1]) if len(made) == k + 1 else made[-1]
+
+    monkeypatch.setattr(blowup_module, "_child", kth_corrupted)
+    path = f"U_z/U_{'xyz'[k]}"
+    with pytest.raises(
+        InternalInconsistencyError, match=rf"^{message} {re.escape(path)}(:|$)"
+    ):
+        blowup_origin(chart, ("x", "y", "z"))
+    assert len(made) == k + 1
 
 
 def made_by_a_checked_step(tree):

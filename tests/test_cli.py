@@ -16,6 +16,7 @@ from conftest import raised_h, raised_k, run_cli
 from member_scripts import replay, scripted_resolution
 from lctkit import (
     GAUSS,
+    Auto,
     ChartError,
     FieldMismatchError,
     InternalInconsistencyError,
@@ -28,6 +29,7 @@ from lctkit import (
     lambda_newton,
     lambda_uncapped,
     parse_poly,
+    resolve,
 )
 from lctkit.parser import parse_script
 from lctkit.serialize import dump_json, pole_json, tree_json
@@ -388,6 +390,16 @@ def test_scripted_resolve_json_matches_golden(n, poly, golden):
     tree = replay(parse_poly(poly), scripted_resolution("D", n))
     assert not tree.has_depth_limit()
     assert dump_json(tree_json(tree, 24)) == (GOLDEN / golden).read_text()
+
+
+def test_deep_auto_tree_json_matches_golden():
+    # A disguised E8 at depth 5: 22 charts, 15 leaves and strict transforms
+    # of up to 8 terms, so every sibling of a wide blow-up is pinned byte
+    # for byte, records, paths and statuses included.
+    tree = resolve(parse_poly("2*x^2+y^3+3*(z+3*x)^5"), Auto(max_depth=5))
+    assert not tree.has_depth_limit()
+    golden = GOLDEN / "resolve_disguised_e8_depth5.json"
+    assert dump_json(tree_json(tree, 5)) == golden.read_text()
 
 
 def test_exit_1_blowup_on_a_resolved_chart():
