@@ -111,6 +111,11 @@ class ChartStatus(enum.Enum):
     DEPTH_LIMIT = "DepthLimit"
 
 
+# The chart path reads the members from module constants: a global load is
+# cheaper than an enum member's attribute lookup on its class.
+_OPEN, _UNIT_STRICT, _SMOOTH_STRICT, _DEPTH_LIMIT = ChartStatus
+
+
 @dataclass(frozen=True)
 class BlowupStep:
     """One origin blow-up: this chart covers the direction of chart_variable.
@@ -303,10 +308,10 @@ def _classify(strict: Polynomial) -> ChartStatus:
     """
     n = len(strict.variables)
     if (0,) * n in strict.terms:
-        return ChartStatus.UNIT_STRICT
+        return _UNIT_STRICT
     if not strict.terms.keys().isdisjoint(_identity(n)):
-        return ChartStatus.SMOOTH_STRICT
-    return ChartStatus.OPEN
+        return _SMOOTH_STRICT
+    return _OPEN
 
 
 def _scan(chart: Chart) -> ChartStatus:
@@ -456,7 +461,7 @@ def blowup_origin(chart: Chart, center: Sequence[str]) -> tuple[Chart, ...]:
     built free of monomial content (see _scan), so the origin lies on no
     component {var = 0} that a divisor record does not cover.
     """
-    if chart.status is not ChartStatus.OPEN:
+    if chart.status is not _OPEN:
         raise ChartError(
             f"blow-up of a chart with status {chart.status.value} at "
             f"{chart.path_text()}"
@@ -725,7 +730,7 @@ class ResolutionTree:
             node = stack.pop()
             if node.children:
                 stack.extend(node.children)
-            elif node.chart.status is ChartStatus.DEPTH_LIMIT:
+            elif node.chart.status is _DEPTH_LIMIT:
                 return True
         return False
 
@@ -741,13 +746,13 @@ def _node(chart: Chart, children: tuple[TreeNode, ...]) -> TreeNode:
 
 
 def _depth_limited(chart: Chart) -> TreeNode:
-    return _node(replace(chart, status=ChartStatus.DEPTH_LIMIT), ())
+    return _node(replace(chart, status=_DEPTH_LIMIT), ())
 
 
 def _expand(chart: Chart, max_depth: int) -> TreeNode:
     """Resolve the chart: blow up the origin of every Open chart until the
     depth budget runs out."""
-    if chart.status is not ChartStatus.OPEN:
+    if chart.status is not _OPEN:
         return _node(chart, ())
     if chart.depth >= max_depth:
         return _depth_limited(chart)

@@ -3,14 +3,18 @@ independent of any blow-up.
 
 For f vanishing at the origin, t0 is the parameter where the diagonal
 (t, ..., t) first meets the polyhedron conv(support + positive orthant);
-the reported value is 1/t0. One exact fraction-free simplex solves the
-min-max program, and the value is accepted only if its primal weights lam
-and dual weights w prove each other by LP duality over the whole support.
-That certificate is the same whatever path the simplex took. Fractions
-are built only for t0 and 1/t0. The largest N/sum(w) over the facet
-normals (w, N), when they are enumerated, must equal the certified t0. The
-value is what the polyhedron alone determines; for degenerate boundaries
-it is only a candidate, and no nondegeneracy check is attempted.
+the reported value is 1/t0. When the least pure powers A_c * e_c of the
+axes give the unique optimum, as on Brieskorn-Pham sums such as the A_n, E6
+and E8 normal forms (where 1/t0 = sum_c 1/A_c; Varchenko 1976), it is read
+off them with no pivot. Otherwise one exact fraction-free simplex solves
+the min-max program, on a tableau whose columns are only lam and the slacks
+s. Either way the value is accepted only if its primal weights lam and dual
+weights w prove each other by LP duality over the whole support. That
+certificate is the same whatever path the solver took. Fractions are built
+only for t0 and 1/t0. The largest N/sum(w) over the facet normals (w, N),
+when they are enumerated, must equal the certified t0. The value is what
+the polyhedron alone determines; for degenerate boundaries it is only a
+candidate, and no nondegeneracy check is attempted.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .algebra import Polynomial
@@ -130,55 +134,89 @@ def _facet_normals(pts: list[tuple[int, ...]], d: int):
 
 def _t0_primal(pts: list[tuple[int, ...]], d: int):
     """min t such that (t, ..., t) dominates a convex combination of support
-    points, by an exact simplex; returns (t, lam, w, den), integer numerators
-    over one denominator den >= 1.
+    points; returns (t, lam, w, den), integer numerators over one
+    denominator den >= 1.
 
     The program is min t subject to sum_i lam_i a_i + s = t * 1,
-    sum_i lam_i = 1 and lam, s, t >= 0. Columns are ordered lam, s, t, and
-    Bland's rule (lowest entering index, ties in the ratio test to the
-    lowest basic index) keeps degenerate supports from cycling. The start
-    basis is closed-form: lam = 1 at the point s whose largest coordinate
+    sum_i lam_i = 1 and lam, s, t >= 0; its dual weights w >= 0 sum to 1.
+
+    The pure-power vertex. Let A_c be the least exponent among the pure
+    powers of axis c (points whose only nonzero coordinate is c), L the lcm
+    of the A_c and w_c = L / A_c, so w . a = L on those d points. When every
+    axis has one and every other point has w . a > L, the answer is read off
+    with no pivot: t = L, lam_c = w_c at axis c's least pure power, and
+    den = sum(w). w is dual-feasible with min_i w . a_i = t, so both are
+    optimal. Complementary slackness then leaves lam no other point (each
+    has w . a > L) and s no coordinate (each w_c > 0), so lam_c * A_c = t
+    fixes the primal optimum, and every lam_c > 0 fixes the dual one. The
+    basis of those pure powers and t is nondegenerate and the only optimal
+    one, so Bland's simplex below would end there too.
+
+    Otherwise an exact simplex. Columns are ordered lam, s, and Bland's
+    rule (lowest entering index, ties in the ratio test to the lowest basic
+    index) keeps degenerate supports from cycling. The start basis is
+    closed-form: lam = 1 at the point s whose largest coordinate
     M = a_s[top] is smallest, t = M, and slacks M - a_sc on every other row;
-    its tableau is written down directly with den = 1. At the optimum the
-    reduced cost of slack c is -y_c for the dual y of B^T y = c_B, so w = -y
-    is read off the objective row. Pivots divide exactly (see _pivot).
+    its tableau is written down directly with den = 1. t is basic in row
+    top and never leaves: every feasible point has t >= its largest
+    coordinate, which is positive, so no basic solution has t = 0 and the
+    ratio test never picks row top. While t is basic the objective row is
+    minus row top outside t's column, so the tableau keeps neither the
+    objective row nor t's column, and row top holds minus the reduced
+    costs. At the optimum the reduced cost of slack c is -y_c for the dual
+    y of B^T y = c_B, so w = -y is minus row top's slack entries. Pivots
+    divide exactly (see _pivot).
     """
     n = len(pts)
-    t_col = n + d
+    least = [0] * d
+    for a in pts:
+        if a.count(0) == d - 1:
+            e = max(a)
+            c = a.index(e)
+            if not least[c] or e < least[c]:
+                least[c] = e
+    if all(least):
+        order = lcm(*least)
+        w = [order // e for e in least]
+        dots = [sum(map(mul, w, a)) for a in pts]
+        # The d least pure powers reach w . a = order; nothing else may.
+        if min(dots) == order and dots.count(order) == d:
+            lam = [order // max(a) if v == order else 0 for a, v in zip(pts, dots)]
+            return order, lam, w, sum(w)
     a_s = min(pts, key=max)
     m = max(a_s)
     start, top = pts.index(a_s), a_s.index(m)
     gap = [m - a[top] for a in pts]  # M - T_i
     # Rows 0..d-1: row top holds t, row c the slack of coordinate c; row d:
-    # sum_i lam_i = 1; last row: the objective t, reduced against the basis.
+    # sum_i lam_i = 1. The last column is the right-hand side.
     rows = []
     for c, column in enumerate(zip(*pts)):
         if c == top:
-            row = gap + [0] * (d + 2)
-            row[t_col], row[-1] = 1, m
+            row = gap + [0] * (d + 1)
+            row[-1] = m
         else:
             q = a_s[c]
-            row = [e - q + g for e, g in zip(column, gap)] + [0] * (d + 2)
+            row = [e - q + g for e, g in zip(column, gap)] + [0] * (d + 1)
             row[n + c], row[-1] = 1, m - q
         row[n + top] -= 1
         rows.append(row)
-    rows.append([1] * n + [0] * (d + 1) + [1])
-    objective = [-g for g in gap] + [0] * (d + 2)
-    objective[n + top], objective[-1] = 1, -m
-    rows.append(objective)
-    basis = [t_col if c == top else n + c for c in range(d)] + [start]
+    rows.append([1] * n + [0] * d + [1])
+    # t keeps its index n + d, past the kept columns, in the basis.
+    basis = [n + d if c == top else n + c for c in range(d)] + [start]
+    others = [r for r in range(d + 1) if r != top]
     den = 1
     while True:
-        for entering in range(t_col + 1):
-            if objective[entering] < 0:
+        t_row = rows[top]  # minus the reduced costs, t's column dropped
+        for entering in range(n + d):
+            if t_row[entering] > 0:
                 break
         else:
             break
-        # t >= 0 bounds the objective, so some row always limits the step;
-        # rhs_r / a_r < rhs / a is compared as rhs_r * a < rhs * a_r, and a
-        # tie goes to the lower basic index.
+        # t >= 0 bounds the objective, so some row other than top always
+        # limits the step; rhs_r / a_r < rhs / a is compared as
+        # rhs_r * a < rhs * a_r, and a tie goes to the lower basic index.
         leaving, rhs, a = -1, 0, 1
-        for r in range(d + 1):
+        for r in others:
             row = rows[r]
             a_r = row[entering]
             if a_r > 0 and (
@@ -187,11 +225,10 @@ def _t0_primal(pts: list[tuple[int, ...]], d: int):
                 leaving, rhs, a = r, row[-1], a_r
         den = _pivot(rows, leaving, entering, den)
         basis[leaving] = entering
-        objective = rows[-1]
-    values = [0] * (t_col + 1)  # the basic variables' values, 0 elsewhere
+    values = [0] * (n + d + 1)  # the basic variables' values, 0 elsewhere
     for b, row in zip(basis, rows):
         values[b] = row[-1]
-    return values[t_col], values[:n], objective[n:t_col], den
+    return values[n + d], values[:n], [-v for v in t_row[n:-1]], den
 
 
 def _check_certificate(pts, t: int, lam: list[int], w: list[int], den: int) -> None:

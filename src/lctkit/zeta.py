@@ -26,6 +26,7 @@ from .newton import NewtonData
 
 
 _ONE = Fraction(1)
+_OPEN, _UNIT_STRICT = ChartStatus.OPEN, ChartStatus.UNIT_STRICT
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class PoleReport:
 
 
 def _candidates(leaves: list[Chart]) -> tuple[PoleIndex, ...]:
-    if any(leaf.status is ChartStatus.OPEN for leaf in leaves):
+    if any(leaf.status is _OPEN for leaf in leaves):
         raise ChartError("tree has unresolved Open leaves")
     seen: dict[str, PoleIndex] = {}
     for leaf in leaves:
@@ -82,7 +83,7 @@ def lambda_uncapped(
         lam = None
         mult = 1
         capped = _ONE
-    certified = all(leaf.status is ChartStatus.UNIT_STRICT for leaf in leaves)
+    certified = all(leaf.status is _UNIT_STRICT for leaf in leaves)
     newton_value = newton.lambda_np if newton is not None else None
     newton_agrees = None if newton is None else (lam == newton_value)
     return PoleReport(

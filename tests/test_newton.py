@@ -320,6 +320,120 @@ def test_integer_simplex_matches_fraction_reference():
     assert checked >= 500
 
 
+# -- the pure-power vertex ---------------------------------------------------
+
+
+def is_strict(points, d):
+    """Every axis has a pure power, and every point other than the d least
+    ones lies strictly above their hyperplane sum_c a_c / A_c = 1."""
+    least = {}  # axis c -> A_c
+    for a in points:
+        axes = [c for c in range(d) if a[c]]
+        if len(axes) == 1:
+            c = axes[0]
+            least[c] = min(least.get(c, a[c]), a[c])
+    if len(least) < d:
+        return False
+    vertices = {tuple(least[c] * (k == c) for k in range(d)) for c in range(d)}
+    return all(
+        sum(Fraction(a[c], least[c]) for c in range(d)) > 1
+        for a in points
+        if a not in vertices
+    )
+
+
+def solve_counting_pivots(points, d):
+    """The solver's answer, certified, and the number of pivots it took."""
+    calls = []
+    pivot = newton._pivot
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return pivot(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(newton, "_pivot", counting)
+        result = SOLVE(points, d)
+    newton._check_certificate(points, *result)
+    return result, len(calls)
+
+
+@pytest.mark.parametrize(
+    "text, variables, strict",
+    [
+        ("x^2 + y^3 + z^5", "xyz", True),
+        # a second pure power on x; lam sits on x^2
+        ("x^2 + x^3 + y^2 + z^2", "xyz", True),
+        ("x^3 + x^5", "x", True),
+        *[(str(generator("A", n)), "xyz", True) for n in range(1, 21)],
+        (str(generator("E6")), "xyz", True),
+        (str(generator("E8")), "xyz", True),
+        # x*y lies on the hyperplane of x^2, y^2 and z^2
+        ("x^2 + y^2 + z^2 + x*y", "xyz", False),
+        # x*y*z lies below the hyperplane of x^4, y^4 and z^4
+        ("x^4 + y^4 + z^4 + x*y*z", "xyz", False),
+        # E7 has no pure power of z, D6 none of y
+        (str(generator("E7")), "xyz", False),
+        (str(generator("D", 6)), "xyz", False),
+    ],
+)
+def test_pure_power_vertex_needs_no_pivot(text, variables, strict):
+    points = list(support(parse_poly(text, GAUSS, tuple(variables))))
+    d = len(variables)
+    assert is_strict(points, d) is strict
+    result, pivots = solve_counting_pivots(points, d)
+    assert (pivots == 0) is strict
+    assert as_fractions(*result) == fraction_t0_primal(points, d)
+
+
+@st.composite
+def pure_power_supports(draw):
+    """(d, points): the least pure powers A_c * e_c, A_c in 1-9, with extra
+    points drawn strictly above, on or below their hyperplane
+    sum_c a_c / A_c = 1, in drawn order. A point drawn below may be a pure
+    power with a smaller exponent, which then becomes its axis' least."""
+    d = draw(st.integers(1, 5))
+    least = draw(st.lists(st.integers(1, 9), min_size=d, max_size=d))
+    points = {tuple(e * (k == c) for k in range(d)) for c, e in enumerate(least)}
+    # every nonzero point on or below the hyperplane w . a = L, w_c = L / A_c
+    order = lcm(*least)
+    w = [order // e for e in least]
+    side = {"below": [], "on": []}
+
+    def walk(prefix, total):
+        if len(prefix) == d:
+            if 0 < total < order:
+                side["below"].append(prefix)
+            elif total == order and prefix not in points:
+                side["on"].append(prefix)
+            return
+        weight = w[len(prefix)]
+        for x in range((order - total) // weight + 1):
+            walk(prefix + (x,), total + x * weight)
+
+    walk((), 0)
+    for kind in draw(st.lists(st.sampled_from(["above", "on", "below"]), max_size=6)):
+        if kind == "above":
+            # adding A_c to a_c of a nonzero point lifts it past the hyperplane
+            a = list(draw(st.tuples(*[st.integers(0, 9)] * d).filter(any)))
+            c = draw(st.integers(0, d - 1))
+            a[c] += least[c]
+            points.add(tuple(a))
+        elif side[kind]:
+            points.add(draw(st.sampled_from(side[kind])))
+    return d, draw(st.permutations(sorted(points)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pure_power_supports())
+def test_pure_power_vertex_matches_fraction_reference(case):
+    d, points = case
+    result, pivots = solve_counting_pivots(points, d)
+    assert as_fractions(*result) == fraction_t0_primal(points, d)
+    if is_strict(points, d):
+        assert pivots == 0
+
+
 def _tampered(change):
     """The solver with `change` applied to its Fraction values, the forged
     values put back on one common denominator."""
