@@ -12,12 +12,25 @@ Grammar (whitespace insensitive, multiplication always explicit):
 inside rational literals. NAME resolves to a session variable or to the
 field generator; anything else is an error with a source span.
 
-One regular expression splits a text into tokens; a token's line and column
-are worked out from its offset only when an error reports them. The parser
-builds term dicts (exponent tuple -> nonzero coefficient, as in algebra.py)
-and makes one Polynomial at the end. A term folds its variables into one
-exponent list and its literals into one rational scale, made a field
-element once; only factors with several terms are multiplied as term dicts.
+parse_poly tries a plain-sum reader first. A plain sum is an optional
+leading '-' and monomials joined by '+' or '-', each monomial an INT, a
+session variable or a variable '^' INT, or several of these joined by '*',
+with whitespace only around operators, as every newton-grid input and the
+Brieskorn-Pham pole inputs are. The reader splits the text with str methods
+and sums integer coefficients per exponent tuple, inserting a tuple when its
+first nonzero summand arrives and deleting it when its sum cancels, as
+_add_into does for each term of the descent below; so the two give the same
+term dict in the same order. Any other text, including every text with an
+error, makes the reader return None and goes to the descent, which raises
+each error with its span and stays the reference in the tests.
+
+In the descent, one regular expression splits a text into tokens; a
+token's line and column are worked out from its offset only when an error
+reports them. The parser builds term dicts (exponent tuple -> nonzero
+coefficient, as in algebra.py) and makes one Polynomial at the end. A term
+folds its variables into one exponent list and its literals into one
+rational scale, made a field element once; only factors with several terms
+are multiplied as term dicts.
 
 The script DSL is no CLI input: it states the paper's hand-derived
 resolution chains, which the tests replay through blowup_origin, translate
@@ -280,13 +293,61 @@ class _ExprParser:
         )
 
 
+def _read_sum(text: str, session: _Session) -> Optional[Terms]:
+    """The term dict of a plain sum (see the module docstring), in the
+    descent's order, or None for any other text."""
+    body = text.strip()
+    # Each '-' now starts a piece: a monomial, negated, or an empty operand.
+    pieces = body.replace("-", "+-").split("+")
+    if body[:1] == "-":
+        del pieces[0]  # the '' before the leading '-'
+    index, width = session.index, len(session.origin)
+    sums: dict[tuple[int, ...], int] = {}
+    try:
+        for piece in pieces:
+            negate = piece[:1] == "-"
+            exps, coeff = [0] * width, -1 if negate else 1
+            for factor in (piece[1:] if negate else piece).split("*"):
+                factor = factor.strip()
+                k = index.get(factor)
+                if k is not None:
+                    exps[k] += 1
+                    continue
+                name, caret, power = factor.partition("^")
+                if caret:
+                    k = index.get(name.rstrip())
+                    power = power.lstrip()
+                    if k is None or not (power.isascii() and power.isdigit()):
+                        return None
+                    exps[k] += int(power)
+                elif factor.isascii() and factor.isdigit():
+                    coeff *= int(factor)
+                else:
+                    return None
+            key = tuple(exps)
+            cur = sums.get(key)
+            new = coeff if cur is None else cur + coeff
+            if new:
+                sums[key] = new
+            elif cur is not None:
+                del sums[key]
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+    rational, one = session.field.rational, session.one
+    return {e: one if c == 1 else rational(c) for e, c in sums.items()}
+
+
 def parse_poly(
     text: str,
     field: NumberField = GAUSS,
     variables: Sequence[str] = DEFAULT_VARIABLES,
 ) -> Polynomial:
-    """Parse an expression into an exact Polynomial over the session ring."""
+    """Parse an expression into an exact Polynomial over the session ring:
+    a plain sum by _read_sum, any other text by the descent."""
     session = _session(field, variables)
+    terms = _read_sum(text, session)
+    if terms is not None:
+        return Polynomial._trusted(session.field, session.variables, terms)
     source = _Tokens(text)
     if not source.tokens[0]:
         raise ParseError("empty expression", source.span(0))

@@ -39,6 +39,7 @@ def leaf_counts(tree: ResolutionTree) -> dict[str, int]:
 
 
 def parse_json(source: str, poly) -> dict:
+    """The zero polynomial has no total degree (null) and an empty support."""
     return {
         "input": source,
         "canonical": format_poly(poly),
@@ -47,7 +48,7 @@ def parse_json(source: str, poly) -> dict:
             "generator": poly.field.generator_name,
             "degree": poly.field.degree,
         },
-        "total_degree": poly.total_degree(),
+        "total_degree": poly.total_degree() if poly.terms else None,
         "support": [list(e) for e in poly.support()],
     }
 

@@ -1,10 +1,12 @@
-"""Shared test helpers: two more fields, seeded random generators and an
-in-process CLI runner."""
+"""Shared test helpers: two more fields, seeded random generators, an
+in-process CLI runner and the benchmark's workload passes."""
 
 import contextlib
+import importlib.util
 import io
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from lctkit import GAUSS, NumberField, Polynomial
 from lctkit.cli import main
@@ -27,6 +29,17 @@ def raised_h(chart):
     var = chart.steps[-1].chart_variable
     record = replace(chart.divisors[var], h=chart.divisors[var].h + 1)
     return replace(chart, divisors={**chart.divisors, var: record})
+
+
+def workload_pass(family, seed):
+    """Pass 0 of a benchmark family ("pole", "newton", ...) for the seed,
+    read from perfbench/workloads.py, which imports only the standard
+    library."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.phase_ops(family, "primary", seed, 0)
 
 
 def run_cli(argv):

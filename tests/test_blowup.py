@@ -1,10 +1,8 @@
 """Blow-up charts: substitution bookkeeping, classification, and drivers."""
 
-import importlib.util
 import re
 from dataclasses import replace
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,7 +46,7 @@ from lctkit.parser import (
     SubstDirective,
     parse_script,
 )
-from conftest import EISENSTEIN, raised_h, raised_k
+from conftest import EISENSTEIN, raised_h, raised_k, workload_pass
 from jacobian_reference import (
     _verify_stepwise,
     composed_map_from_root,
@@ -587,16 +585,6 @@ def test_translate_exceptional_by_zero_rejected():
         translate(chart, "z", 0)
 
 
-def pole_workload_pass(seed):
-    """Pass 0 of the benchmark's pole workload for the seed, read from
-    perfbench/workloads.py, which imports only the standard library."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.phase_ops("pole", "primary", seed, 0)
-
-
 def test_every_chart_is_free_of_content():
     # Every chart's strict transform has content 0 in every variable, as
     # _scan requires; the 32 scripted members and a pole-auto pass resolve
@@ -605,7 +593,7 @@ def test_every_chart_is_free_of_content():
         replay(generator(family, n), scripted_resolution(family, n), 12)
         for family, n in MEMBERS
     ]
-    for op in pole_workload_pass(1009):
+    for op in workload_pass("pole", 1009):
         f = parse_poly(op["text"], GAUSS, tuple(op["vars"].split(",")))
         trees.append(resolve(f, Auto(op["depth"])))
     charts = [node.chart for tree in trees for node in tree.nodes()]

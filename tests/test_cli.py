@@ -326,6 +326,18 @@ def test_parse_reprints_canonically():
     assert out.strip() == "x^2 + y^2 + z^3"
 
 
+@pytest.mark.parametrize("text", ["0", "x-x", "2*x - 2*x + 0*y", "(x+y)^2 - (x+y)^2"])
+def test_parse_prints_the_zero_polynomial(text):
+    code, out, err = run_cli(["parse", text])
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run_cli(["parse", text, "--json"])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["canonical"] == "0"
+    assert report["total_degree"] is None
+    assert report["support"] == []
+
+
 def test_newton_lists_facets():
     code, out, _ = run_cli(["newton", "x^2+y^2+z^6"])
     assert code == 0
@@ -354,6 +366,11 @@ def test_newton_json_matches_golden(poly, golden):
         (["pole", "x^2+y^2*z+z^6", "--json"], "pole_x2_y2z_z6.json"),
         # six variables, fourteen terms: seven facets, lambda 17/10
         (["newton", WIDE, "--vars", "a,b,c,d,e,f", "--json"], "newton_wide_6var.json"),
+        # a plain sum with repeated factors, x^0 and a cancelling pair
+        (
+            ["parse", "- 3*x*x^2 + 2*y^3*z - y*z*y^2 + 5 - 5 + z^0*x^3", "--json"],
+            "parse_plain_sum.json",
+        ),
     ],
 )
 def test_json_matches_golden(argv, golden):

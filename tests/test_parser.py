@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import lctkit.parser as parser_module
 import parse_corpus
-from conftest import EISENSTEIN, RATIONALS, random_poly, run_cli
+from conftest import EISENSTEIN, RATIONALS, random_poly, run_cli, workload_pass
 from lctkit import (
     DEFAULT_VARIABLES,
     GAUSS,
@@ -33,6 +34,8 @@ from lctkit.parser import (
     SubstDirective,
     TranslateDirective,
     _Tokens,
+    _read_sum,
+    _session,
     parse_script,
 )
 from test_algebra import FIELDS, THIRD, VARS, as_poly, coords, polys
@@ -268,6 +271,95 @@ def test_oversized_integer_literal_has_a_span(prefix, suffix):
     line = 1 + text.count("\n", 0, start)
     column = start - text.rfind("\n", 0, start)
     assert info.value.span == SourceSpan(line, column, 5000)
+
+
+# -- the plain-sum reader ------------------------------------------------------
+
+
+def _outcome(text, variables=DEFAULT_VARIABLES, reader=True):
+    """parse_poly's terms in order, or its error's type, message and span;
+    with reader=False, those of the descent alone, the reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not reader:
+            patch.setattr(parser_module, "_read_sum", lambda text, session: None)
+        try:
+            return list(parse_poly(text, GAUSS, variables).terms.items())
+        except ParseError as err:
+            return type(err), err.message, err.span
+
+
+_NAMES = ("x", "y", "z", "u", "ab", "x1", "_t", "Long_name")
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+
+
+@st.composite
+def plain_sums(draw):
+    """(text, variables): a plain sum with repeated factors, x^0, pairs
+    of monomials that cancel, whitespace around operators and maybe a
+    leading '-'."""
+    variables = tuple(draw(st.lists(st.sampled_from(_NAMES), min_size=1,
+                                    max_size=6, unique=True)))
+    factor = st.one_of(
+        st.integers(0, 10**30).map(str),
+        st.sampled_from(variables),
+        st.tuples(st.sampled_from(variables), _SPACE, _SPACE,
+                  st.integers(0, 12)).map(lambda t: f"{t[0]}{t[1]}^{t[2]}{t[3]}"),
+    )
+    monomials = []
+    for factors in draw(st.lists(st.lists(factor, min_size=1, max_size=4),
+                                 min_size=1, max_size=6)):
+        monomials.append((draw(st.booleans()), "".join(
+            f if k == 0 else f"{draw(_SPACE)}*{draw(_SPACE)}{f}"
+            for k, f in enumerate(factors)
+        )))
+    for negate, mono in list(monomials):
+        if draw(st.booleans()):  # the same monomial with the other sign
+            monomials.insert(draw(st.integers(0, len(monomials))), (not negate, mono))
+    text = draw(_SPACE)
+    for k, (negate, mono) in enumerate(monomials):
+        if k:
+            text += f"{draw(_SPACE)}{'-' if negate else '+'}{draw(_SPACE)}"
+        elif negate:
+            text += f"-{draw(_SPACE)}"
+        text += mono
+    return text + draw(_SPACE), variables
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(plain_sums())
+@example(("2*x - 2*x + 0*y", ("x", "y")))
+@example(("x*x^0*3 - 3*x + y", ("x", "y")))
+def test_plain_sum_reader_gives_the_descents_terms(case):
+    text, variables = case
+    assert _read_sum(text, _session(GAUSS, variables)) is not None
+    assert _outcome(text, variables) == _outcome(text, variables, reader=False)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", " ", "-", "+x", "x+", "x*", "*x", "x++y", "x+-y", "x--y", "- -x",
+        "2 3*x", "3x", "x y", "x^", "x^2^3", "x^²", "٣*x", "x^1_0", "2^3",
+        "i*x", "w+x", "x/2", "(x)", "1" * 5000 + "*x", "x^" + "1" * 5000,
+    ],
+)
+def test_plain_sum_near_misses_read_as_the_descent_reads_them(text):
+    # Either the reader gives the descent's terms, or it declines and
+    # parse_poly raises the descent's error (or gives its terms).
+    expected = _outcome(text, reader=False)
+    terms = _read_sum(text, _session(GAUSS, DEFAULT_VARIABLES))
+    if terms is not None:
+        assert list(terms.items()) == expected
+    assert _outcome(text) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2, 1009])
+def test_newton_grid_texts_are_plain_sums(seed):
+    for op in workload_pass("newton", seed):
+        variables = tuple(op["vars"].split(","))
+        terms = _read_sum(op["text"], _session(GAUSS, variables))
+        assert terms is not None
+        assert list(terms.items()) == _outcome(op["text"], variables, reader=False)
 
 
 def test_deep_nesting_is_a_parse_error():

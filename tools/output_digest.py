@@ -20,7 +20,10 @@ The groups:
   seeds 1, 2 and 1009 (the inputs are only read);
 - fields: `parse`, `pole` and the replay of a rewrite under 15 `--field`
   moduli, refused ones included;
-- refusals: scripts that the walk refuses, replayed.
+- refusals: scripts that the walk refuses, replayed;
+- newton-grid: `parse --json` and `newton --json` on pass 0 of the
+  benchmark's newton workload for seeds 1, 2 and 1009 (the inputs are only
+  read).
 """
 
 from __future__ import annotations
@@ -121,6 +124,13 @@ def _corpus() -> dict[str, list[Run]]:
         for op in phase_ops("pole", "primary", seed, 0)
     ]
 
+    newton_grid = [
+        _cli(command, op["text"], "--vars", op["vars"], "--json")
+        for seed in (1, 2, 1009)
+        for op in phase_ops("newton", "primary", seed, 0)
+        for command in ("parse", "newton")
+    ]
+
     fields = []
     for field in FIELDS:
         fields.append(_cli("parse", "(x + a)^3 - a*y + 1/3", "--field", field))
@@ -135,6 +145,7 @@ def _corpus() -> dict[str, list[Run]]:
         "pole-auto": pole_auto,
         "fields": fields,
         "refusals": [_replay(poly, text, 24, names) for poly, names, text in REFUSALS],
+        "newton-grid": newton_grid,
     }
 
 
