@@ -25,19 +25,22 @@ keeps: the exponent tuples have one entry per variable, and no stored
 coefficient is zero. A product of stored coefficients is then nonzero, so
 only sums can cancel, and is_zero() stays exact.
 
-One loop over pairs of terms, `_product`, serves every product of term
-dicts, and one square-and-multiply, `_power`, every power: of term dicts,
-of int numerator dicts and of FieldElements. A sum that cancels is deleted
-where it happens, so a result lists its terms in the order in which the
-pair loop first reaches them, whatever the coefficients. `_pow_terms` is the
-one term-dict power, behind `**`, the parser's '^' and substitute's wide
-images. Its int lift runs a power whose coefficients are all rational with
-den 1 on the int numerators and builds one FieldElement per result term at
-the end, so the parser's (v + m*w)^e builds no element per partial sum; a
-product of two polynomials has no such lift, since no caller multiplies two
-integral polynomials of several terms each. FieldElement * and ** with a
-rational operand scale the numerators by one integer ratio, or take one
-power of numerators and denominator, instead of reducing mod the modulus.
+One routine does each job. One loop over pairs of terms, `_product`,
+serves every product of term dicts, and one square-and-multiply, `_power`,
+every power: of term dicts, of int numerator dicts and of FieldElements,
+rational ones included (** has no shortcut of its own). A sum that cancels
+is deleted where it happens, so a result lists its terms in the order in
+which the pair loop first reaches them, whatever the coefficients.
+`_pow_terms` is the only term-dict power, behind `**`, the parser's '^' and
+each power of a wide image that substitute folds; nothing memoizes them.
+Its int lift runs a power whose coefficients are all rational with den 1 on
+the int numerators and builds one FieldElement per result term at the end,
+so the parser's (v + m*w)^e builds no element per partial sum; a product of
+two polynomials has no such lift, since no caller multiplies two integral
+polynomials of several terms each. FieldElement * with a rational operand
+scales the numerators by one integer ratio instead of reducing mod the
+modulus. `_pivot` is the one elimination, fraction-free: the field inverse
+and the Newton oracle's simplex both pivot with it.
 """
 
 from __future__ import annotations
@@ -139,6 +142,27 @@ def reads_as_name(text: str) -> bool:
         return text.isidentifier()
     word = text.replace("_", "a")  # '_' counts as a letter
     return text.isidentifier() and word[:1].isalpha() and word.isalnum()
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination. A tableau is a list of integer rows standing for
+# rows / den, with den > 0 their common denominator. Every entry is then
+# +-adj(B) M for the current basis B of the starting integer matrix M, so a
+# pivot's division by the old den is exact (Edmonds 1967; Bareiss, Math.
+# Comp. 22, 1968) and no Fraction is built while pivoting.
+
+
+def _pivot(rows: list[list[int]], r: int, j: int, den: int) -> int:
+    """Pivot on rows[r][j] in place; returns the new common denominator."""
+    p = rows[r][j]
+    pivot_row = rows[r] if p > 0 else [-a for a in rows[r]]
+    p = abs(p)
+    for i, row in enumerate(rows):
+        factor = row[j]
+        if i != r and (factor or p != den):
+            rows[i] = [(p * a - factor * b) // den for a, b in zip(row, pivot_row)]
+    rows[r] = pivot_row
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -343,26 +367,25 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """The b with self * b = 1, by Gauss-Jordan on the matrix whose
-        column k is self * t^k, from the field's own product. The ring is a
-        field, so that matrix is invertible and every column has a pivot."""
+        """The b with self * b = 1, by one fraction-free elimination (_pivot).
+        Column k of an integer matrix holds the numerators of self * t^k over
+        its den_k, from the field's own product, and e_0 is appended. The ring
+        is a field, so that matrix is invertible and each column pivots on an
+        unpivoted row with a nonzero entry; that row then reads det * y_k =
+        rhs, and coordinate k of b is den_k * y_k."""
         if self.is_zero():
             raise ZeroDivisorError("division by zero")
         field, m = self.field, len(self.num)
         columns = [self]
         while len(columns) < m:
             columns.append(columns[-1] * _element(field, (0, 1) + field._zeros[1:], 1))
-        # Row i: coordinate i of every column, then coordinate i of 1.
-        rows = [[Fraction(c.num[i], c.den) for c in columns] + [int(not i)] for i in range(m)]
-        for j in range(m):
-            # Swap a row with a nonzero entry in column j up to row j, scaled
-            # to a pivot of 1 (the right side is read before either store).
-            p = next(i for i in range(j, m) if rows[i][j])
-            rows[p], rows[j] = rows[j], [x / rows[p][j] for x in rows[p]]
-            for i, row in enumerate(rows):
-                if i != j and row[j]:
-                    rows[i] = [x - row[j] * y for x, y in zip(row, rows[j])]
-        return field.element([row[m] for row in rows])
+        rows = [[c.num[i] for c in columns] + [int(not i)] for i in range(m)]
+        pivots, det = [], 1
+        for k in range(m):
+            r = next(i for i in range(m) if i not in pivots and rows[i][k])
+            det = _pivot(rows, r, k, det)
+            pivots.append(r)
+        return _reduced(field, tuple(c.den * rows[r][-1] for c, r in zip(columns, pivots)), det)
 
     def __truediv__(self, other) -> "FieldElement":
         return self * self.field.coerce(other).inverse()
@@ -373,10 +396,6 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if not isinstance(n, int) or n < 0:
             raise ValueError("field exponent must be a non-negative integer")
-        if self.is_rational:
-            # Powers of coprime integers stay coprime.
-            num = (self.num[0] ** n,) + self.num[1:]
-            return _element(self.field, num, self.den**n)
         return _power(self, n, mul, self.field.one())
 
     def __str__(self) -> str:
@@ -446,7 +465,7 @@ class Polynomial:
     immutable by convention: no method mutates self.
     """
 
-    __slots__ = ("field", "variables", "terms", "_hash")
+    __slots__ = ("field", "variables", "terms")
 
     def __init__(
         self,
@@ -473,7 +492,6 @@ class Polynomial:
         _set_field(self, field)
         _set_variables(self, variables)
         _set_terms(self, clean)
-        _set_hash(self, None)
 
     @staticmethod
     def _trusted(
@@ -486,7 +504,6 @@ class Polynomial:
         _set_field(poly, field)
         _set_variables(poly, variables)
         _set_terms(poly, terms)
-        _set_hash(poly, None)
         return poly
 
     def _with_terms(self, terms: Terms) -> "Polynomial":
@@ -504,16 +521,11 @@ class Polynomial:
 
     @staticmethod
     def constant(field: NumberField, variables: Sequence[str], value) -> "Polynomial":
-        variables = tuple(variables)
-        return Polynomial(field, variables, {(0,) * len(variables): field.coerce(value)})
+        return Polynomial.monomial(field, variables, {}, value)
 
     @staticmethod
     def variable(field: NumberField, variables: Sequence[str], name: str) -> "Polynomial":
-        variables = tuple(variables)
-        if name not in variables:
-            raise VariableMismatchError(f"unknown variable {name!r} in {variables}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return Polynomial(field, variables, {exps: field.one()})
+        return Polynomial.monomial(field, variables, {name: 1})
 
     @staticmethod
     def monomial(
@@ -580,12 +592,7 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            items = tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))
-            object.__setattr__(
-                self, "_hash", hash((self.field, self.variables, items))
-            )
-        return self._hash
+        return hash((self.field, self.variables, frozenset(self.terms.items())))
 
     # -- queries -------------------------------------------------------------
 
@@ -684,12 +691,11 @@ class Polynomial:
         ):
             sub = _Substitution(self.field, self.variables, assignments)
         powers = []
-        for i, img, memo in sub._wide:
+        for i, img in sub._wide:
             needed = {exps[i] for exps in self.terms}
             needed.discard(0)
-            if not needed <= memo.keys():
-                sub._powers(img, memo, needed)
-            powers.append((i, memo))
+            # No needed exponent is 0, so no power returns a unit.
+            powers.append((i, {e: _pow_terms(img.terms, e, None) for e in needed}))
         keep, monomials = sub._keep, sub._monomials
         terms: Terms = {}
         for exps, coeff in self.terms.items():
@@ -751,7 +757,6 @@ class Polynomial:
 _set_field = Polynomial.field.__set__
 _set_variables = Polynomial.variables.__set__
 _set_terms = Polynomial.terms.__set__
-_set_hash = Polynomial._hash.__set__
 
 
 def _lowest_exponents(poly: Polynomial) -> list[int]:
@@ -775,9 +780,9 @@ class _Substitution(Mapping):
 
     Compiling runs the checks (unknown variables, each image's ring) and
     splits each image: a one-term image c * x^a into the nonzero entries of
-    a and c (None for c = 1), an image with several terms into itself and a
-    memo of its powers, which only ever gains entries. `keep` is 1 for an
-    unmapped variable, 0 for a mapped one. Polynomial.substitute folds it.
+    a and c (None for c = 1), an image with several terms into itself, whose
+    powers each fold builds. `keep` is 1 for an unmapped variable, 0 for a
+    mapped one. Polynomial.substitute folds it.
     """
 
     __slots__ = ("field", "variables", "_images", "_keep", "_monomials", "_wide")
@@ -793,7 +798,7 @@ class _Substitution(Mapping):
             raise VariableMismatchError(f"unknown variables {sorted(unknown)}")
         images: dict[str, Polynomial] = {}
         monomials: list[tuple[int, list, Optional[FieldElement]]] = []
-        wide: list[tuple[int, Polynomial, dict[int, Terms]]] = []
+        wide: list[tuple[int, Polynomial]] = []
         keep = [1] * len(variables)
         for i, name in enumerate(variables):
             img = assignments.get(name)
@@ -807,7 +812,7 @@ class _Substitution(Mapping):
                 shift = [(k, n) for k, n in enumerate(a) if n]
                 monomials.append((i, shift, None if c == field.one() else c))
             else:
-                wide.append((i, img, {}))
+                wide.append((i, img))
         self.field, self.variables, self._images = field, variables, images
         self._keep, self._monomials, self._wide = tuple(keep), monomials, wide
 
@@ -819,15 +824,6 @@ class _Substitution(Mapping):
 
     def __len__(self) -> int:
         return len(self._images)
-
-    def _powers(self, img: Polynomial, memo: dict[int, Terms], needed: set) -> None:
-        """Add img**e to the memo for each needed e it lacks, in ascending
-        order, each built from the largest power below it by img**(gap)."""
-        one = {(0,) * len(self.variables): self.field.one()}
-        for e in sorted(needed - memo.keys()):
-            last = max((k for k in memo if k < e), default=0)
-            gap = img.terms if e - last == 1 else _pow_terms(img.terms, e - last, one)
-            memo[e] = _mul_terms(memo[last], gap) if last else gap
 
 
 def _add_into(out: Terms, terms: Terms) -> None:

@@ -49,10 +49,9 @@ _step_substitution is the one source of step maps: the identity check,
 translate and apply_affine read it. Each map comes compiled for the
 chart's ring (algebra._Substitution), so substitute folds it without
 checking or splitting the images again. A translation's strict
-transform and its identity check fold one compiled map, which builds each
-power of the wide image once.
+transform and its identity check fold one compiled map.
 
-One recursive walk, `_expand`, builds every resolution tree: it blows up
+One walk, `_expand`, builds every resolution tree: it blows up
 the origin of every Open chart along every variable its strict transform
 involves. `translate` and `apply_affine` are not part of it; they serve
 callers that build charts by hand, such as the tests' replay of the paper's
@@ -171,20 +170,10 @@ def _columns(variables: tuple[str, ...], names: Sequence[str]) -> tuple[int, ...
     return tuple(variables.index(name) for name in names)
 
 
-def _unit_monomial(
-    field: NumberField, variables: tuple[str, ...], columns: Sequence[int]
-) -> Polynomial:
-    """The product of the variables at the given distinct columns."""
-    exps = [0] * len(variables)
-    for k in columns:
-        exps[k] = 1
-    return Polynomial._trusted(field, variables, {tuple(exps): field.one()})
-
-
 # Compiled origin blow-up maps, keyed by (id(field), variables, center,
 # chart variable). Each entry holds its field, so the id cannot be reused
-# while the entry lives; the maps are never changed (their images are all
-# one-term, so no power memo grows), and the cache is cleared when full.
+# while the entry lives; the maps are never changed, and the cache is
+# cleared when full.
 _STEP_MAPS: dict[tuple, _Substitution] = {}
 
 
@@ -201,17 +190,17 @@ def _step_substitution(
         key = (id(field), variables, step.center, step.chart_variable)
         compiled = _STEP_MAPS.get(key)
         if compiled is None:
-            j = variables.index(step.chart_variable)
+            v = step.chart_variable
             images = {
-                w: _unit_monomial(field, variables, (k, j))
-                for w, k in zip(step.center, _columns(variables, step.center))
-                if k != j
+                w: Polynomial.monomial(field, variables, {w: 1, v: 1})
+                for w in step.center
+                if w != v
             }
             if len(_STEP_MAPS) >= 64:
                 _STEP_MAPS.clear()
             compiled = _STEP_MAPS[key] = _Substitution(field, variables, images)
         return compiled
-    moved = _unit_monomial(field, variables, (variables.index(step.variable),))
+    moved = Polynomial.monomial(field, variables, {step.variable: 1})
     if isinstance(step, TranslateStep):
         images = {step.variable: moved + step.value}
     elif not step.exact_inverse:
@@ -745,21 +734,33 @@ def _node(chart: Chart, children: tuple[TreeNode, ...]) -> TreeNode:
     return node
 
 
-def _depth_limited(chart: Chart) -> TreeNode:
-    return _node(replace(chart, status=_DEPTH_LIMIT), ())
-
-
-def _expand(chart: Chart, max_depth: int) -> TreeNode:
-    """Resolve the chart: blow up the origin of every Open chart until the
-    depth budget runs out."""
-    if chart.status is not _OPEN:
-        return _node(chart, ())
-    if chart.depth >= max_depth:
-        return _depth_limited(chart)
-    # An Open chart's strict transform involves two variables or more: it
-    # has no constant term, and (see _scan) no content in any variable.
-    children = blowup_origin(chart, chart.strict.variables_present())
-    return _node(chart, tuple([_expand(child, max_depth) for child in children]))
+def _expand(root: Chart, max_depth: int) -> TreeNode:
+    """Resolve the root chart: blow up the origin of every Open chart until
+    the depth budget runs out. One explicit stack walks the charts in
+    pre-order, so no chain is too deep for it; each node is then built, in
+    reverse pre-order, from the last `count` nodes built, its children."""
+    order: list[tuple[Chart, int]] = []
+    stack = [root]
+    while stack:
+        chart = stack.pop()
+        if chart.status is not _OPEN:
+            order.append((chart, 0))
+        elif chart.depth >= max_depth:
+            order.append((replace(chart, status=_DEPTH_LIMIT), 0))
+        else:
+            # An Open chart's strict transform involves two variables or
+            # more: it has no constant term, and (see _scan) no content.
+            children = blowup_origin(chart, chart.strict.variables_present())
+            order.append((chart, len(children)))
+            stack.extend(reversed(children))
+    nodes: list[TreeNode] = []
+    for chart, count in reversed(order):
+        children = ()
+        if count:
+            children = tuple(nodes[: -count - 1 : -1])
+            del nodes[-count:]
+        nodes.append(_node(chart, children))
+    return nodes[0]
 
 
 def resolve(f: Polynomial, strategy: Auto) -> ResolutionTree:

@@ -31,20 +31,16 @@ MEMBERS = (
     + tuple((family, None) for family in ("E6", "E7", "E8"))
 )
 
-_RANGES = {"A": (1, None), "D": (4, None), "E6": None, "E7": None, "E8": None}
-
 
 def _check_family(family: str, n: Optional[int]) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    bound = _RANGES[family]
-    if bound is None:
+    low = {"A": 1, "D": 4}.get(family)
+    if low is None:
         if n is not None:
             raise ValueError(f"family {family} takes no index")
-    else:
-        low = bound[0]
-        if n is None or n < low:
-            raise ValueError(f"family {family} needs an index n >= {low}")
+    elif n is None or n < low:
+        raise ValueError(f"family {family} needs an index n >= {low}")
 
 
 def generator(family: str, n: Optional[int] = None) -> Polynomial:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import GAUSS, NumberField
+from .algebra import GAUSS, NumberField, Polynomial
 from .blowup import Auto, resolve
 from .catalogue import FAMILIES, verify, verify_all
 from .errors import (
@@ -157,13 +157,13 @@ def _frac_text(value: Optional[Fraction]) -> str:
     return "none" if value is None else str(value)
 
 
-def _session(args) -> tuple[NumberField, tuple[str, ...]]:
-    return _parse_field(args.field), _parse_vars(args.vars)
+def _poly(args) -> Polynomial:
+    """The input polynomial, read in the ring of --field and --vars."""
+    return parse_poly(args.poly, _parse_field(args.field), _parse_vars(args.vars))
 
 
 def _cmd_parse(args) -> int:
-    field, variables = _session(args)
-    poly = parse_poly(args.poly, field, variables)
+    poly = _poly(args)
     if args.json:
         sys.stdout.write(dump_json(parse_json(args.poly, poly)))
     else:
@@ -172,8 +172,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_newton(args) -> int:
-    field, variables = _session(args)
-    poly = parse_poly(args.poly, field, variables)
+    poly = _poly(args)
     data = lambda_newton(poly)
     if args.json:
         sys.stdout.write(dump_json(newton_json(args.poly, data)))
@@ -189,8 +188,7 @@ def _cmd_newton(args) -> int:
 def _resolve_tree(args):
     """Parse the input and resolve it: the shared start of `resolve` and
     `pole`."""
-    field, variables = _session(args)
-    poly = parse_poly(args.poly, field, variables)
+    poly = _poly(args)
     return poly, resolve(poly, Auto(args.max_depth))
 
 
@@ -261,8 +259,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    field, variables = _session(args)
-    poly = parse_poly(args.poly, field, variables)
+    poly = _poly(args)
     config = EstimatorConfig(
         mode=args.mode,
         samples_per_level=args.samples,

@@ -10,11 +10,12 @@ off them with no pivot. Otherwise one exact fraction-free simplex solves
 the min-max program, on a tableau whose columns are only lam and the slacks
 s. Either way the value is accepted only if its primal weights lam and dual
 weights w prove each other by LP duality over the whole support. That
-certificate is the same whatever path the solver took. Fractions are built
-only for t0 and 1/t0. The largest N/sum(w) over the facet normals (w, N),
-when they are enumerated, must equal the certified t0. The value is what
-the polyhedron alone determines; for degenerate boundaries it is only a
-candidate, and no nondegeneracy check is attempted.
+certificate is the same whatever path the solver took. The simplex pivots
+with `_pivot`, the one fraction-free elimination, in algebra.py; Fractions
+are built only for t0 and 1/t0. The largest N/sum(w) over the facet
+normals (w, N), when they are enumerated, must equal the certified t0. The
+value is what the polyhedron alone determines; for degenerate boundaries it
+is only a candidate, and no nondegeneracy check is attempted.
 """
 
 from __future__ import annotations
@@ -25,36 +26,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .algebra import Polynomial
+from .algebra import Polynomial, _pivot
 from .errors import (
     InternalInconsistencyError,
     UnitInputError,
     ZeroPolynomialError,
 )
-
-
-# ---------------------------------------------------------------------------
-# Fraction-free elimination. A tableau is a list of integer rows standing for
-# rows / den, with den > 0 their common denominator. Every entry is then
-# +-adj(B) M for the current basis B of the starting integer matrix M, so a
-# pivot's division by the old den is exact (Edmonds 1967; Bareiss, Math.
-# Comp. 22, 1968) and no Fraction is built while pivoting.
-
-
-def _pivot(rows: list[list[int]], r: int, j: int, den: int) -> int:
-    """Pivot on rows[r][j] in place; returns the new common denominator."""
-    p = rows[r][j]
-    pivot_row = rows[r] if p > 0 else [-a for a in rows[r]]
-    p = abs(p)
-    for i, row in enumerate(rows):
-        factor = row[j]
-        if i != r and (factor or p != den):
-            rows[i] = [(p * a - factor * b) // den for a, b in zip(row, pivot_row)]
-    rows[r] = pivot_row
-    return p
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .blowup import Chart, ChartStatus, PoleIndex, ResolutionTree
+from .blowup import _OPEN, _UNIT_STRICT, Chart, PoleIndex, ResolutionTree
 from .errors import ChartError, InternalInconsistencyError
 from .newton import NewtonData
 
 
 _ONE = Fraction(1)
-_OPEN, _UNIT_STRICT = ChartStatus.OPEN, ChartStatus.UNIT_STRICT
 
 
 @dataclass(frozen=True)

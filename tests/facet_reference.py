@@ -14,7 +14,7 @@ import itertools
 from math import gcd
 from operator import mul
 
-from lctkit.newton import _pivot
+from lctkit.algebra import _pivot
 
 
 def _null_space(matrix: list[list[int]], n: int) -> list[list[int]]:

@@ -1,7 +1,7 @@
 """The extended-gcd field inverse: an independent reference for
-FieldElement.inverse, which solves a * b = 1 by Gauss-Jordan on the matrix
-of multiplication by a, and for NumberField's squarefree verdict, which
-reads the end of the modulus's Sturm chain.
+FieldElement.inverse, which solves a * b = 1 by fraction-free elimination
+on the matrix of multiplication by a, and for NumberField's squarefree
+verdict, which reads the end of the modulus's Sturm chain.
 
 Extended Euclid runs in Q[t] on tuples of Fractions, low degree first, with
 no trailing zeros. `_uni_trim` and `_uni_derivative` come from

@@ -13,6 +13,7 @@ lists each divisor once, as an `Auto` tree does.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from lctkit.algebra import GAUSS, Polynomial
@@ -20,7 +21,6 @@ from lctkit.blowup import (
     ChartStatus,
     ResolutionTree,
     TreeNode,
-    _depth_limited,
     _expand,
     apply_affine,
     blowup_origin,
@@ -72,6 +72,10 @@ def script_text(family: str, n: Optional[int] = None) -> str:
 
 def scripted_resolution(family: str, n: Optional[int] = None) -> ResolutionScript:
     return parse_script(script_text(family, n), GAUSS, DEFAULT_VARIABLES)
+
+
+def _depth_limited(chart) -> TreeNode:
+    return TreeNode(replace(chart, status=ChartStatus.DEPTH_LIMIT), ())
 
 
 def _walk(chart, steps: tuple[ScriptStep, ...], max_depth: int) -> TreeNode:

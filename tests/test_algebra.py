@@ -285,6 +285,11 @@ def test_monomial_rejects_non_integer_exponents(bad):
 def test_monomial_checks_variables_and_coefficients():
     with pytest.raises(VariableMismatchError, match="unknown variables"):
         Polynomial.monomial(GAUSS, VARS, {"x": 1, "w": 2})
+    # variable and constant build through monomial, with its checks
+    with pytest.raises(VariableMismatchError, match=r"unknown variables \['w'\]"):
+        Polynomial.variable(GAUSS, VARS, "w")
+    with pytest.raises(FieldMismatchError):
+        Polynomial.constant(GAUSS, VARS, EISENSTEIN.one())
     with pytest.raises(FieldMismatchError):
         Polynomial.monomial(GAUSS, VARS, {"x": 1}, EISENSTEIN.one())
     with pytest.raises(TypeError):
@@ -414,7 +419,11 @@ CUBIC = NumberField.make([-2, 0, 0, 1], "c")  # t^3 - 2
 # t^2 + 1/3: the modulus tail is not integral, so the element product folds
 # over the tail's denominator.
 THIRD = NumberField.make([Fraction(1, 3), 0, 1], "s")
-FIELDS = (GAUSS, EISENSTEIN, CUBIC, THIRD)
+# t^3 - t/3 + 1/2: a cubic whose tail is not integral, so the product folds
+# twice over the tail's denominator and the inverse has a denominator per
+# column.
+HALF_THIRD = NumberField.make([Fraction(1, 2), Fraction(-1, 3), 0, 1], "u")
+FIELDS = (GAUSS, EISENSTEIN, CUBIC, THIRD, HALF_THIRD)
 
 
 def convolve(field, a, b):
@@ -517,8 +526,8 @@ def test_rational_element_product_is_full_convolution(case, r):
         power = convolve(field, power, rational)
 
 
-# With t^3 - t - 1, reducing t^3 = t + 1 mixes the coordinates, which the
-# pure cubic t^3 - 2 of FIELDS does not.
+# With t^3 - t - 1, reducing t^3 = t + 1 mixes integral coordinates, which
+# the pure cubic t^3 - 2 of FIELDS does not.
 ACCEPTED = FIELDS + (RATIONALS, NumberField.make([-1, -1, 0, 1], "r"))
 
 
@@ -546,7 +555,7 @@ def test_accepted_rings_have_no_zero_divisors(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(nonzero_pair())
 def test_inverse_matches_extended_gcd_reference(case):
-    # Gauss-Jordan on the multiplication matrix against the extended gcd.
+    # Elimination on the multiplication matrix against the extended gcd.
     _, a, b = case
     for x in (a, b, a * b, a + b):
         if x:

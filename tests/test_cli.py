@@ -65,6 +65,12 @@ def test_exit_0_success():
     assert "newton: 7/6 (agrees: yes)" in out
 
 
+def test_exit_0_on_a_chain_deeper_than_the_recursion_limit():
+    code, out, err = run_cli(["pole", "x^2+y^2+z^1200", "--max-depth", "5000"])
+    assert (code, err) == (0, "")
+    assert "lambda_uncapped: 1201/1200" in out
+
+
 def test_exit_1_parse_error_with_span():
     code, _, err = run_cli(["pole", "x^"])
     assert code == 1
@@ -371,6 +377,8 @@ def test_newton_json_matches_golden(poly, golden):
             ["parse", "- 3*x*x^2 + 2*y^3*z - y*z*y^2 + 5 - 5 + z^0*x^3", "--json"],
             "parse_plain_sum.json",
         ),
+        # a sum that cancels to zero: no support and no total degree
+        (["parse", "x-x", "--json"], "parse_zero.json"),
     ],
 )
 def test_json_matches_golden(argv, golden):

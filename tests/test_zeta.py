@@ -59,6 +59,13 @@ def test_a5_certified_chain():
     ]
 
 
+def test_deep_chain_resolves_without_recursion():
+    # A1200 blows up 600 times along one path; the walk keeps its own stack.
+    rep = report_for("x^2 + y^2 + z^1200", depth=5000)
+    assert rep.certified
+    assert rep.lambda_uncapped == Fraction(1201, 1200)
+
+
 def test_a4_uncertified_chain():
     rep = report_for("x^2 + y^2 + z^5")
     assert rep.lambda_uncapped == Fraction(5, 4)
