@@ -680,10 +680,26 @@ class Auto:
             raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
     chart: Chart
     children: tuple["TreeNode", ...]
+
+    # Every chart holds a dict of divisors, so no node has a hash.
+    __hash__ = None
+
+    def __eq__(self, other: object) -> bool:
+        """Chart by chart, with one explicit stack, so no chain is too deep
+        to compare."""
+        if other.__class__ is not TreeNode:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.chart != b.chart or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
 
     @property
     def is_leaf(self) -> bool:
@@ -694,6 +710,8 @@ class TreeNode:
 class ResolutionTree:
     root_polynomial: Polynomial
     root: TreeNode
+
+    __hash__ = None
 
     def nodes(self) -> Iterator[TreeNode]:
         stack = [self.root]

@@ -2,20 +2,22 @@
 independent of any blow-up.
 
 For f vanishing at the origin, t0 is the parameter where the diagonal
-(t, ..., t) first meets the polyhedron conv(support + positive orthant);
-the reported value is 1/t0. When the least pure powers A_c * e_c of the
-axes give the unique optimum, as on Brieskorn-Pham sums such as the A_n, E6
-and E8 normal forms (where 1/t0 = sum_c 1/A_c; Varchenko 1976), it is read
-off them with no pivot. Otherwise one exact fraction-free simplex solves
-the min-max program, on a tableau whose columns are only lam and the slacks
-s. Either way the value is accepted only if its primal weights lam and dual
-weights w prove each other by LP duality over the whole support. That
-certificate is the same whatever path the solver took. The simplex pivots
-with `_pivot`, the one fraction-free elimination, in algebra.py; Fractions
-are built only for t0 and 1/t0. The largest N/sum(w) over the facet
-normals (w, N), when they are enumerated, must equal the certified t0. The
-value is what the polyhedron alone determines; for degenerate boundaries it
-is only a candidate, and no nondegeneracy check is attempted.
+(t, ..., t) first meets the polyhedron conv(support + positive orthant); the
+reported value is 1/t0. When every axis has a pure power and no support
+point lies below the hyperplane through the least ones A_c * e_c (points on
+it are allowed), as on Brieskorn-Pham sums such as the A_n, E6 and E8 normal
+forms (where 1/t0 = sum_c 1/A_c; Varchenko 1976) and on many of their linear
+disguises, it is read off them with no pivot. Otherwise one exact
+fraction-free simplex solves the min-max program, on a tableau whose columns
+are only lam and the slacks s. Either way the value is accepted only if its
+primal weights lam and dual weights w prove each other by LP duality over
+the whole support. That certificate is the same whatever path the solver
+took. The simplex pivots with `_pivot`, the one fraction-free elimination,
+in algebra.py; Fractions are built only for t0 and 1/t0. The largest
+N/sum(w) over the facet normals (w, N), when they are enumerated, must equal
+the certified t0. The value is what the polyhedron alone determines; for
+degenerate boundaries it is only a candidate, and no nondegeneracy check is
+attempted.
 """
 
 from __future__ import annotations
@@ -120,46 +122,57 @@ def _t0_primal(pts: list[tuple[int, ...]], d: int):
     The pure-power vertex. Let A_c be the least exponent among the pure
     powers of axis c (points whose only nonzero coordinate is c), L the lcm
     of the A_c and w_c = L / A_c, so w . a = L on those d points. When every
-    axis has one and every other point has w . a > L, the answer is read off
-    with no pivot: t = L, lam_c = w_c at axis c's least pure power, and
-    den = sum(w). w is dual-feasible with min_i w . a_i = t, so both are
-    optimal. Complementary slackness then leaves lam no other point (each
-    has w . a > L) and s no coordinate (each w_c > 0), so lam_c * A_c = t
-    fixes the primal optimum, and every lam_c > 0 fixes the dual one. The
-    basis of those pure powers and t is nondegenerate and the only optimal
-    one, so Bland's simplex below would end there too.
-
-    Otherwise an exact simplex. Columns are ordered lam, s, and Bland's
-    rule (lowest entering index, ties in the ratio test to the lowest basic
-    index) keeps degenerate supports from cycling. The start basis is
-    closed-form: lam = 1 at the point s whose largest coordinate
-    M = a_s[top] is smallest, t = M, and slacks M - a_sc on every other row;
-    its tableau is written down directly with den = 1. t is basic in row
-    top and never leaves: every feasible point has t >= its largest
-    coordinate, which is positive, so no basic solution has t = 0 and the
-    ratio test never picks row top. While t is basic the objective row is
-    minus row top outside t's column, so the tableau keeps neither the
-    objective row nor t's column, and row top holds minus the reduced
-    costs. At the optimum the reduced cost of slack c is -y_c for the dual
-    y of B^T y = c_B, so w = -y is minus row top's slack entries. Pivots
-    divide exactly (see _pivot).
+    axis has one and no point has w . a < L (other points on the hyperplane
+    w . a = L are allowed), the answer is read off with no pivot: t = L,
+    lam_c = w_c at axis c's least pure power, 0 on every other point, and
+    den = sum(w). lam is a convex combination whose point is t on every
+    coordinate, and w is dual-feasible with min_i w . a_i = t, so both are
+    optimal and the certificate proves it. With no point on the hyperplane
+    besides the d pure powers this is the unique optimal basis, where
+    Bland's simplex would end too. With ties it is an optimum but perhaps
+    not the only one: t is still the unique optimal value, yet _simplex may
+    stop at another optimal basis, with other lam and w. Every other
+    support goes to _simplex.
     """
-    n = len(pts)
     least = [0] * d
-    for a in pts:
+    at = [0] * d  # the index of axis c's least pure power
+    for i, a in enumerate(pts):
         if a.count(0) == d - 1:
             e = max(a)
             c = a.index(e)
             if not least[c] or e < least[c]:
                 least[c] = e
+                at[c] = i
     if all(least):
         order = lcm(*least)
         w = [order // e for e in least]
-        dots = [sum(map(mul, w, a)) for a in pts]
-        # The d least pure powers reach w . a = order; nothing else may.
-        if min(dots) == order and dots.count(order) == d:
-            lam = [order // max(a) if v == order else 0 for a, v in zip(pts, dots)]
+        # The d least pure powers reach w . a = order; nothing may go below.
+        if min([sum(map(mul, w, a)) for a in pts]) == order:
+            lam = [0] * len(pts)
+            for i, v in zip(at, w):
+                lam[i] = v
             return order, lam, w, sum(w)
+    return _simplex(pts, d)
+
+
+def _simplex(pts: list[tuple[int, ...]], d: int):
+    """The program of _t0_primal by an exact simplex, with the same return.
+
+    Columns are ordered lam, s, and Bland's rule (lowest entering index,
+    ties in the ratio test to the lowest basic index) keeps degenerate
+    supports from cycling. The start basis is closed-form: lam = 1 at the
+    point s whose largest coordinate M = a_s[top] is smallest, t = M, and
+    slacks M - a_sc on every other row; its tableau is written down directly
+    with den = 1. t is basic in row top and never leaves: every feasible
+    point has t >= its largest coordinate, which is positive, so no basic
+    solution has t = 0 and the ratio test never picks row top. While t is
+    basic the objective row is minus row top outside t's column, so the
+    tableau keeps neither the objective row nor t's column, and row top
+    holds minus the reduced costs. At the optimum the reduced cost of slack
+    c is -y_c for the dual y of B^T y = c_B, so w = -y is minus row top's
+    slack entries. Pivots divide exactly (see _pivot).
+    """
+    n = len(pts)
     a_s = min(pts, key=max)
     m = max(a_s)
     start, top = pts.index(a_s), a_s.index(m)

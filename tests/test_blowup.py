@@ -18,6 +18,7 @@ from lctkit import (
     PoleIndex,
     Polynomial,
     ScriptError,
+    TreeNode,
     UnitInputError,
     ZeroPolynomialError,
     blowup_origin,
@@ -611,6 +612,42 @@ def test_auto_is_deterministic():
     a = [(n.chart.path_text(), n.chart.status, n.chart.strict) for n in first.nodes()]
     b = [(n.chart.path_text(), n.chart.status, n.chart.strict) for n in second.nodes()]
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def deep_pair():
+    """Two trees of A1199, built apart: 600 blow-ups along one path, deeper
+    than the recursion limit."""
+    return [resolve(P("x^2+y^2+z^1200"), Auto(5000)) for _ in range(2)]
+
+
+def test_deep_trees_compare_equal_without_recursion(deep_pair):
+    a, b = deep_pair
+    assert a.root is not b.root
+    assert a.root == b.root
+    assert a == b
+
+
+def test_deep_trees_differing_in_one_deep_chart_compare_unequal(deep_pair):
+    a, b = deep_pair
+    path = [b.root]  # down the one path that keeps blowing up
+    while path[-1].children:
+        children = path[-1].children
+        path.append(next((c for c in children if c.children), children[0]))
+    assert len(path) > 600
+    node = TreeNode(replace(path[-1].chart, status=ChartStatus.DEPTH_LIMIT), ())
+    for parent, child in zip(path[-2::-1], path[:0:-1]):
+        node = TreeNode(parent.chart, tuple(node if c is child else c for c in parent.children))
+    assert a.root != node
+    assert node != a.root
+
+
+def test_tree_nodes_are_not_hashable():
+    tree = resolve(P("x^2 + y^2 + z^6"), Auto(max_depth=10))
+    with pytest.raises(TypeError, match="TreeNode"):
+        hash(tree.root)
+    with pytest.raises(TypeError, match="ResolutionTree"):
+        hash(tree)
 
 
 def test_depth_limit_marks_leaves():

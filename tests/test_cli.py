@@ -357,6 +357,8 @@ def test_newton_lists_facets():
         ("x^2 + y^3 + y*z^3", "newton_e7.json"),
         ("x^2+y^2*z+z^4", "newton_x2_y2z_z4.json"),
         ("x^2+y^3+z^7", "newton_x2_y3_z7.json"),
+        # a disguised A1 whose x*y ties on the pure powers' hyperplane
+        ("2*z^2+(y+2*x)^2+3*x^5", "newton_disguised_a1.json"),
     ],
 )
 def test_newton_json_matches_golden(poly, golden):

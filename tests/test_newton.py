@@ -238,7 +238,7 @@ def test_double_description_matches_brute_force_on_members():
 
 
 def fraction_t0_primal(pts, d):
-    """Reference: the same Bland simplex as newton._t0_primal, pivoted over
+    """Reference: the same Bland simplex as newton._simplex, pivoted over
     Fraction row by row, as the oracle computed it before it went
     fraction-free."""
     n = len(pts)
@@ -309,10 +309,13 @@ def as_fractions(t, lam, w, den):
 
 
 def test_integer_simplex_matches_fraction_reference():
+    # _simplex itself, so that the supports that _t0_primal reads off their
+    # pure powers (the hand-written tie and one random support) still pin
+    # Bland's degenerate pivots
     checked = 0
     for points in reference_supports():
         d = len(points[0])
-        t, lam, w, den = SOLVE(points, d)
+        t, lam, w, den = newton._simplex(points, d)
         assert all(type(v) is int for v in [t, *lam, *w, den])
         assert den >= 1
         assert as_fractions(t, lam, w, den) == fraction_t0_primal(points, d)
@@ -323,23 +326,57 @@ def test_integer_simplex_matches_fraction_reference():
 # -- the pure-power vertex ---------------------------------------------------
 
 
-def is_strict(points, d):
-    """Every axis has a pure power, and every point other than the d least
-    ones lies strictly above their hyperplane sum_c a_c / A_c = 1."""
-    least = {}  # axis c -> A_c
-    for a in points:
+def pure_power_hyperplane(points, d):
+    """The index of each axis' least pure power A_c * e_c, and each point's
+    sum_c a_c / A_c, which is 1 on their hyperplane; None when an axis has
+    no pure power."""
+    at = {}  # axis c -> index of its least pure power
+    for i, a in enumerate(points):
         axes = [c for c in range(d) if a[c]]
         if len(axes) == 1:
             c = axes[0]
-            least[c] = min(least.get(c, a[c]), a[c])
-    if len(least) < d:
-        return False
-    vertices = {tuple(least[c] * (k == c) for k in range(d)) for c in range(d)}
-    return all(
-        sum(Fraction(a[c], least[c]) for c in range(d)) > 1
-        for a in points
-        if a not in vertices
-    )
+            if c not in at or a[c] < points[at[c]][c]:
+                at[c] = i
+    if len(at) < d:
+        return None
+    least = [points[at[c]][c] for c in range(d)]
+    sums = [sum(Fraction(e, A) for e, A in zip(a, least)) for a in points]
+    return [at[c] for c in range(d)], sums
+
+
+def nothing_below(points, d):
+    """Every axis has a pure power, and no point lies below the hyperplane
+    of the least ones; points on it are allowed."""
+    plane = pure_power_hyperplane(points, d)
+    return plane is not None and min(plane[1]) >= 1
+
+
+def pure_power_vertex(points, d):
+    """(t, lam, w, den) in closed form: t = L = lcm(A_c), w_c = L / A_c,
+    lam = w_c on axis c's least pure power and 0 elsewhere, den = sum(w)."""
+    at, _ = pure_power_hyperplane(points, d)
+    least = [points[i][c] for c, i in enumerate(at)]
+    t = lcm(*least)
+    w = [t // e for e in least]
+    lam = [0] * len(points)
+    for i, v in zip(at, w):
+        lam[i] = v
+    return t, lam, w, sum(w)
+
+
+def assert_matches_reference(points, d, result, pivots):
+    """No pivot and the closed form when nothing lies below. On a tie, a
+    point besides the d least pure powers on their hyperplane, only the
+    Fraction reference's t, since Bland's simplex may stop at another
+    optimal basis; the reference's whole answer otherwise."""
+    expected = fraction_t0_primal(points, d)
+    if nothing_below(points, d):
+        assert pivots == 0
+        assert result == pure_power_vertex(points, d)
+        if pure_power_hyperplane(points, d)[1].count(1) > d:
+            assert as_fractions(*result)[0] == expected[0]
+            return
+    assert as_fractions(*result) == expected
 
 
 def solve_counting_pivots(points, d):
@@ -359,7 +396,7 @@ def solve_counting_pivots(points, d):
 
 
 @pytest.mark.parametrize(
-    "text, variables, strict",
+    "text, variables, vertex",
     [
         ("x^2 + y^3 + z^5", "xyz", True),
         # a second pure power on x; lam sits on x^2
@@ -369,7 +406,11 @@ def solve_counting_pivots(points, d):
         (str(generator("E6")), "xyz", True),
         (str(generator("E8")), "xyz", True),
         # x*y lies on the hyperplane of x^2, y^2 and z^2
-        ("x^2 + y^2 + z^2 + x*y", "xyz", False),
+        ("x^2 + y^2 + z^2 + x*y", "xyz", True),
+        # a disguised A1: x*y on the hyperplane, x^5 above it
+        ("2*z^2+(y+2*x)^2+3*x^5", "xyz", True),
+        # x*y, y*z and x*z all on the hyperplane
+        ("(x+y+z)^2", "xyz", True),
         # x*y*z lies below the hyperplane of x^4, y^4 and z^4
         ("x^4 + y^4 + z^4 + x*y*z", "xyz", False),
         # E7 has no pure power of z, D6 none of y
@@ -377,13 +418,13 @@ def solve_counting_pivots(points, d):
         (str(generator("D", 6)), "xyz", False),
     ],
 )
-def test_pure_power_vertex_needs_no_pivot(text, variables, strict):
+def test_pure_power_vertex_needs_no_pivot(text, variables, vertex):
     points = list(support(parse_poly(text, GAUSS, tuple(variables))))
     d = len(variables)
-    assert is_strict(points, d) is strict
+    assert nothing_below(points, d) is vertex
     result, pivots = solve_counting_pivots(points, d)
-    assert (pivots == 0) is strict
-    assert as_fractions(*result) == fraction_t0_primal(points, d)
+    assert (pivots == 0) is vertex
+    assert_matches_reference(points, d, result, pivots)
 
 
 @st.composite
@@ -428,10 +469,7 @@ def pure_power_supports(draw):
 @given(pure_power_supports())
 def test_pure_power_vertex_matches_fraction_reference(case):
     d, points = case
-    result, pivots = solve_counting_pivots(points, d)
-    assert as_fractions(*result) == fraction_t0_primal(points, d)
-    if is_strict(points, d):
-        assert pivots == 0
+    assert_matches_reference(points, d, *solve_counting_pivots(points, d))
 
 
 def _tampered(change):
