@@ -65,9 +65,9 @@ coordinate equal to one. Each docstring states its own.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -680,6 +680,10 @@ class Auto:
             raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
 
+# Every field of a chart but its steps, which hold its whole path.
+_BUT_STEPS = attrgetter(*(f.name for f in fields(Chart) if f.name != "steps"))
+
+
 @dataclass(frozen=True, eq=False)
 class TreeNode:
     chart: Chart
@@ -690,14 +694,23 @@ class TreeNode:
 
     def __eq__(self, other: object) -> bool:
         """Chart by chart, with one explicit stack, so no chain is too deep
-        to compare."""
+        to compare. A child's steps are its parent's and one more, so below
+        the top pair, whose charts are compared in full, a pair of charts
+        compares its last steps and its other fields only: the cost of a
+        pair does not grow with its depth."""
         if other.__class__ is not TreeNode:
             return NotImplemented
+        if self.chart != other.chart:
+            return False
         stack = [(self, other)]
         while stack:
             a, b = stack.pop()
-            if a.chart != b.chart or len(a.children) != len(b.children):
+            if len(a.children) != len(b.children):
                 return False
+            for c, d in zip(a.children, b.children):
+                c, d = c.chart, d.chart
+                if c.steps[-1:] != d.steps[-1:] or _BUT_STEPS(c) != _BUT_STEPS(d):
+                    return False
             stack.extend(zip(a.children, b.children))
         return True
 

@@ -12,17 +12,31 @@ Grammar (whitespace insensitive, multiplication always explicit):
 inside rational literals. NAME resolves to a session variable or to the
 field generator; anything else is an error with a source span.
 
-parse_poly tries a plain-sum reader first. A plain sum is an optional
-leading '-' and monomials joined by '+' or '-', each monomial an INT, a
-session variable or a variable '^' INT, or several of these joined by '*',
-with whitespace only around operators, as every newton-grid input and the
-Brieskorn-Pham pole inputs are. The reader splits the text with str methods
-and sums integer coefficients per exponent tuple, inserting a tuple when its
-first nonzero summand arrives and deleting it when its sum cancels, as
-_add_into does for each term of the descent below; so the two give the same
-term dict in the same order. Any other text, including every text with an
-error, makes the reader return None and goes to the descent, which raises
-each error with its span and stays the reference in the tests.
+parse_poly tries a plain-sum reader first, with whitespace only around
+operators:
+
+    sum    := ['-'] mono (('+' | '-') mono)*
+    mono   := factor ('*' factor)*
+    factor := INT | NAME ['^' INT] | '(' sum ')' ['^' INT]
+
+where NAME is a session variable and a group's sum holds no group. Every
+newton-grid input is a plain sum, and so is every pole-auto input: the
+Brieskorn-Pham forms, their shear disguises such as 3*(y+3*z)^3, and the
+squared forms such as (-x-2*y-2*z)^2. The reader splits the text with str
+methods and sums integer coefficients per exponent tuple, inserting a tuple
+when its first nonzero summand arrives and deleting it when its sum
+cancels, as _add_into does for each term of the descent below. A group's
+power and the product of a monomial's groups run algebra._power and
+algebra._product on int term dicts, in the descent's order of operands, and
+the monomial's coefficient and exponents then scale and shift the product,
+as the descent's last _mul_terms does. A one-term factor of a product keeps
+the order of the other factor, so multiplying a one-term group in orders
+the terms as the descent's fold of it into the monomial does. So the two
+give the same term dict in the same order. Any other text makes the reader
+return None and goes to the descent: a nested group, a rational literal,
+the field generator, a group that is empty or cancels, a '-' after '*', and
+every text with an error. The descent raises each error with its span and
+stays the reference in the tests.
 
 In the descent, one regular expression splits a text into tokens; a
 token's line and column are worked out from its offset only when an error
@@ -46,6 +60,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .algebra import (
@@ -57,6 +72,8 @@ from .algebra import (
     _add_into,
     _mul_terms,
     _pow_terms,
+    _power,
+    _product,
     _signed_join,
     format_element,
     reads_as_name,
@@ -297,44 +314,80 @@ def _read_sum(text: str, session: _Session) -> Optional[Terms]:
     """The term dict of a plain sum (see the module docstring), in the
     descent's order, or None for any other text."""
     body = text.strip()
+    index, width = session.index, len(session.origin)
+    groups = None
+    try:
+        if "(" in body:
+            # Each group becomes the factor '()' of the outer sum.
+            first, *segments = body.split("(")
+            groups, outer = [], [first]
+            for segment in segments:
+                inner, close, rest = segment.partition(")")
+                group = _int_sum(inner.strip(), index, width, None) if close else None
+                if not group:  # nested, unclosed, empty, cancelling or not plain
+                    return None
+                groups.append(group)
+                outer.append("()" + rest)
+            body, groups = "".join(outer), iter(groups)
+        sums = _int_sum(body, index, width, groups)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+    if sums is None:
+        return None
+    rational, one = session.field.rational, session.one
+    return {e: one if c == 1 else rational(c) for e, c in sums.items()}
+
+
+def _int_sum(body: str, index: dict, width: int, groups) -> Optional[dict]:
+    """The int coefficient sums of the stripped sum `body`, whose factors
+    '()' take the int term dicts of `groups` in turn; None if not plain."""
     # Each '-' now starts a piece: a monomial, negated, or an empty operand.
     pieces = body.replace("-", "+-").split("+")
     if body[:1] == "-":
         del pieces[0]  # the '' before the leading '-'
-    index, width = session.index, len(session.origin)
     sums: dict[tuple[int, ...], int] = {}
-    try:
-        for piece in pieces:
-            negate = piece[:1] == "-"
-            exps, coeff = [0] * width, -1 if negate else 1
-            for factor in (piece[1:] if negate else piece).split("*"):
-                factor = factor.strip()
-                k = index.get(factor)
-                if k is not None:
-                    exps[k] += 1
-                    continue
-                name, caret, power = factor.partition("^")
-                if caret:
-                    k = index.get(name.rstrip())
-                    power = power.lstrip()
-                    if k is None or not (power.isascii() and power.isdigit()):
-                        return None
+    product = None
+    for piece in pieces:
+        negate = piece[:1] == "-"
+        exps, coeff = [0] * width, -1 if negate else 1
+        for factor in (piece[1:] if negate else piece).split("*"):
+            factor = factor.strip()
+            k = index.get(factor)
+            if k is not None:
+                exps[k] += 1
+                continue
+            name, caret, power = factor.partition("^")
+            if caret:
+                name, power = name.rstrip(), power.lstrip()
+                k = index.get(name)
+                if k is not None and power.isascii() and power.isdigit():
                     exps[k] += int(power)
-                elif factor.isascii() and factor.isdigit():
-                    coeff *= int(factor)
-                else:
-                    return None
-            key = tuple(exps)
-            cur = sums.get(key)
-            new = coeff if cur is None else cur + coeff
-            if new:
-                sums[key] = new
-            elif cur is not None:
-                del sums[key]
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        return None
-    rational, one = session.field.rational, session.one
-    return {e: one if c == 1 else rational(c) for e, c in sums.items()}
+                    continue
+            elif factor.isascii() and factor.isdigit():
+                coeff *= int(factor)
+                continue
+            if name != "()" or (caret and not (power.isascii() and power.isdigit())):
+                return None
+            # The 0th power is 1. A one-term factor keeps the order of the
+            # other, as the descent's fold into the monomial does.
+            group, n = next(groups), int(power) if caret else 1
+            if n:
+                group = _power(group, n, _product, None)
+                product = group if product is None else _product(product, group)
+        if product is not None:
+            if coeff:
+                shift = {tuple(map(add, e, exps)): c * coeff for e, c in product.items()}
+                _add_into(sums, shift)
+            product = None
+            continue
+        key = tuple(exps)
+        cur = sums.get(key)
+        new = coeff if cur is None else cur + coeff
+        if new:
+            sums[key] = new
+        elif cur is not None:
+            del sums[key]
+    return sums
 
 
 def parse_poly(

@@ -628,6 +628,23 @@ def test_deep_trees_compare_equal_without_recursion(deep_pair):
     assert a == b
 
 
+def test_deep_trees_compare_each_step_a_bounded_number_of_times(deep_pair, monkeypatch):
+    # Each chart's steps hold its whole path, so comparing them in full at
+    # every node costs time quadratic in the depth.
+    a, b = deep_pair
+    calls = 0
+    step_eq = BlowupStep.__eq__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return step_eq(self, other)
+
+    monkeypatch.setattr(BlowupStep, "__eq__", counting)
+    assert a.root == b.root
+    assert 0 < calls <= 2 * sum(1 for _ in a.nodes())
+
+
 def test_deep_trees_differing_in_one_deep_chart_compare_unequal(deep_pair):
     a, b = deep_pair
     path = [b.root]  # down the one path that keeps blowing up

@@ -381,6 +381,8 @@ def test_newton_json_matches_golden(poly, golden):
         ),
         # a sum that cancels to zero: no support and no total degree
         (["parse", "x-x", "--json"], "parse_zero.json"),
+        # powers of parenthesised sums, expanded by the one-pass reader
+        (["parse", "3*y^2+2*(z+3*x)^4-(x-2*y)^2", "--json"], "parse_grouped_sum.json"),
     ],
 )
 def test_json_matches_golden(argv, golden):

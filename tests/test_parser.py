@@ -292,11 +292,26 @@ _NAMES = ("x", "y", "z", "u", "ab", "x1", "_t", "Long_name")
 _SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
 
 
+def _signed_sum(draw, monomials):
+    """The sum of (negate, monomial) pairs, with whitespace around its signs
+    and a leading '-' for a first negated monomial."""
+    text = ""
+    for k, (negate, mono) in enumerate(monomials):
+        if k:
+            text += f"{draw(_SPACE)}{'-' if negate else '+'}{draw(_SPACE)}"
+        elif negate:
+            text += f"-{draw(_SPACE)}"
+        text += mono
+    return text
+
+
 @st.composite
 def plain_sums(draw):
     """(text, variables): a plain sum with repeated factors, x^0, pairs
     of monomials that cancel, whitespace around operators and maybe a
-    leading '-'."""
+    leading '-'. A monomial may hold up to two groups: a parenthesised plain
+    sum with signs inside, maybe raised to a power 0-6 with whitespace
+    around '^', times the monomial's other factors."""
     variables = tuple(draw(st.lists(st.sampled_from(_NAMES), min_size=1,
                                     max_size=6, unique=True)))
     factor = st.one_of(
@@ -305,30 +320,44 @@ def plain_sums(draw):
         st.tuples(st.sampled_from(variables), _SPACE, _SPACE,
                   st.integers(0, 12)).map(lambda t: f"{t[0]}{t[1]}^{t[2]}{t[3]}"),
     )
-    monomials = []
-    for factors in draw(st.lists(st.lists(factor, min_size=1, max_size=4),
-                                 min_size=1, max_size=6)):
-        monomials.append((draw(st.booleans()), "".join(
+    power = st.one_of(
+        st.just(""),
+        st.tuples(_SPACE, _SPACE, st.integers(0, 6)).map(lambda t: f"{t[0]}^{t[1]}{t[2]}"),
+    )
+
+    def monomial(max_groups):
+        factors = draw(st.lists(factor, min_size=1, max_size=4))
+        for _ in range(draw(st.integers(0, max_groups))):
+            inner = _signed_sum(draw, [
+                (draw(st.booleans()), monomial(0))
+                for _ in range(draw(st.integers(1, 3)))
+            ])
+            # A group whose terms all cancel goes to the descent: not drawn.
+            assume(_outcome(inner, variables, reader=False))
+            group = f"({draw(_SPACE)}{inner}{draw(_SPACE)}){draw(power)}"
+            factors.insert(draw(st.integers(0, len(factors))), group)
+        return "".join(
             f if k == 0 else f"{draw(_SPACE)}*{draw(_SPACE)}{f}"
             for k, f in enumerate(factors)
-        )))
+        )
+
+    monomials = [
+        (draw(st.booleans()), monomial(draw(st.sampled_from((0, 0, 1, 2)))))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
     for negate, mono in list(monomials):
         if draw(st.booleans()):  # the same monomial with the other sign
             monomials.insert(draw(st.integers(0, len(monomials))), (not negate, mono))
-    text = draw(_SPACE)
-    for k, (negate, mono) in enumerate(monomials):
-        if k:
-            text += f"{draw(_SPACE)}{'-' if negate else '+'}{draw(_SPACE)}"
-        elif negate:
-            text += f"-{draw(_SPACE)}"
-        text += mono
-    return text + draw(_SPACE), variables
+    return draw(_SPACE) + _signed_sum(draw, monomials) + draw(_SPACE), variables
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(plain_sums())
 @example(("2*x - 2*x + 0*y", ("x", "y")))
 @example(("x*x^0*3 - 3*x + y", ("x", "y")))
+@example(("3*y^2+2*(z+3*x)^4-(x-2*y)^2", ("x", "y", "z")))
+@example(("-(x - y) ^ 3*2*(x+y)*x - (y-x)^0 + (2*y)^2*(-x)", ("x", "y")))
+@example(("(x+y)^2*(x-y)^0 - 0*(x+y) + (y)*(x)^3", ("x", "y")))
 def test_plain_sum_reader_gives_the_descents_terms(case):
     text, variables = case
     assert _read_sum(text, _session(GAUSS, variables)) is not None
@@ -341,6 +370,9 @@ def test_plain_sum_reader_gives_the_descents_terms(case):
         "", " ", "-", "+x", "x+", "x*", "*x", "x++y", "x+-y", "x--y", "- -x",
         "2 3*x", "3x", "x y", "x^", "x^2^3", "x^²", "٣*x", "x^1_0", "2^3",
         "i*x", "w+x", "x/2", "(x)", "1" * 5000 + "*x", "x^" + "1" * 5000,
+        "(x+y)^0", "(x-x)^2", "((x))", "(x+y)(z)", "2(x+y)", "(i*x+y)^2",
+        "(x/2+y)^2", "(x+y)^2^3", "(x+y)^", "-(x+y)^2", "()", "(x+y", "x+y)",
+        ")x+y(", "(x*-y)^2", "(x+y)^" + "1" * 5000,
     ],
 )
 def test_plain_sum_near_misses_read_as_the_descent_reads_them(text):
@@ -356,6 +388,19 @@ def test_plain_sum_near_misses_read_as_the_descent_reads_them(text):
 @pytest.mark.parametrize("seed", [1, 2, 1009])
 def test_newton_grid_texts_are_plain_sums(seed):
     for op in workload_pass("newton", seed):
+        variables = tuple(op["vars"].split(","))
+        terms = _read_sum(op["text"], _session(GAUSS, variables))
+        assert terms is not None
+        assert list(terms.items()) == _outcome(op["text"], variables, reader=False)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 1009])
+def test_pole_auto_texts_are_read_in_one_pass(seed):
+    # Brieskorn-Pham forms plain and under shears, tree doublers and
+    # squared linear forms: powers of parenthesised sums among them.
+    ops = workload_pass("pole", seed)
+    assert any("(" in op["text"] for op in ops)
+    for op in ops:
         variables = tuple(op["vars"].split(","))
         terms = _read_sum(op["text"], _session(GAUSS, variables))
         assert terms is not None
